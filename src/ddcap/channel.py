@@ -12,8 +12,8 @@ only in-band noise).  SNR is the ratio of average signal power to the total
 noise variance summed over both quadratures.
 
 Exact entropies and mutual informations are computed on finite channels
-(noiseless waveform alphabets, or quantized outputs for M=1); Monte-Carlo
-estimators with exact or auxiliary conditional densities cover the rest.
+(noiseless waveform alphabets, or quantized outputs for M=1); one Monte-Carlo
+estimator with exact or auxiliary conditional densities covers the rest.
 Waveform alphabets are phase-canonicalized before transmission, since a
 global phase is unobservable; reports flag this gauge choice.
 """
@@ -21,6 +21,7 @@ global phase is unobservable; reports flag this gauge choice.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +32,8 @@ from .signals import PeriodicSignal, canonicalize_phase, intensity_grid
 #: Largest waveform alphabet for which exact noiseless channels are built.
 COUNTING_CAP = 10**6
 
-#: Largest waveform alphabet for the direct-detection Monte-Carlo bound.
+#: Largest symbol alphabet the Monte-Carlo estimator enumerates (the
+#: |constellation|^M waveforms of the direct receiver).
 DIRECT_ALPHABET_CAP = 4096
 
 _LOG2E = float(np.log2(np.e))
@@ -58,7 +60,7 @@ class NoiseSpec:
 
     def __post_init__(self):
         if not (self.snr > 0):
-            raise ValueError("snr must be positive (use math.inf for noiseless)")
+            raise ValueError(f"snr must be positive (use math.inf for noiseless), got {self.snr}")
 
 
 def inband_noise_coefficients(M: int, total_variance: float, rng, size=None) -> np.ndarray:
@@ -315,7 +317,7 @@ def chain_bound_check(
         if M != 1:
             raise DensityUnavailableError(
                 "noisy quantized chain bound is implemented for M=1 only; "
-                "use the Monte-Carlo estimators for larger M"
+                "use the Monte-Carlo estimator for larger M"
             )
         ch_coherent, ch_direct = _quantized_scalar_channels(
             inputs, prior, noise.snr, bin_width_factor, range_sigmas
@@ -496,7 +498,11 @@ def capacity_prior_search(conditional, M: int, step: float = 0.05):
 
 
 # ---------------------------------------------------------------------------
-# Monte-Carlo estimators
+# Monte-Carlo estimator
+
+#: Largest number of float64 entries in one evaluation block of the
+#: Monte-Carlo (rows, symbols, alphabet, outputs) density tensor.
+MC_BLOCK_ELEMENTS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -510,46 +516,32 @@ class MonteCarloReport:
     seed: int
     n_samples: int
     M: int
-    worker_count: int = 1
     phase_quotient: bool = False
     closed_form_bits_per_dof: float | None = None
 
 
-def _log_ncx2_density(y, s, sigma2):
-    """log density of |mu + nu|^2 at y, |mu|^2 = s, nu circular with E|nu|^2 = sigma2."""
+def _log_field_density(y, x, v):
+    """log density of x + nu at y, nu circular with E|nu|^2 = v."""
+    return -np.abs(y - x) ** 2 / v - np.log(np.pi * v)
+
+
+def _log_intensity_density(y, x, sigma2):
+    """log density of |x + nu|^2 at y (noncentral chi-square), nu circular with E|nu|^2 = sigma2."""
+    s = np.abs(x) ** 2
     v = sigma2 / 2.0
     z = np.sqrt(np.maximum(y * s, 0.0)) / v
     # log I0(z) = z + log(i0e(z)), overflow-safe
     return -np.log(2.0 * v) - (y + s) / (2.0 * v) + z + np.log(special.i0e(z))
 
 
-def _finalize(values: np.ndarray, M: int) -> tuple[float, float]:
-    """Mean and standard error of per-waveform bits-per-dof values."""
-    bits = float(values.mean())
-    se = float(values.std(ddof=1) / np.sqrt(len(values))) if len(values) > 1 else 0.0
-    return bits, se
+def _field_gaussian_bits(y, x, v):
+    """log2 q(y|x)/p(y) for unit-power Gaussian x: y is circular Gaussian with variance 1 + v."""
+    return (-np.abs(y - x) ** 2 / v + np.abs(y) ** 2 / (1.0 + v)) * _LOG2E + np.log2((1.0 + v) / v)
 
 
-def _mc_coherent_gaussian(snr, n, M, rng):
-    v = 1.0 / snr
-    x = (rng.standard_normal((n, M)) + 1j * rng.standard_normal((n, M))) / np.sqrt(2.0)
-    nu = np.sqrt(v / 2.0) * (rng.standard_normal((n, M)) + 1j * rng.standard_normal((n, M)))
-    y = x + nu
-    log_ratio = (
-        -np.abs(y - x) ** 2 / v + np.abs(y) ** 2 / (1.0 + v)
-    ) * _LOG2E + np.log2((1.0 + v) / v)
-    return _finalize(log_ratio.mean(axis=1), M), np.log2(1.0 + snr)
-
-
-def _mc_intensity_gaussian(snr, n, M, rng):
-    v = 1.0 / snr
-    x = (rng.standard_normal((n, M)) + 1j * rng.standard_normal((n, M))) / np.sqrt(2.0)
-    nu = np.sqrt(v / 2.0) * (rng.standard_normal((n, M)) + 1j * rng.standard_normal((n, M)))
-    y = np.abs(x + nu) ** 2
-    log_cond = _log_ncx2_density(y, np.abs(x) ** 2, v)
-    log_marg = -np.log(1.0 + v) - y / (1.0 + v)
-    log_ratio = (log_cond - log_marg) * _LOG2E
-    return _finalize(log_ratio.mean(axis=1), M), None
+def _intensity_gaussian_bits(y, x, v):
+    """log2 q(y|x)/p(y) for unit-power Gaussian x: y is exponential with mean 1 + v."""
+    return (_log_intensity_density(y, x, v) - (-np.log(1.0 + v) - y / (1.0 + v))) * _LOG2E
 
 
 def _mixture_logpdf(logs, log_prior):
@@ -558,72 +550,29 @@ def _mixture_logpdf(logs, log_prior):
     return (m + np.log(np.sum(np.exp(logs - m + log_prior), axis=-1, keepdims=True)))[..., 0]
 
 
-def _mc_coherent_finite(points, snr, n, M, rng):
-    power = float(np.mean(np.abs(points) ** 2))
-    v = power / snr
-    idx = rng.integers(0, len(points), size=(n, M))
-    x = points[idx]
-    nu = np.sqrt(v / 2.0) * (rng.standard_normal((n, M)) + 1j * rng.standard_normal((n, M)))
-    y = x + nu
-    log_cond = -np.abs(y - x) ** 2 / v - np.log(np.pi * v)
-    per_point = -np.abs(y[..., None] - points[None, None, :]) ** 2 / v - np.log(np.pi * v)
-    log_marg = _mixture_logpdf(per_point, -np.log(len(points)))
-    log_ratio = (log_cond - log_marg) * _LOG2E
-    return _finalize(log_ratio.mean(axis=1), M), None
+def _fields(coeffs, oversample):
+    """Rows of L Fourier coefficients -> the field at oversample * L points per period."""
+    if oversample == 1:  # receivers at rate B see one-sample symbols: the coefficient is the sample
+        return coeffs
+    return np.fft.fft(coeffs, n=oversample * coeffs.shape[-1], axis=-1)
 
 
-def _mc_intensity_finite(points, snr, n, M, rng):
-    power = float(np.mean(np.abs(points) ** 2))
-    v = power / snr
-    idx = rng.integers(0, len(points), size=(n, M))
-    x = points[idx]
-    nu = np.sqrt(v / 2.0) * (rng.standard_normal((n, M)) + 1j * rng.standard_normal((n, M)))
-    y = np.abs(x + nu) ** 2
-    log_cond = _log_ncx2_density(y, np.abs(x) ** 2, v)
-    per_point = _log_ncx2_density(y[..., None], np.abs(points[None, None, :]) ** 2, v)
-    log_marg = _mixture_logpdf(per_point, -np.log(len(points)))
-    log_ratio = (log_cond - log_marg) * _LOG2E
-    return _finalize(log_ratio.mean(axis=1), M), None
+@dataclass(frozen=True)
+class _Receiver:
+    """One receiver as the Monte-Carlo estimator sees it."""
+
+    oversample: int  # output samples per rate-B sample
+    square_law: bool  # detects |field|^2 rather than the field
+    log_density: Callable  # log q(y | noiseless field x, noise variance v) per output sample
+    gaussian_bits: Callable | None  # closed-form log2 q(y|x)/p(y) under Gaussian input
+    bound_direction: str
 
 
-def _mc_direct_finite(points, snr, n, M, rng):
-    """Auxiliary-channel lower bound for the direct receiver.
-
-    The exact conditional density of the 2M correlated intensity samples is
-    analytically heavy, so the decoding metric treats the samples as
-    independent with their true marginal noise variance.  The resulting
-    estimate E[log q(y|x) / sum_x' p(x') q(y|x')] over genuine channel draws
-    is a lower bound on I(X;Y) (mismatched-decoding bound); the report flags
-    the direction.
-    """
-    n_alpha = len(points) ** M
-    if n_alpha > DIRECT_ALPHABET_CAP:
-        raise ValueError(
-            f"direct-receiver bound enumerates the waveform alphabet; "
-            f"{n_alpha} exceeds the cap {DIRECT_ALPHABET_CAP}"
-        )
-    alphabet = np.array(list(itertools.product(points, repeat=M)))
-    coeffs = np.fft.ifft(alphabet, axis=1)
-    padded = np.zeros((n_alpha, 2 * M), dtype=np.complex128)
-    padded[:, :M] = coeffs
-    fields = np.fft.fft(padded, axis=1)  # (K, 2M) noiseless fields at rate 2B
-    s_table = np.abs(fields) ** 2
-    power = float(np.mean(np.abs(alphabet) ** 2))
-    sigma2 = power / snr
-    log_prior = -np.log(n_alpha)
-
-    idx = rng.integers(0, n_alpha, size=n)
-    noise_coeffs = inband_noise_coefficients(M, sigma2, rng, size=n)
-    noise_pad = np.zeros((n, 2 * M), dtype=np.complex128)
-    noise_pad[:, :M] = noise_coeffs
-    noise_fields = np.fft.fft(noise_pad, axis=1)
-    y = np.abs(fields[idx] + noise_fields) ** 2  # (n, 2M)
-
-    log_cond = _log_ncx2_density(y, s_table[idx], sigma2).sum(axis=1)
-    per_wave = _log_ncx2_density(y[:, None, :], s_table[None, :, :], sigma2).sum(axis=2)
-    log_marg = _mixture_logpdf(per_wave, log_prior)
-    log_ratio = (log_cond - log_marg) * _LOG2E / M
-    return _finalize(log_ratio, M), None
+_RECEIVERS = {
+    "coherent": _Receiver(1, False, _log_field_density, _field_gaussian_bits, "exact"),
+    "intensity": _Receiver(1, True, _log_intensity_density, _intensity_gaussian_bits, "exact"),
+    "direct": _Receiver(2, True, _log_intensity_density, None, "lower"),
+}
 
 
 def mc_mi(
@@ -632,7 +581,6 @@ def mc_mi(
     noise: NoiseSpec,
     n_samples: int,
     M: int = 1,
-    worker_count: int = 1,
 ) -> MonteCarloReport:
     """Monte-Carlo mutual information in bits per complex degree of freedom.
 
@@ -643,61 +591,102 @@ def mc_mi(
         Gaussian means iid circular coefficients; a constellation is used iid
         per rate-B sample (uniform prior).
     noise : NoiseSpec
+        Its SNR must be finite.
     n_samples : int
         Number of transmitted waveforms (>= 10^4 for quotable numbers).
     M : int
-        Degrees of freedom per waveform.  The direct receiver requires the
-        waveform alphabet |constellation|^M to stay under the enumeration cap.
+        Degrees of freedom per waveform, at least 1.
 
-    The coherent/Gaussian case carries its closed form log2(1 + SNR) in the
-    report for cross-checking.  The direct receiver reports a lower bound
-    (``bound_direction="lower"``); exact densities are flagged "exact".
+    One estimator serves every receiver.  It draws all symbols and noise up
+    front, then averages log2 q(y|x) - log2 p(y) per waveform, with p(y) in
+    closed form for Gaussian input and a mixture over the symbol alphabet
+    for a constellation.  Densities are evaluated in row blocks of at most
+    ``MC_BLOCK_ELEMENTS`` entries, so memory beyond the O(n_samples * M)
+    draws is bounded.  A symbol is one rate-B sample, except at the direct
+    receiver, whose 2M outputs mix neighbouring samples: there it is the
+    whole waveform, and ``DIRECT_ALPHABET_CAP`` on the symbol alphabet is
+    the only limit on |constellation|^M.
+
+    The direct receiver's metric treats its correlated outputs as
+    independent, so it reports the auxiliary-channel lower bound of Arnold,
+    Loeliger, Vontobel, Kavcic & Zeng (IEEE Trans. IT, 2006),
+    ``bound_direction="lower"``; the other densities are exact.  The
+    coherent/Gaussian case carries its closed form log2(1 + SNR) in the
+    report for cross-checking.
     """
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
-    rng = np.random.default_rng(noise.seed)
+    if M < 1:
+        raise ValueError(f"M must be at least 1, got {M}")
     snr = noise.snr
+    if not np.isfinite(snr):
+        raise ValueError(f"snr must be finite for a Monte-Carlo estimate, got {snr}")
     gaussian = isinstance(input_model, str) and input_model == "gaussian"
     if isinstance(input_model, str) and not gaussian:
         raise ValueError(f"unknown input model {input_model!r}")
-    model_name = "gaussian" if gaussian else "constellation"
-
-    closed = None
-    if receiver == "coherent" and gaussian:
-        (bits, se), closed = _mc_coherent_gaussian(snr, n_samples, M, rng)
-        direction = "exact"
-    elif receiver == "intensity" and gaussian:
-        (bits, se), _ = _mc_intensity_gaussian(snr, n_samples, M, rng)
-        direction = "exact"
-    elif receiver == "coherent" and not gaussian:
-        (bits, se), _ = _mc_coherent_finite(np.asarray(input_model), snr, n_samples, M, rng)
-        direction = "exact"
-    elif receiver == "intensity" and not gaussian:
-        (bits, se), _ = _mc_intensity_finite(np.asarray(input_model), snr, n_samples, M, rng)
-        direction = "exact"
-    elif receiver == "direct" and not gaussian:
-        (bits, se), _ = _mc_direct_finite(np.asarray(input_model), snr, n_samples, M, rng)
-        direction = "lower"
-    elif receiver == "direct" and gaussian:
+    if receiver not in _RECEIVERS:
+        raise ValueError(f"unknown receiver {receiver!r}")
+    rx = _RECEIVERS[receiver]
+    if gaussian and rx.gaussian_bits is None:
         raise DensityUnavailableError(
             "direct receiver with Gaussian input: the joint density of the 2M "
             "correlated intensity samples is not implemented; use a finite "
             "constellation (auxiliary lower bound) or the intensity receiver"
         )
+
+    length = M if rx.oversample > 1 else 1  # rate-B samples per symbol
+    shape = (n_samples, M // length)  # (waveforms, symbols per waveform)
+    rng = np.random.default_rng(noise.seed)
+    if gaussian:
+        v = 1.0 / snr
+        sent = (rng.standard_normal(shape + (1,)) + 1j * rng.standard_normal(shape + (1,))) / np.sqrt(2.0)
+        row_width = shape[1]
     else:
-        raise ValueError(f"unknown receiver {receiver!r}")
+        points = np.asarray(input_model)
+        n_alpha = len(points) ** length
+        if n_alpha > DIRECT_ALPHABET_CAP:
+            raise ValueError(
+                f"the estimator enumerates the symbol alphabet; {n_alpha} symbols "
+                f"exceed the cap {DIRECT_ALPHABET_CAP}"
+            )
+        samples = np.array(list(itertools.product(points, repeat=length)))
+        v = float(np.mean(np.abs(samples) ** 2)) / snr
+        alphabet = _fields(np.fft.ifft(samples, axis=1), rx.oversample)
+        log_prior = -np.log(n_alpha)
+        idx = rng.integers(0, n_alpha, size=shape)
+        row_width = shape[1] * alphabet.size
+    noise_fields = _fields(
+        inband_noise_coefficients(length, v, rng, size=shape[0] * shape[1]), rx.oversample
+    ).reshape(shape + (-1,))
+
+    values = np.empty(n_samples)
+    rows = max(1, MC_BLOCK_ELEMENTS // row_width)
+    for lo in range(0, n_samples, rows):
+        x = sent[lo : lo + rows] if gaussian else alphabet[idx[lo : lo + rows]]
+        y = x + noise_fields[lo : lo + rows]
+        if rx.square_law:
+            y = np.abs(y) ** 2
+        if gaussian:
+            bits = rx.gaussian_bits(y, x, v).sum(axis=-1)
+        else:
+            log_q = rx.log_density(y, x, v).sum(axis=-1)
+            per_symbol = rx.log_density(y[..., None, :], alphabet, v).sum(axis=-1)
+            bits = (log_q - _mixture_logpdf(per_symbol, log_prior)) * _LOG2E
+        values[lo : lo + rows] = bits.sum(axis=1) / M
 
     estimate = MIEstimate(
-        bits_per_dof=bits, std_error=se, method="monte_carlo", bound_direction=direction
+        bits_per_dof=float(values.mean()),
+        std_error=float(values.std(ddof=1) / np.sqrt(n_samples)),
+        method="monte_carlo",
+        bound_direction=rx.bound_direction,
     )
     return MonteCarloReport(
         estimate=estimate,
         receiver=receiver,
-        input_model=model_name,
+        input_model="gaussian" if gaussian else "constellation",
         snr=snr,
         seed=noise.seed,
         n_samples=n_samples,
         M=M,
-        worker_count=worker_count,
-        closed_form_bits_per_dof=closed,
+        closed_form_bits_per_dof=np.log2(1.0 + snr) if gaussian and receiver == "coherent" else None,
     )

@@ -56,6 +56,8 @@ EXIT_INPUT = 2
 EXIT_DOMAIN = 3
 EXIT_NUMERICAL = 4
 
+MI_RECEIVERS = ("coherent", "direct", "intensity")
+
 _DOMAIN_ERRORS = (
     EnumerationCapError,
     OnCircleFlipError,
@@ -87,7 +89,10 @@ class RunConfig:
 
     @property
     def snr(self) -> float:
-        return math.inf if self.snr_db is None else 10.0 ** (self.snr_db / 10.0)
+        try:
+            return math.inf if self.snr_db is None else 10.0 ** (self.snr_db / 10.0)
+        except OverflowError:  # beyond the float range: noiseless
+            return math.inf
 
 
 def _fail(code: int, message: str):
@@ -147,18 +152,16 @@ def _run_enumerate(cfg: RunConfig):
 @click.option("--input", "input_path", type=click.Path(), default=None,
               help="signal JSON (M=4); generated from --seed when omitted")
 @click.option("--output", "output_path", required=True, type=click.Path())
-@click.option("--M", "m_dof", default=4, show_default=True)
 @click.option("--B", "bandwidth", default=1.0, show_default=True)
 @click.option("--seed", default=0, show_default=True)
-def cmd_figure2(input_path, output_path, m_dof, bandwidth, seed):
+def cmd_figure2(input_path, output_path, bandwidth, seed):
     """Dense grid of one shared intensity and the 8 member phases (M=4).
 
     Emits CSV columns t, intensity, phase_0..phase_7 on 512 points per
     period; all member intensities are checked to agree to 1e-8 relative
     before the single intensity column is written.
     """
-    cfg = RunConfig("figure2", input_path=input_path, output_path=output_path,
-                    M=m_dof, B=bandwidth, seed=seed)
+    cfg = RunConfig("figure2", input_path=input_path, output_path=output_path, B=bandwidth, seed=seed)
     _run_figure2(cfg)
 
 
@@ -166,7 +169,7 @@ def _run_figure2(cfg: RunConfig):
     if cfg.input_path is not None:
         sig = _load_signal(cfg.input_path)
     else:
-        sig = random_signal(cfg.M, cfg.B, seed=cfg.seed)
+        sig = random_signal(4, cfg.B, seed=cfg.seed)
     if sig.M != 4:
         _fail(EXIT_DOMAIN, f"figure2 requires an M=4 signal, got M={sig.M}")
     fam = _guard(enumerate_family, sig)
@@ -219,8 +222,7 @@ def _run_minphase(cfg: RunConfig):
 @main.command("mi")
 @click.option("--spec", "spec_path", type=click.Path(), default=None,
               help="experiment JSON overriding the flags")
-@click.option("--receiver", type=click.Choice(["coherent", "direct", "intensity"]),
-              default="coherent", show_default=True)
+@click.option("--receiver", type=click.Choice(MI_RECEIVERS), default="coherent", show_default=True)
 @click.option("--input-model", default="gaussian", show_default=True,
               help="gaussian or a constellation name (bpsk/qpsk/8psk)")
 @click.option("--snr-db", default=10.0, show_default=True)
@@ -235,21 +237,34 @@ def cmd_mi(spec_path, receiver, input_model, snr_db, seed, n_samples, m_dof, out
             spec = read_experiment_json(spec_path)
         except (OSError, json.JSONDecodeError, ValueError) as exc:
             _fail(EXIT_INPUT, f"cannot read experiment spec {spec_path}: {exc}")
-        model_field = spec["input"]
-        input_model = model_field.get("model", "gaussian") if isinstance(model_field, dict) else model_field
-        receiver = spec["receiver"]
-        snr_db = float(spec["snr_db"])
-        seed = int(spec["seed"])
-        n_samples = int(spec["n_samples"])
-        m_dof = int(spec.get("M", m_dof))
+        model = spec["input"]
+        if isinstance(model, dict):
+            model = model.get("model", "gaussian")
+        input_model = _spec_value("input", model, str)
+        receiver = _spec_value("receiver", spec["receiver"], str)
+        if receiver not in MI_RECEIVERS:
+            _fail(EXIT_INPUT, f"spec field 'receiver' must be one of {', '.join(MI_RECEIVERS)}, "
+                              f"got {receiver!r}")
+        snr_db = float(_spec_value("snr_db", spec["snr_db"], (int, float)))
+        seed = _spec_value("seed", spec["seed"], int)
+        n_samples = _spec_value("n_samples", spec["n_samples"], int)
+        m_dof = _spec_value("M", spec.get("M", m_dof), int)
     cfg = RunConfig("mi", output_path=output_path, M=m_dof, seed=seed, snr_db=snr_db,
                     n_samples=n_samples, receiver=receiver, input_model=input_model)
     _run_mi(cfg)
 
 
+def _spec_value(key: str, value, kind):
+    """An experiment-spec field, held to the type its command-line flag has."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        wanted = {str: "a string", int: "an integer"}.get(kind, "a number")
+        _fail(EXIT_INPUT, f"spec field {key!r} must be {wanted}, got {value!r}")
+    return value
+
+
 def _run_mi(cfg: RunConfig):
     model = "gaussian" if cfg.input_model == "gaussian" else _guard(named_constellation, cfg.input_model)
-    noise = NoiseSpec(snr=cfg.snr, seed=cfg.seed)
+    noise = _guard(NoiseSpec, snr=cfg.snr, seed=cfg.seed)
     report = _guard(mc_mi, cfg.receiver, model, noise, cfg.n_samples, M=cfg.M)
     est = report.estimate
     payload = {
@@ -264,7 +279,6 @@ def _run_mi(cfg: RunConfig):
         "seed": report.seed,
         "n_samples": report.n_samples,
         "M": report.M,
-        "worker_count": report.worker_count,
         "phase_quotient": report.phase_quotient,
         "closed_form_bits_per_dof": report.closed_form_bits_per_dof,
     }
@@ -334,7 +348,7 @@ def cmd_simulate(input_path, output_path, receiver, snr_db, seed, oversample):
 
 def _run_simulate(cfg: RunConfig):
     sig = _load_signal(cfg.input_path)
-    noise = NoiseSpec(snr=cfg.snr, seed=cfg.seed)
+    noise = _guard(NoiseSpec, snr=cfg.snr, seed=cfg.seed)
     received = _guard(apply_noise, sig, noise)
     if cfg.receiver == "coherent":
         out = PeriodicSignal(M=received.M, B=received.B, samples=detect_coherent(received))

@@ -96,6 +96,8 @@ def read_experiment_json(path) -> dict:
     """Experiment spec: receiver, input, snr_db, seed, n_samples (+ optional M)."""
     with open(path) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError("experiment spec must be a JSON object")
     missing = {"receiver", "input", "snr_db", "seed", "n_samples"} - set(data)
     if missing:
         raise ValueError(f"experiment spec missing fields: {sorted(missing)}")

@@ -25,6 +25,7 @@ from .signals import (
     SpectralPoly,
     canonicalize_phase,
     field_grid,
+    resample_real_periodic,
     samples_to_spectrum,
     spectrum_to_samples,
 )
@@ -113,15 +114,6 @@ class MinPhaseResult:
     tolerance: float
 
 
-def _resample_to_grid(values: np.ndarray, n: int) -> np.ndarray:
-    """Trigonometric interpolation of a real periodic grid onto n points."""
-    if n == len(values):
-        return values.copy()
-    if n < len(values):
-        raise ValueError("internal grid must not be coarser than the input")
-    return np.fft.irfft(np.fft.rfft(values), n=n) * (n / len(values))
-
-
 def min_phase_from_intensity(
     intensity: SampledIntensity,
     M: int,
@@ -162,7 +154,7 @@ def min_phase_from_intensity(
 
     n = max(8 * M, _MIN_GRID, len(vals))
     while True:
-        dense = np.maximum(_resample_to_grid(vals, n), floor)
+        dense = np.maximum(resample_real_periodic(vals, n), floor)
         log_mag = 0.5 * np.log(dense)
         phase = -periodic_hilbert(log_mag)
         raw = np.sqrt(dense) * np.exp(1j * phase)

@@ -167,11 +167,16 @@ def evaluate_field(spec: SpectralPoly, t) -> complex | np.ndarray:
     t_arr = np.asarray(t, dtype=np.float64)
     if not np.all(np.isfinite(t_arr)):
         raise ValueError("evaluation times must be finite")
-    z = np.exp(-1j * spec.omega * t_arr)
-    acc = np.full_like(z, spec.coeffs[-1])
-    for c in spec.coeffs[-2::-1]:
-        acc = acc * z + c
+    acc = horner(spec.coeffs, np.exp(-1j * spec.omega * t_arr))
     return complex(acc) if np.isscalar(t) else acc
+
+
+def horner(coeffs, z):
+    """sum_k coeffs[k] z^k for ascending coefficients, elementwise over z."""
+    acc = np.full_like(z, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        acc = acc * z + c
+    return acc
 
 
 def field_grid(spec: SpectralPoly, oversample: int) -> np.ndarray:
@@ -206,15 +211,14 @@ def intensity_grid(sig: PeriodicSignal, oversample: int) -> SampledIntensity:
     return SampledIntensity(rate=oversample * sig.B, values=np.abs(grid) ** 2)
 
 
-def resample_real_periodic(values, factor: int) -> np.ndarray:
-    """Band-limited resampling of a real periodic grid by an integer factor."""
+def resample_real_periodic(values, n: int) -> np.ndarray:
+    """Band-limited resampling of a real periodic grid onto n >= len(values) points."""
     values = np.asarray(values, dtype=np.float64)
-    if factor < 1:
-        raise ValueError("factor must be >= 1")
-    if factor == 1:
+    if n < len(values):
+        raise ValueError("the output grid must not be coarser than the input")
+    if n == len(values):
         return values.copy()
-    n = len(values)
-    return np.fft.irfft(np.fft.rfft(values), n=factor * n) * factor
+    return np.fft.irfft(np.fft.rfft(values), n=n) * (n / len(values))
 
 
 def half_sample_intensity_oracle(samples, n: int, window: int) -> float:

@@ -21,6 +21,7 @@ from .signals import (
     PeriodicSignal,
     SpectralPoly,
     canonicalize_phase,
+    horner,
     samples_to_spectrum,
     spectrum_to_samples,
 )
@@ -87,13 +88,6 @@ class ZeroSet:
         return ~(self.on_circle | self.inside)
 
 
-def _horner(coeffs, z):
-    acc = np.full_like(z, coeffs[-1])
-    for c in coeffs[-2::-1]:
-        acc = acc * z + c
-    return acc
-
-
 def _aberth_ehrlich(coeffs: np.ndarray) -> np.ndarray:
     """Simultaneous root iteration for an ascending coefficient vector.
 
@@ -113,8 +107,8 @@ def _aberth_ehrlich(coeffs: np.ndarray) -> np.ndarray:
     z = r0 * (1.0 + 0.02 * (k % 7) / 7.0) * np.exp(1j * (2 * np.pi * (k + 0.5) / d + 0.4))
 
     for _ in range(_ABERTH_MAX_ITER):
-        p = _horner(coeffs, z)
-        dp = _horner(deriv, z) if d > 1 else np.full_like(z, deriv[0])
+        p = horner(coeffs, z)
+        dp = horner(deriv, z)
         diff = z[:, None] - z[None, :]
         np.fill_diagonal(diff, np.inf)
         pair_sum = (1.0 / diff).sum(axis=1)
@@ -127,11 +121,11 @@ def _aberth_ehrlich(coeffs: np.ndarray) -> np.ndarray:
             break
 
     for _ in range(_POLISH_ITER):
-        p = _horner(coeffs, z)
-        dp = _horner(deriv, z) if d > 1 else np.full_like(z, deriv[0])
+        p = horner(coeffs, z)
+        dp = horner(deriv, z)
         z = z - np.where(dp != 0, p / np.where(dp != 0, dp, 1.0), 0.0)
 
-    residual = np.abs(_horner(coeffs, z)) / (scale * np.maximum(1.0, np.abs(z)) ** d)
+    residual = np.abs(horner(coeffs, z)) / (scale * np.maximum(1.0, np.abs(z)) ** d)
     worst = float(residual.max())
     if worst > _RESIDUAL_TOL:
         raise RootConvergenceError("root iteration failed to converge", worst)

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from ddcap import channel
 from ddcap import (
     ClusteringAmbiguityError,
     DensityUnavailableError,
@@ -278,7 +281,6 @@ class TestMonteCarlo:
         a = mc_mi("intensity", "gaussian", NoiseSpec(snr=50.0, seed=7), 5_000)
         b = mc_mi("intensity", "gaussian", NoiseSpec(snr=50.0, seed=7), 5_000)
         assert a.estimate.bits_per_dof == b.estimate.bits_per_dof
-        assert a.worker_count == 1
 
     def test_intensity_high_snr_slope_half_bit_per_octave(self):
         lo = mc_mi("intensity", "gaussian", NoiseSpec(snr=2.0**12, seed=3), 50_000)
@@ -327,6 +329,59 @@ class TestMonteCarlo:
             mc_mi("homodyne", "gaussian", NoiseSpec(snr=1.0, seed=0), 100)
         with pytest.raises(ValueError, match="input model"):
             mc_mi("coherent", "laplace", NoiseSpec(snr=1.0, seed=0), 100)
+
+    # float.hex of (bits_per_dof, std_error) from the five per-case estimators
+    # this single blocked estimator replaced: seed 7, SNR 10, n 3001, M 2
+    EXACT = [
+        ("coherent", "gaussian", "0x1.be493b58a9868p+1", "0x1.911940b87f143p-6"),
+        ("intensity", "gaussian", "0x1.26188adc7d358p+0", "0x1.ffcca059b72e8p-7"),
+        ("coherent", "qpsk", "0x1.fe295ca3c32bcp+0", "0x1.f61a0cd48a1d9p-10"),
+        ("intensity", "qpsk", "0x0.0p+0", "0x0.0p+0"),
+        ("intensity", "two-ring", "0x1.cfb3e1982fc3cp-1", "0x1.8f342a1850b5cp-8"),
+        ("direct", "qpsk", "0x1.6c014f52699c3p-1", "0x1.a9636755c79a7p-8"),
+    ]
+
+    @pytest.mark.parametrize("block", [channel.MC_BLOCK_ELEMENTS, 4096])
+    @pytest.mark.parametrize("receiver, model, bits, se", EXACT)
+    def test_exact_values_across_blocks(self, monkeypatch, block, receiver, model, bits, se):
+        # at 4096 entries every case spans several evaluation blocks
+        monkeypatch.setattr(channel, "MC_BLOCK_ELEMENTS", block)
+        inputs = {"qpsk": psk(4), "two-ring": np.array([0.5, 0.5j, -1.5, -1.5j])}
+        report = mc_mi(receiver, inputs.get(model, model), NoiseSpec(snr=10.0, seed=7), 3001, M=2)
+        assert report.estimate.bits_per_dof.hex() == bits
+        assert report.estimate.std_error.hex() == se
+
+    def test_direct_memory_is_bounded(self):
+        # direct QPSK M=4 has 256 waveforms of 8 outputs, so evaluated at once
+        # the density tensor alone costs 16 KiB per sample.  Blocks hold 2048
+        # of these rows: from n=4000 on the first block is full, and the peak
+        # may grow only by the O(n M) draws.
+        budget = 5 * 8 * channel.MC_BLOCK_ELEMENTS  # five float64 block temporaries
+        peaks = {}
+        for n in (4_000, 12_000):
+            tracemalloc.start()
+            try:
+                mc_mi("direct", psk(4), NoiseSpec(snr=30.0, seed=1), n, M=4)
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[4_000] < budget
+        assert (peaks[12_000] - peaks[4_000]) / 8_000 < 1024
+
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"M": 0}, "M must"),
+        ({"M": -1}, "M must"),
+        ({"noise": NoiseSpec(snr=np.inf)}, "snr must be finite"),
+        ({"n_samples": 1}, "n_samples"),
+    ])
+    def test_rejects_degenerate_arguments(self, kwargs, match):
+        args = {"noise": NoiseSpec(snr=10.0), "n_samples": 100, **kwargs}
+        with pytest.raises(ValueError, match=match):
+            mc_mi("coherent", psk(4), **args)
+
+    def test_direct_alphabet_cap(self):
+        with pytest.raises(ValueError, match="cap"):
+            mc_mi("direct", psk(8), NoiseSpec(snr=10.0), 100, M=5)
 
     def test_named_constellations(self):
         assert len(named_constellation("qpsk")) == 4

@@ -185,6 +185,30 @@ class TestMi:
         result = run_ok(runner, ["mi", "--spec", str(spec_path)])
         assert "bits_per_dof=" in result.output
 
+    @pytest.mark.parametrize("flags, spec", [
+        (["--M", "0"], None),
+        (["--M", "-1"], None),
+        (["--snr-db", "inf"], None),
+        (["--snr-db", "nan"], None),
+        ([], {"input": ["qpsk"]}),
+        ([], {"snr_db": "x"}),
+        ([], {"receiver": "homodyne"}),
+        ([], {"seed": 1.5}),
+    ])
+    def test_malformed_input_exits_with_one_line(self, runner, tmp_path, flags, spec):
+        args = ["mi", "--n-samples", "100", *flags]
+        if spec is not None:
+            fields = {"receiver": "coherent", "input": "qpsk", "snr_db": 10.0, "seed": 1,
+                      "n_samples": 100, **spec}
+            spec_path = tmp_path / "exp.json"
+            spec_path.write_text(json.dumps(fields))
+            args += ["--spec", str(spec_path)]
+        result = runner.invoke(main, args, catch_exceptions=False)
+        assert result.exit_code in (2, 3)
+        assert [line.startswith("error:") for line in result.stderr.splitlines()] == [True]
+        assert "Traceback" not in result.stderr
+        assert "nan" not in result.stdout
+
     def test_direct_gaussian_exits_3(self, runner):
         result = CliRunner().invoke(
             main, ["mi", "--receiver", "direct", "--input-model", "gaussian", "--n-samples", "100"]

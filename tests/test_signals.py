@@ -112,7 +112,7 @@ class TestIntensityGrid:
         sig = random_coeff_signal(rng, 5)
         coarse = intensity_grid(sig, oversample=2)
         fine = intensity_grid(sig, oversample=8)
-        recon = resample_real_periodic(coarse.values, 4)
+        recon = resample_real_periodic(coarse.values, 4 * len(coarse.values))
         assert np.max(np.abs(recon - fine.values)) < 1e-10 * fine.values.max()
 
     def test_intensity_band_limited_to_2B(self, rng):
