@@ -1,16 +1,14 @@
 #!/usr/bin/env python3
 """Build one equal-intensity waveform family and dump it for plotting.
 
-Writes the family JSON plus a dense CSV of the shared intensity and all
-member phases (the same layout the ``ddcap figure2`` subcommand emits), and
-prints a small table of the zero configuration.
+Writes the family JSON and prints a small table of the zero configuration.
+For the dense grid of the shared intensity and all member phases, run
+``ddcap figure2``.
 """
 
 import argparse
 
-import numpy as np
-
-from ddcap import enumerate_family, field_grid, random_signal, samples_to_spectrum
+from ddcap import enumerate_family, random_signal
 from ddcap.formats import write_family_json
 
 
@@ -18,9 +16,7 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--M", type=int, default=4)
     ap.add_argument("--seed", type=int, default=7)
-    ap.add_argument("--points", type=int, default=512, help="grid points per period")
     ap.add_argument("--family-out", default="family.json")
-    ap.add_argument("--csv-out", default="family_phases.csv")
     args = ap.parse_args()
 
     sig = random_signal(args.M, seed=args.seed)
@@ -35,19 +31,7 @@ def main():
         print(f"{z:>24.6f} {abs(z):>10.6f} {label:>10}")
 
     write_family_json(args.family_out, fam)
-
-    oversample = max(2, args.points // sig.M)
-    times = np.arange(oversample * sig.M) / (oversample * sig.B)
-    fields = [field_grid(samples_to_spectrum(s), oversample) for s in fam.signals]
-    with open(args.csv_out, "w") as fh:
-        names = ",".join(f"phase_{j}" for j in range(len(fields)))
-        fh.write(f"t,intensity,{names}\n")
-        intensity = np.abs(fields[0]) ** 2
-        phases = [np.unwrap(np.angle(f)) for f in fields]
-        for i, t in enumerate(times):
-            row = [f"{t:.12g}", f"{intensity[i]:.12g}"] + [f"{p[i]:.12g}" for p in phases]
-            fh.write(",".join(row) + "\n")
-    print(f"wrote {args.family_out} and {args.csv_out}")
+    print(f"wrote {args.family_out}")
 
 
 if __name__ == "__main__":

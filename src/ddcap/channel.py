@@ -427,6 +427,8 @@ def counting_entropy(
     counting bounds H(Y') - H(Y) <= M - 1 bits and max intensity-fiber
     multiplicity <= 2^(M-1).
     """
+    if M < 1:
+        raise ValueError(f"M must be at least 1, got {M}")
     points = np.asarray(constellation, dtype=np.complex128)
     n_wave = len(points) ** M
     if n_wave > cap:
@@ -503,6 +505,10 @@ def capacity_prior_search(conditional, M: int, step: float = 0.05):
 #: Largest number of float64 entries in one evaluation block of the
 #: Monte-Carlo (rows, symbols, alphabet, outputs) density tensor.
 MC_BLOCK_ELEMENTS = 1 << 22
+
+#: Largest size in bytes of the symbol and noise draws the Monte-Carlo
+#: estimator holds in memory at once; larger requests are refused up front.
+MC_DRAW_BYTES = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -602,10 +608,12 @@ def mc_mi(
     closed form for Gaussian input and a mixture over the symbol alphabet
     for a constellation.  Densities are evaluated in row blocks of at most
     ``MC_BLOCK_ELEMENTS`` entries, so memory beyond the O(n_samples * M)
-    draws is bounded.  A symbol is one rate-B sample, except at the direct
-    receiver, whose 2M outputs mix neighbouring samples: there it is the
-    whole waveform, and ``DIRECT_ALPHABET_CAP`` on the symbol alphabet is
-    the only limit on |constellation|^M.
+    draws is bounded; a request whose draws would exceed ``MC_DRAW_BYTES``
+    raises ``ValueError`` before anything is drawn.  A symbol is one rate-B
+    sample, except at the direct receiver, whose 2M outputs mix
+    neighbouring samples: there it is the whole waveform, and
+    ``DIRECT_ALPHABET_CAP`` on the symbol alphabet is the only limit on
+    |constellation|^M.
 
     The direct receiver's metric treats its correlated outputs as
     independent, so it reports the auxiliary-channel lower bound of Arnold,
@@ -632,6 +640,14 @@ def mc_mi(
             "direct receiver with Gaussian input: the joint density of the 2M "
             "correlated intensity samples is not implemented; use a finite "
             "constellation (auxiliary lower bound) or the intensity receiver"
+        )
+
+    # per rate-B sample: a complex symbol (or a symbol index) and oversample complex noise outputs
+    draw_bytes = 16 * (1 + rx.oversample) * n_samples * M
+    if draw_bytes > MC_DRAW_BYTES:
+        raise ValueError(
+            f"n_samples={n_samples} at M={M} needs {draw_bytes / 2**30:.3g} GiB of draws, "
+            f"above the {MC_DRAW_BYTES / 2**30:.3g} GiB budget"
         )
 
     length = M if rx.oversample > 1 else 1  # rate-B samples per symbol

@@ -31,10 +31,15 @@ def signal_from_dict(data: dict) -> PeriodicSignal:
         raise ValueError(f"malformed signal record: {exc}") from exc
 
 
-def write_signal_json(path, sig: PeriodicSignal):
+def _write_json(path, obj, default=None):
+    """One JSON document and a newline.  ``json.dumps`` runs the C encoder,
+    which ``json.dump`` to a file handle does not; the text is the same."""
     with open(path, "w") as fh:
-        json.dump(signal_to_dict(sig), fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(obj, sort_keys=True, default=default) + "\n")
+
+
+def write_signal_json(path, sig: PeriodicSignal):
+    _write_json(path, signal_to_dict(sig))
 
 
 def read_signal_json(path) -> PeriodicSignal:
@@ -69,27 +74,25 @@ def read_intensity_csv(path) -> SampledIntensity:
 
 def family_to_dict(fam: EqualIntensityFamily) -> dict:
     zs = fam.zeroset
+    M, B = fam.base.M, fam.base.B
+    pairs = np.stack([fam.samples.real, fam.samples.imag], axis=-1).tolist()  # (members, M, 2)
     return {
         "base": signal_to_dict(fam.base),
         "zeros": [[float(z.real), float(z.imag)] for z in zs.zeros],
         "on_circle": [bool(b) for b in zs.on_circle],
         "members": [
-            {"mask": int(mask), "signal": signal_to_dict(sig)}
-            for mask, sig in fam.members
+            {"mask": mask, "signal": {"M": M, "B": B, "samples": samples}}
+            for mask, samples in zip(fam.masks, pairs)
         ],
     }
 
 
 def write_family_json(path, fam: EqualIntensityFamily):
-    with open(path, "w") as fh:
-        json.dump(family_to_dict(fam), fh, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, family_to_dict(fam))
 
 
 def write_report_json(path, report: dict):
-    with open(path, "w") as fh:
-        json.dump(report, fh, sort_keys=True, default=_json_default)
-        fh.write("\n")
+    _write_json(path, report, default=_json_default)
 
 
 def read_experiment_json(path) -> dict:

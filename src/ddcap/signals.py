@@ -305,15 +305,19 @@ def canonicalize_phase(sig: PeriodicSignal) -> PeriodicSignal:
     phase is unobservable to any receiver considered here, so equality tests
     and entropy counting quotient it out through this normal form.
     """
-    coeffs = np.fft.ifft(sig.samples)
-    mags = np.abs(coeffs)
-    peak = mags.max()
-    if peak == 0.0:
-        raise ValueError("cannot canonicalize the all-zero signal")
-    (tied,) = np.nonzero(mags >= peak * (1.0 - CANON_TIE_REL))
-    k = int(tied[0])
-    rotation = np.exp(-1j * np.angle(coeffs[k]))
+    rotation = canonical_rotation(np.fft.ifft(sig.samples)[None, :])[0]
     return PeriodicSignal(M=sig.M, B=sig.B, samples=sig.samples * rotation)
+
+
+def canonical_rotation(coeffs: np.ndarray) -> np.ndarray:
+    """The phase factor :func:`canonicalize_phase` applies, for each row of a
+    2-d array of Fourier coefficients; shape ``(rows, 1)``."""
+    mags = np.abs(coeffs)
+    peak = mags.max(axis=1, keepdims=True)
+    if not peak.all():
+        raise ValueError("cannot canonicalize the all-zero signal")
+    k = (mags >= peak * (1.0 - CANON_TIE_REL)).argmax(axis=1)  # smallest tied index
+    return np.exp(-1j * np.angle(coeffs[np.arange(len(coeffs)), k]))[:, None]
 
 
 def random_signal(M: int, B: float = 1.0, seed=None, dc_free: bool = False) -> PeriodicSignal:

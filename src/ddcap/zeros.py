@@ -13,6 +13,7 @@ yields every band-limited waveform sharing the intensity, 2^N0 of them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -20,6 +21,7 @@ from numpy.polynomial import polynomial as npoly
 from .signals import (
     PeriodicSignal,
     SpectralPoly,
+    canonical_rotation,
     canonicalize_phase,
     horner,
     samples_to_spectrum,
@@ -250,21 +252,39 @@ def _flip_groups(zs: ZeroSet) -> list[int]:
 class EqualIntensityFamily:
     """All distinguishable band-limited waveforms sharing one intensity.
 
-    ``members`` holds ``(mask, signal)`` pairs in binary counting order of the
-    flip pattern; ``mask`` is a bitset over the zeros of ``zeroset`` (bits of
-    jointly-flipped groups appear together).  Every member is phase-canonical.
+    ``samples`` is a read-only ``(2^N0, M)`` array whose row r holds the rate-B
+    samples of the member with flip pattern r: bit j of r set means flip
+    group j is reflected.  ``masks[r]`` is the same pattern as a bitset over
+    the zeros of ``zeroset`` (bits of jointly-flipped groups appear
+    together), so rows run in binary counting order of the flip pattern.
+    Every member is phase-canonical.  ``members`` (``(mask, signal)`` pairs)
+    and ``signals`` wrap the rows as :class:`PeriodicSignal` objects, built
+    on first access.
     """
 
     base: PeriodicSignal
     zeroset: ZeroSet
-    members: tuple
+    masks: tuple
+    samples: np.ndarray
 
     def __len__(self):
-        return len(self.members)
+        return len(self.masks)
 
-    @property
-    def signals(self) -> list[PeriodicSignal]:
-        return [s for _, s in self.members]
+    @cached_property
+    def signals(self) -> tuple[PeriodicSignal, ...]:
+        return tuple(PeriodicSignal(M=self.base.M, B=self.base.B, samples=row) for row in self.samples)
+
+    @cached_property
+    def members(self) -> tuple:
+        return tuple(zip(self.masks, self.signals))
+
+
+def _convolve_rows(rows: np.ndarray, factor: np.ndarray) -> np.ndarray:
+    """Each row of ascending coefficients times the polynomial ``factor``."""
+    out = np.zeros((rows.shape[0], rows.shape[1] + len(factor) - 1), dtype=np.complex128)
+    for j, c in enumerate(factor):
+        out[:, j : j + rows.shape[1]] += rows * c
+    return out
 
 
 def enumerate_family(sig: PeriodicSignal, max_flips: int = DEFAULT_FLIP_CAP) -> EqualIntensityFamily:
@@ -274,7 +294,16 @@ def enumerate_family(sig: PeriodicSignal, max_flips: int = DEFAULT_FLIP_CAP) -> 
     Raises :class:`EnumerationCapError` when N0 exceeds ``max_flips``; the cap
     exists because the member count is exponential, and can be raised
     explicitly by the caller.
+
+    All members are built at once.  Each flip group contributes two factors,
+    its zeros and their reflections ``1/conj(Z)`` rescaled by ``prod |Z|`` (the
+    rescale of :func:`flip_zeros`); starting from the leading coefficient
+    times the unflipped zeros, the batch of coefficient rows doubles once per
+    group as ``[rows * unflipped, rows * flipped]``, which puts the members in
+    binary counting order of the flip pattern.
     """
+    if max_flips < 0:
+        raise ValueError(f"max_flips must be at least 0, got {max_flips}")
     spec = samples_to_spectrum(sig)
     zs = find_zeros(spec)
     groups = _flip_groups(zs)
@@ -283,16 +312,22 @@ def enumerate_family(sig: PeriodicSignal, max_flips: int = DEFAULT_FLIP_CAP) -> 
             f"family has 2^{len(groups)} members, above the cap 2^{max_flips}; "
             f"pass max_flips={len(groups)} to enumerate anyway"
         )
-    members = []
-    for pattern in range(1 << len(groups)):
-        mask = 0
-        for bit, group in enumerate(groups):
-            if (pattern >> bit) & 1:
-                mask |= group
-        flipped = flip_zeros(spec, mask, zeroset=zs)
-        member = canonicalize_phase(spectrum_to_samples(flipped))
-        members.append((mask, member))
-    return EqualIntensityFamily(base=sig, zeroset=zs, members=tuple(members))
+    if np.any(np.abs(zs.zeros) < 1e-12):  # off the circle, so in some flip group
+        raise ValueError("cannot reflect a zero at the origin within the band")
+
+    rows = (npoly.polyfromroots(zs.zeros[zs.on_circle]) * zs.leading)[None, :]
+    masks = [0]
+    for group in groups:
+        z = zs.zeros[[i for i in range(len(zs.zeros)) if (group >> i) & 1]]
+        unflipped = npoly.polyfromroots(z)
+        flipped = npoly.polyfromroots(1.0 / np.conj(z)) * float(np.prod(np.abs(z)))
+        rows = np.concatenate([_convolve_rows(rows, unflipped), _convolve_rows(rows, flipped)])
+        masks += [mask | group for mask in masks]
+    coeffs = np.zeros((len(rows), sig.M), dtype=np.complex128)
+    coeffs[:, : rows.shape[1]] = rows
+    samples = np.fft.fft(coeffs, axis=1) * canonical_rotation(coeffs)
+    samples.setflags(write=False)
+    return EqualIntensityFamily(base=sig, zeroset=zs, masks=tuple(masks), samples=samples)
 
 
 def min_phase_member(sig: PeriodicSignal) -> PeriodicSignal:

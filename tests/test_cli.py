@@ -71,6 +71,29 @@ class TestEnumerate:
         assert result.exit_code == 3
 
 
+class TestRefusals:
+    @pytest.mark.parametrize("args, message", [
+        (["counting", "--M", "-2"], "M must be at least 1"),
+        (["counting", "--M", "0"], "M must be at least 1"),
+        (["enumerate", "--max-flips", "-1"], "max_flips must be at least 0"),
+        (["mi", "--n-samples", "100000000000"], "n_samples=100000000000"),
+    ])
+    def test_out_of_range_argument_exits_3_with_one_line(self, runner, tmp_path, monkeypatch, args, message):
+        if args[0] == "enumerate":
+            write_signal_json(tmp_path / "sig.json", random_signal(4, seed=1))
+            args = args + ["--input", str(tmp_path / "sig.json"), "--output", str(tmp_path / "o.json")]
+
+        def no_draws(*_, **__):
+            raise AssertionError("random draws were made for a refused request")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        result = runner.invoke(main, args, catch_exceptions=False)
+        assert result.exit_code == 3
+        assert [line.startswith("error:") for line in result.stderr.splitlines()] == [True]
+        assert message in result.stderr
+        assert "Traceback" not in result.stderr
+
+
 class TestFigure2:
     def test_seeded_run_shape_and_determinism(self, runner, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -18,7 +18,7 @@ from ddcap import (
     spectrum_to_samples,
 )
 from ddcap.signals import SpectralPoly
-from ddcap.zeros import poly_from_zeroset
+from ddcap.zeros import _flip_groups, poly_from_zeroset
 
 from conftest import random_coeff_signal, signal_from_coeffs
 
@@ -196,6 +196,8 @@ class TestEnumerateFamily:
         sig = random_coeff_signal(rng, 8)
         with pytest.raises(EnumerationCapError, match="max_flips"):
             enumerate_family(sig, max_flips=3)
+        with pytest.raises(ValueError, match="max_flips must be at least 0"):
+            enumerate_family(sig, max_flips=-1)
 
     def test_degenerate_all_zeros_on_circle(self):
         # field vanishing at M-1 distinct in-period times: family of size 1
@@ -211,6 +213,46 @@ class TestEnumerateFamily:
         fam = enumerate_family(signal_from_zeros([w, w + 1e-9, 2.0 - 1.0j], M=4))
         # the two near-identical zeros act as one flip bit: 2^2 members
         assert len(fam) == 4
+
+    @staticmethod
+    def _per_mask(sig):
+        """The member-by-member construction: one flip_zeros per flip pattern."""
+        spec = samples_to_spectrum(sig)
+        zs = find_zeros(spec)
+        groups = _flip_groups(zs)
+        masks = [sum(g for bit, g in enumerate(groups) if (pattern >> bit) & 1)
+                 for pattern in range(1 << len(groups))]
+        samples = [canonicalize_phase(spectrum_to_samples(flip_zeros(spec, m, zeroset=zs))).samples
+                   for m in masks]
+        return masks, np.array(samples)
+
+    def test_batched_build_matches_per_mask_flips(self, rng):
+        w = 0.6 + 0.2j
+        signals = [random_coeff_signal(rng, int(M)) for M in rng.integers(2, 11, size=40)]
+        signals += [
+            signal_from_zeros([w, w + 1e-9, 2.0 - 1.0j], M=4),  # merged near-coincident pair
+            signal_from_zeros([np.exp(1.1j), 0.4 - 0.3j, 1.7 + 0.9j], M=4),  # one on-circle zero
+            embed_finite_support(rng.standard_normal(3) + 1j * rng.standard_normal(3), M_prime=24),
+        ]
+        for sig in signals:
+            fam = enumerate_family(sig)
+            masks, reference = self._per_mask(sig)
+            assert list(fam.masks) == masks
+            assert fam.samples.shape == reference.shape
+            assert np.max(np.abs(fam.samples - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+    def test_samples_array_is_read_only(self, rng):
+        sig = random_coeff_signal(rng, 6)
+        fam = enumerate_family(sig)
+        assert fam.samples.shape == (2**fam.zeroset.n_off_circle, 6)
+        assert not fam.samples.flags.writeable
+        assert [m for m, _ in fam.members] == list(fam.masks)
+        assert all(np.array_equal(s.samples, row) for s, row in zip(fam.signals, fam.samples))
+
+    def test_zero_at_origin_rejected(self):
+        # F_0 = 0 puts a zero at the origin, whose reflection lies at infinity
+        with pytest.raises(ValueError, match="cannot reflect a zero at the origin within the band"):
+            enumerate_family(signal_from_coeffs([0.0, 1.0, 0.5 + 0.2j]))
 
 
 class TestMinPhaseMember:
