@@ -45,6 +45,7 @@ from .channel import (
     CountingReport,
     DensityUnavailableError,
     DiscreteChannel,
+    InvariantViolation,
     MIEstimate,
     MonteCarloReport,
     NoiseSpec,

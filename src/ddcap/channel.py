@@ -26,11 +26,19 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special, stats
+from scipy.sparse import coo_array
+from scipy.sparse.csgraph import connected_components
+from scipy.spatial import cKDTree
 
-from .signals import PeriodicSignal, canonicalize_phase, intensity_grid
+# canonicalize_phase stays bound here: a call site perfbench/spans.py wraps
+from .signals import PeriodicSignal, canonical_rotation, canonicalize_phase, intensity_grid
 
 #: Largest waveform alphabet for which exact noiseless channels are built.
-COUNTING_CAP = 10**6
+COUNTING_CAP = 1 << 14
+
+#: Noiseless outputs closer than this rms distance, relative to the largest
+#: input's rms amplitude (its square for intensities), are one output.
+CLUSTER_TOL = 1e-8
 
 #: Largest symbol alphabet the Monte-Carlo estimator enumerates (the
 #: |constellation|^M waveforms of the direct receiver).
@@ -41,6 +49,10 @@ _LOG2E = float(np.log2(np.e))
 
 class ClusteringAmbiguityError(ValueError):
     """Two outputs are neither identical nor separated: clustering is unsafe."""
+
+
+class InvariantViolation(RuntimeError):
+    """A bound the counting argument proves failed numerically: a defect, not bad input."""
 
 
 class DensityUnavailableError(NotImplementedError):
@@ -178,78 +190,67 @@ def exact_mi(ch: DiscreteChannel) -> MIEstimate:
 # clustering of noiseless outputs
 
 
-def _cluster(vectors: list[np.ndarray], tol: float) -> list[int]:
-    """Group vectors whose rms distance is <= tol; guard the (tol, 10 tol) band.
+def _cluster(vectors, tol: float) -> np.ndarray:
+    """Group the rows of an (n, d) array whose rms distance is <= tol.
 
-    Returns one label per vector.  Raises :class:`ClusteringAmbiguityError`
-    when two vectors from different groups are closer than 10 * tol: outputs
-    that close but not identical make entropy counting unreliable.
+    Returns one label per row, numbered in order of first appearance.  Raises
+    :class:`ClusteringAmbiguityError` when two rows from different groups are
+    closer than 10 * tol: outputs that close but not identical make entropy
+    counting unreliable.
     """
-    n = len(vectors)
-    if n > DIRECT_ALPHABET_CAP:
-        raise ValueError(f"pairwise clustering capped at {DIRECT_ALPHABET_CAP} items")
-    flat = np.stack([np.asarray(v, dtype=np.complex128).ravel() for v in vectors])
-    # exact differences, row-chunked to bound memory at ~n*dim*chunk; the
-    # Gram-matrix shortcut would lose sqrt(eps) of precision to cancellation,
-    # which is exactly the scale the guard band watches
-    dim = flat.shape[1]
-    dist = np.empty((n, n))
-    chunk = max(1, (1 << 22) // max(n * dim, 1))
-    for lo in range(0, n, chunk):
-        hi = min(n, lo + chunk)
-        diff = flat[lo:hi, None, :] - flat[None, :, :]
-        dist[lo:hi] = np.sqrt(np.sum(np.abs(diff) ** 2, axis=2) / dim)
-    labels = [-1] * n
-    current = 0
-    for i in range(n):
-        if labels[i] != -1:
-            continue
-        stack = [i]
-        labels[i] = current
-        while stack:
-            a = stack.pop()
-            for b in range(n):
-                if labels[b] == -1 and dist[a, b] <= tol:
-                    labels[b] = current
-                    stack.append(b)
-        current += 1
-    for i in range(n):
-        for j in range(i + 1, n):
-            if labels[i] != labels[j] and dist[i, j] < 10.0 * tol:
-                raise ClusteringAmbiguityError(
-                    f"outputs {i} and {j} are {dist[i, j]:.3e} apart, inside the "
-                    f"guard band (tol {tol:.3e})"
-                )
+    flat = np.array(vectors, dtype=np.complex128, order="C").reshape(len(vectors), -1)
+    n, dim = flat.shape
+    # candidate pairs within the guard band, searched in a fixed orthonormal
+    # 3-d projection (it lengthens no difference, so it loses no pair): in full
+    # dimension the k-d cells of lattice alphabets (PSK^M) all touch and the
+    # search is O(n^2).  The radius is padded against rounding; the exact
+    # distances below decide.
+    real = flat.view(np.float64)
+    directions = np.random.default_rng(0).standard_normal((real.shape[1], min(3, real.shape[1])))
+    tree = cKDTree(real @ np.linalg.qr(directions)[0])
+    i, j = tree.query_pairs(10.1 * tol * np.sqrt(dim), output_type="ndarray").T
+    # exact differences, in blocks of pairs to bound memory; the Gram-matrix
+    # shortcut would lose sqrt(eps) of precision to cancellation, which is
+    # exactly the scale the guard band watches
+    dist = np.empty(len(i))
+    block = max(1, (1 << 20) // dim)
+    for lo in range(0, len(i), block):
+        diff = flat[i[lo : lo + block]] - flat[j[lo : lo + block]]
+        dist[lo : lo + block] = np.sqrt(np.sum(np.abs(diff) ** 2, axis=1) / dim)
+    near = dist <= tol
+    graph = coo_array((np.ones(near.sum()), (i[near], j[near])), shape=(n, n))
+    _, component = connected_components(graph, directed=False)
+    _, first, inverse = np.unique(component, return_index=True, return_inverse=True)
+    labels = np.argsort(np.argsort(first))[inverse]
+    (bad,) = np.nonzero((labels[i] != labels[j]) & (dist < 10.0 * tol))
+    if len(bad):
+        k = bad[np.lexsort((j[bad], i[bad]))[0]]
+        raise ClusteringAmbiguityError(
+            f"outputs {i[k]} and {j[k]} are {dist[k]:.3e} apart, inside the "
+            f"guard band (tol {tol:.3e})"
+        )
     return labels
 
 
-def _canonical_or_zero(sig: PeriodicSignal) -> PeriodicSignal:
-    if sig.power() == 0.0:
-        return sig
-    return canonicalize_phase(sig)
+def _noiseless_labels(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(y' labels, y labels) for noiseless reception of the (n, M) input rows.
 
-
-def _waveform_scale(signals) -> float:
-    return max(max(s.power() for s in signals), 1e-300)
-
-
-def _noiseless_labels(inputs, cluster_tol):
-    """(y' labels, y labels) for noiseless reception of canonicalized inputs."""
-    canon = [_canonical_or_zero(s) for s in inputs]
-    scale = np.sqrt(_waveform_scale(canon))
-    field_vecs = [s.samples for s in canon]
-    intensity_vecs = [detect_direct(s) for s in canon]
-    labels_field = _cluster(field_vecs, cluster_tol * scale)
-    labels_int = _cluster(intensity_vecs, cluster_tol * scale**2)
+    Y' is the phase-canonical field and Y the 2M direct-detection intensities.
+    """
+    coeffs = np.fft.ifft(samples, axis=1)
+    rotation = np.ones((len(samples), 1), dtype=np.complex128)
+    live = samples.any(axis=1)  # the zero waveform has no phase to fix
+    rotation[live] = canonical_rotation(coeffs[live])
+    scale = np.sqrt(max(np.mean(np.abs(samples) ** 2, axis=1).max(), 1e-300))
+    intensities = np.abs(np.fft.fft(coeffs, n=2 * samples.shape[1], axis=1)) ** 2
+    labels_field = _cluster(samples * rotation, CLUSTER_TOL * scale)
+    labels_int = _cluster(intensities, CLUSTER_TOL * scale**2)
     return labels_field, labels_int
 
 
-def _channel_from_labels(prior, labels, M, n_outputs=None) -> DiscreteChannel:
-    n_out = n_outputs if n_outputs is not None else max(labels) + 1
-    cond = np.zeros((len(prior), n_out))
-    for i, lab in enumerate(labels):
-        cond[i, lab] = 1.0
-    return DiscreteChannel(prior=prior, conditional=cond, M=M)
+def _noiseless_mi(prior: np.ndarray, labels: np.ndarray, M: int) -> float:
+    """I(X;Y) = H(Y) bits, per dof, of the deterministic channel x -> labels[x]."""
+    return _entropy(np.bincount(labels, weights=prior)) / M + 0.0
 
 
 @dataclass(frozen=True)
@@ -269,7 +270,6 @@ def chain_bound_check(
     inputs,
     prior=None,
     noise: NoiseSpec | None = None,
-    cluster_tol: float = 1e-8,
     bin_width_factor: float = 0.25,
     range_sigmas: float = 6.0,
 ) -> ChainBoundReport:
@@ -280,7 +280,7 @@ def chain_bound_check(
     output is reduced to its canonical form).  Under a shared discretization Y
     is a deterministic function of Y', so
     ``0 <= I(X;Y') - I(X;Y) <= (M-1)/M`` bits per dof must hold; a violation
-    raises.
+    raises :class:`InvariantViolation`.
 
     Noiseless channels are supported for any enumerable input list.  Noisy
     quantized channels are implemented for M=1 only, where the canonical
@@ -297,21 +297,21 @@ def chain_bound_check(
     if prior is None:
         prior = np.full(len(inputs), 1.0 / len(inputs))
     prior = np.asarray(prior, dtype=np.float64)
+    if prior.shape != (len(inputs),) or np.any(prior < 0) or abs(prior.sum() - 1.0) > 1e-12:
+        raise ValueError("prior must be a probability vector with one entry per input")
 
     if noise is None or np.isinf(noise.snr):
-        labels_field, labels_int = _noiseless_labels(inputs, cluster_tol)
+        labels_field, labels_int = _noiseless_labels(np.stack([s.samples for s in inputs]))
         # Y must be a function of Y': members of one field cluster must share
         # an intensity cluster.
-        seen: dict[int, int] = {}
-        for lf, li in zip(labels_field, labels_int):
-            if lf in seen and seen[lf] != li:
-                raise ValueError(
-                    "discretization makes Y ambiguous given Y' (distinct "
-                    "intensity clusters inside one field cluster)"
-                )
-            seen[lf] = li
-        ch_coherent = _channel_from_labels(prior, labels_field, M)
-        ch_direct = _channel_from_labels(prior, labels_int, M)
+        _, first = np.unique(labels_field, return_index=True)
+        if np.any(labels_int != labels_int[first][labels_field]):
+            raise ValueError(
+                "discretization makes Y ambiguous given Y' (distinct "
+                "intensity clusters inside one field cluster)"
+            )
+        mi_c = _noiseless_mi(prior, labels_field, M)
+        mi_d = _noiseless_mi(prior, labels_int, M)
         method = "exact_noiseless"
     else:
         if M != 1:
@@ -322,16 +322,14 @@ def chain_bound_check(
         ch_coherent, ch_direct = _quantized_scalar_channels(
             inputs, prior, noise.snr, bin_width_factor, range_sigmas
         )
+        mi_c = exact_mi(ch_coherent).bits_per_dof
+        mi_d = exact_mi(ch_direct).bits_per_dof
         method = "exact_quantized"
 
-    mi_c = exact_mi(ch_coherent).bits_per_dof
-    mi_d = exact_mi(ch_direct).bits_per_dof
     gap = mi_c - mi_d
     bound = (M - 1) / M
     if gap < -1e-9 or gap > bound + 1e-9:
-        raise RuntimeError(
-            f"chain-rule sandwich violated: gap {gap} outside [0, {bound}]"
-        )
+        raise InvariantViolation(f"chain-rule sandwich violated: gap {gap} outside [0, {bound}]")
     return ChainBoundReport(
         mi_coherent=mi_c, mi_direct=mi_d, gap=gap, bound=bound, M=M, method=method
     )
@@ -417,46 +415,39 @@ class CountingReport:
         return 2 ** (self.M - 1)
 
 
-def counting_entropy(
-    constellation, M: int, B: float = 1.0, cluster_tol: float = 1e-8, cap: int = COUNTING_CAP
-) -> CountingReport:
+def counting_entropy(constellation, M: int) -> CountingReport:
     """Noiseless H(Y') and H(Y) under the uniform prior over distinct inputs.
 
-    Enumerates constellation^M sample tuples, canonicalizes the waveforms, and
-    clusters both the fields and the direct-detection outputs.  Asserts the
-    counting bounds H(Y') - H(Y) <= M - 1 bits and max intensity-fiber
-    multiplicity <= 2^(M-1).
+    Enumerates the constellation^M sample tuples (at most ``COUNTING_CAP``),
+    canonicalizes the waveforms, and clusters both the fields and the
+    direct-detection outputs.  Asserts the counting bounds H(Y') - H(Y) <=
+    M - 1 bits and max intensity-fiber multiplicity <= 2^(M-1).
     """
     if M < 1:
         raise ValueError(f"M must be at least 1, got {M}")
     points = np.asarray(constellation, dtype=np.complex128)
-    n_wave = len(points) ** M
-    if n_wave > cap:
-        raise ValueError(f"{n_wave} waveforms exceed the enumeration cap {cap}")
-    signals = [
-        PeriodicSignal(M=M, B=B, samples=np.array(tup))
-        for tup in itertools.product(points, repeat=M)
-    ]
-    labels_field, labels_int = _noiseless_labels(signals, cluster_tol)
+    # beyond 64 axes no index array exists, and |X|^M would be a huge integer
+    n_wave = len(points) ** M if M <= 64 else np.inf
+    if n_wave > COUNTING_CAP:
+        raise ValueError(f"{n_wave} waveforms exceed the enumeration cap {COUNTING_CAP}")
+    # row r is the r-th tuple of itertools.product(points, repeat=M)
+    samples = points[np.indices((len(points),) * M).reshape(M, -1).T]
+    labels_field, labels_int = _noiseless_labels(samples)
 
-    # uniform prior over distinct canonical inputs
-    classes = sorted(set(labels_field))
-    n_distinct = len(classes)
-    rep = {c: labels_int[labels_field.index(c)] for c in classes}
-    fiber_counts: dict[int, int] = {}
-    for c in classes:
-        fiber_counts[rep[c]] = fiber_counts.get(rep[c], 0) + 1
+    # uniform prior over distinct canonical inputs: one representative each,
+    # fibers counted in order of first appearance
+    _, first = np.unique(labels_field, return_index=True)
+    n_distinct = len(first)
+    _, fiber_first, fiber_counts = np.unique(labels_int[first], return_index=True, return_counts=True)
+    fiber_counts = fiber_counts[np.argsort(fiber_first)]
     h_coherent = float(np.log2(n_distinct))
-    p_y = np.array(list(fiber_counts.values()), dtype=np.float64) / n_distinct
-    h_direct = _entropy(p_y)
+    h_direct = _entropy(fiber_counts / n_distinct)
     gap = h_coherent - h_direct
-    max_fiber = max(fiber_counts.values())
+    max_fiber = int(fiber_counts.max())
     if gap > (M - 1) + 1e-9:
-        raise RuntimeError(f"counting bound violated: gap {gap} > {M - 1} bits")
+        raise InvariantViolation(f"counting bound violated: gap {gap} > {M - 1} bits")
     if max_fiber > 2 ** (M - 1):
-        raise RuntimeError(
-            f"fiber multiplicity {max_fiber} exceeds 2^(M-1) = {2 ** (M - 1)}"
-        )
+        raise InvariantViolation(f"fiber multiplicity {max_fiber} exceeds 2^(M-1) = {2 ** (M - 1)}")
     return CountingReport(
         n_waveforms=n_wave,
         n_distinct=n_distinct,
@@ -469,34 +460,39 @@ def counting_entropy(
 
 
 # ---------------------------------------------------------------------------
-# capacity by exhaustive prior search (small channels only)
+# capacity by Blahut-Arimoto
+
+#: Blahut-Arimoto stops once its capacity bounds are this close (bits).
+BA_GAP_BITS = 1e-12
+
+#: Blahut-Arimoto iterations before giving up.
+BA_MAX_ITER = 100_000
 
 
-def capacity_prior_search(conditional, M: int, step: float = 0.05):
-    """Maximize exact MI over a simplex grid of priors with the given step.
+def capacity_prior_search(conditional, M: int):
+    """Capacity of a finite channel by Blahut-Arimoto (Blahut 1972; Arimoto 1972).
 
-    Only meant for small channels (|X| <= 5): the grid has C(n+k-1, k-1)
-    points with n = 1/step.  Returns (capacity_bits_per_dof, best_prior).
+    Iterates p(x) <- p(x) 2^D(x) / Z with D(x) = D(W(.|x) || p_Y).  Every
+    iterate satisfies I(p) <= C <= max_x D(x), so the loop stops once that
+    gap is below ``BA_GAP_BITS``; it raises ``FloatingPointError`` after
+    ``BA_MAX_ITER`` iterations.  Returns (capacity_bits_per_dof, prior), the
+    capacity being the lower bound I(p).
     """
-    cond = np.asarray(conditional, dtype=np.float64)
-    n_in = cond.shape[0]
-    if n_in > 5:
-        raise ValueError(
-            "exhaustive prior search is limited to |X| <= 5; report MI under "
-            "explicit priors instead for larger alphabets"
-        )
-    ticks = round(1.0 / step)
-    best = (-1.0, None)
-    for combo in itertools.combinations(range(ticks + n_in - 1), n_in - 1):
-        parts = np.diff([-1, *combo, ticks + n_in - 1]) - 1
-        prior = parts / ticks
-        if prior.sum() == 0:
-            continue
-        ch = DiscreteChannel(prior=prior, conditional=cond, M=M)
-        mi = exact_mi(ch).bits_per_dof
-        if mi > best[0]:
-            best = (mi, prior)
-    return best
+    n_in = np.shape(conditional)[0]
+    prior = np.full(n_in, 1.0 / n_in)
+    cond = DiscreteChannel(prior=prior, conditional=conditional, M=M).conditional
+    log_w = np.log2(cond, out=np.zeros_like(cond), where=cond > 0)
+    for _ in range(BA_MAX_ITER):
+        p_y = prior @ cond
+        log_q = np.log2(p_y, out=np.zeros_like(p_y), where=p_y > 0)
+        divergence = np.sum(cond * (log_w - log_q), axis=1)
+        mi = float(prior @ divergence)
+        if divergence.max() - mi < BA_GAP_BITS:
+            return mi / M, prior
+        prior = prior * np.exp2(divergence - divergence.max())
+        prior /= prior.sum()
+    raise FloatingPointError(f"Blahut-Arimoto bounds {mi} <= C <= {divergence.max()} bits "
+                             f"did not meet in {BA_MAX_ITER} iterations")
 
 
 # ---------------------------------------------------------------------------

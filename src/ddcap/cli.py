@@ -23,6 +23,7 @@ from . import __version__
 from .channel import (
     ClusteringAmbiguityError,
     DensityUnavailableError,
+    InvariantViolation,
     NoiseSpec,
     apply_noise,
     counting_entropy,
@@ -66,7 +67,7 @@ _DOMAIN_ERRORS = (
     IntensityNotRealizableError,
     ValueError,
 )
-_NUMERICAL_ERRORS = (RootConvergenceError, FloatingPointError)
+_NUMERICAL_ERRORS = (RootConvergenceError, FloatingPointError, InvariantViolation)
 
 
 @dataclass

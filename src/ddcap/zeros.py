@@ -38,6 +38,10 @@ UC_EPS = 1e-9
 #: working precision.
 ZERO_MERGE_TOL = 1e-7
 
+#: A zero closer than this to the origin counts as at the origin: its
+#: reflection lies beyond the band, and flipping it leaves a constant phase.
+ORIGIN_EPS = 1e-12
+
 #: Default bound on the number of independent flips (2^20 members).
 DEFAULT_FLIP_CAP = 20
 
@@ -201,6 +205,10 @@ def flip_zeros(spec: SpectralPoly, mask: int, zeroset: ZeroSet | None = None) ->
     modulus-|Z| rescale differs only by a constant phase, which the phase
     canonicalization quotients out anyway.)
 
+    A zero at the origin reflects to infinity: (Z - 1/conj(z)) |z| tends to
+    the constant phase -z/|z| as z -> 0, so its flipped factor is 1 and the
+    degree drops by one.
+
     Masking an on-circle zero raises :class:`OnCircleFlipError`: its
     reflection is the zero itself, so the "flip" is a constant phase factor
     and produces no new waveform.
@@ -215,11 +223,12 @@ def flip_zeros(spec: SpectralPoly, mask: int, zeroset: ZeroSet | None = None) ->
             "mask addresses an on-circle zero; its reflection is a constant "
             "phase and does not produce a new waveform"
         )
-    if np.any(flip & (np.abs(zs.zeros) < 1e-12)):
-        raise ValueError("cannot reflect a zero at the origin within the band")
-    new_zeros = np.where(flip, 1.0 / np.conj(zs.zeros), zs.zeros)
-    scale = float(np.prod(np.abs(zs.zeros[flip]))) if flip.any() else 1.0
-    return poly_from_zeroset(new_zeros, zs.leading * scale, spec.M, spec.B)
+    at_origin = flip & (np.abs(zs.zeros) < ORIGIN_EPS)
+    moved = flip & ~at_origin
+    new_zeros = zs.zeros.copy()
+    new_zeros[moved] = 1.0 / np.conj(zs.zeros[moved])
+    scale = float(np.prod(np.abs(zs.zeros[moved])))
+    return poly_from_zeroset(new_zeros[~at_origin], zs.leading * scale, spec.M, spec.B)
 
 
 def _flip_groups(zs: ZeroSet) -> list[int]:
@@ -300,7 +309,8 @@ def enumerate_family(sig: PeriodicSignal, max_flips: int = DEFAULT_FLIP_CAP) -> 
     rescale of :func:`flip_zeros`); starting from the leading coefficient
     times the unflipped zeros, the batch of coefficient rows doubles once per
     group as ``[rows * unflipped, rows * flipped]``, which puts the members in
-    binary counting order of the flip pattern.
+    binary counting order of the flip pattern.  Reflected zeros at the origin
+    contribute the factor 1, as in :func:`flip_zeros`.
     """
     if max_flips < 0:
         raise ValueError(f"max_flips must be at least 0, got {max_flips}")
@@ -312,15 +322,15 @@ def enumerate_family(sig: PeriodicSignal, max_flips: int = DEFAULT_FLIP_CAP) -> 
             f"family has 2^{len(groups)} members, above the cap 2^{max_flips}; "
             f"pass max_flips={len(groups)} to enumerate anyway"
         )
-    if np.any(np.abs(zs.zeros) < 1e-12):  # off the circle, so in some flip group
-        raise ValueError("cannot reflect a zero at the origin within the band")
 
     rows = (npoly.polyfromroots(zs.zeros[zs.on_circle]) * zs.leading)[None, :]
     masks = [0]
     for group in groups:
         z = zs.zeros[[i for i in range(len(zs.zeros)) if (group >> i) & 1]]
         unflipped = npoly.polyfromroots(z)
-        flipped = npoly.polyfromroots(1.0 / np.conj(z)) * float(np.prod(np.abs(z)))
+        moved = z[np.abs(z) >= ORIGIN_EPS]  # flipped origin zeros leave the factor 1
+        flipped = npoly.polyfromroots(1.0 / np.conj(moved)) * float(np.prod(np.abs(moved)))
+        flipped = np.pad(flipped, (0, len(unflipped) - len(flipped)))
         rows = np.concatenate([_convolve_rows(rows, unflipped), _convolve_rows(rows, flipped)])
         masks += [mask | group for mask in masks]
     coeffs = np.zeros((len(rows), sig.M), dtype=np.complex128)

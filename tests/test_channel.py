@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -196,6 +197,16 @@ class TestChainBound:
         fine = chain_bound_check(inputs, noise=NoiseSpec(snr=8.0), bin_width_factor=0.125)
         assert abs(coarse.mi_coherent - fine.mi_coherent) < 0.01
 
+    @pytest.mark.parametrize("M", [1, 3, 4])
+    def test_on_off_keying_with_the_zero_waveform(self, rng, M):
+        # every 0/1 word, the all-zero one included, is its own field class
+        inputs = [PeriodicSignal(M=M, B=1.0, samples=np.array(word, dtype=float))
+                  for word in itertools.product((0, 1), repeat=M)]
+        prior = rng.dirichlet(np.ones(len(inputs)))
+        report = chain_bound_check(inputs, prior=prior)
+        assert report.mi_coherent == pytest.approx(-np.sum(prior * np.log2(prior)) / M, abs=1e-12)
+        assert 0.0 <= report.gap <= report.bound + 1e-12
+
     def test_data_processing_on_random_channels(self, rng):
         # gap >= 0 (Y is a function of Y') on assorted alphabets and priors
         for M, order in [(1, 3), (2, 2), (2, 4), (3, 2)]:
@@ -237,16 +248,102 @@ class TestCounting:
         with pytest.raises(ClusteringAmbiguityError):
             counting_entropy(points, M=1)
 
-    def test_enumeration_cap(self):
-        with pytest.raises(ValueError, match="cap"):
-            counting_entropy(psk(8), M=3, cap=100)
+    def test_enumeration_cap(self, monkeypatch):
+        # 8^5 = 32768 waveforms: refused before any tuple or array is built
+        def no_product(*_, **__):
+            raise AssertionError("the alphabet was enumerated before the cap check")
+
+        monkeypatch.setattr(itertools, "product", no_product)
+        points = psk(8)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="32768 waveforms exceed the enumeration cap 16384"):
+                counting_entropy(points, M=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+    @pytest.mark.parametrize("points, M, n_distinct", [(psk(4), 7, 4096), (np.array([1.0, -1.0]), 12, 2048)])
+    def test_alphabets_beyond_the_old_clustering_cap(self, points, M, n_distinct):
+        # 16384 and 4096 waveforms; the dense O(n^2) clustering stopped at 4096
+        tracemalloc.start()
+        try:
+            report = counting_entropy(points, M)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.n_waveforms == len(points) ** M
+        assert report.n_distinct == n_distinct
+        assert 0.0 <= report.gap_bits <= report.gap_bound + 1e-9
+        assert report.max_fiber <= report.fiber_bound
+        assert peak < 64 * 2**20
+
+
+def _reference_cluster(flat, tol):
+    """The dense O(n^2) clustering: rms distances, BFS labels, then the guard band."""
+    dim = flat.shape[1]
+    dist = np.array([np.sqrt(np.sum(np.abs(flat - row) ** 2, axis=1) / dim) for row in flat])
+    labels = np.full(len(flat), -1)
+    current = 0
+    for i in range(len(flat)):
+        if labels[i] != -1:
+            continue
+        labels[i] = current
+        stack = [i]
+        while stack:
+            (fresh,) = np.nonzero((labels == -1) & (dist[stack.pop()] <= tol))
+            labels[fresh] = current
+            stack.extend(fresh)
+        current += 1
+    bad = (labels[:, None] != labels[None, :]) & (dist < 10.0 * tol)
+    return labels, [tuple(pair) for pair in np.argwhere(np.triu(bad, 1))]
+
+
+class TestCluster:
+    TOL = 1e-6
+
+    def _clustered_points(self, rng, n_centres, dim, dtype):
+        """Shuffled clusters: each centre once, plus draws of it repeated
+        exactly or moved by an rms distance below tol; some centres stay alone."""
+        centres = rng.standard_normal((n_centres, dim)).astype(dtype)
+        if dtype is complex:
+            centres += 1j * rng.standard_normal((n_centres, dim))
+        which = np.concatenate([np.arange(n_centres), rng.integers(0, n_centres, size=2 * n_centres)])
+        nudge = rng.standard_normal((len(which), dim))
+        nudge *= 0.9 * self.TOL * rng.random((len(which), 1)) / np.sqrt(np.mean(nudge**2, axis=1, keepdims=True))
+        nudge[:n_centres] = 0.0
+        nudge[rng.random(len(which)) < 0.5] = 0.0
+        points = centres[which] + nudge
+        return points[rng.permutation(len(points))]
+
+    @pytest.mark.parametrize("n_centres, dim, dtype", [
+        (1, 3, complex), (17, 1, float), (133, 4, complex), (666, 8, float), (666, 6, complex),
+    ])
+    def test_labels_match_dense_reference(self, rng, n_centres, dim, dtype):
+        points = self._clustered_points(rng, n_centres, dim, dtype)
+        reference, bad = _reference_cluster(points.astype(complex), self.TOL)
+        assert bad == [] and reference.max() + 1 == n_centres
+        assert list(channel._cluster(points, self.TOL)) == list(reference)
+
+    def test_guard_band_names_the_smallest_pair(self, rng):
+        points = rng.standard_normal((1000, 4))
+        points[700] = points[123] + 3.0 * self.TOL  # rms distance 3 tol: inside (tol, 10 tol)
+        points[950] = points[400] - 2.0 * self.TOL
+        assert _reference_cluster(points.astype(complex), self.TOL)[1] == [(123, 700), (400, 950)]
+        dist = np.sqrt(np.sum((points[123] - points[700]) ** 2) / 4)
+        with pytest.raises(ClusteringAmbiguityError) as err:
+            channel._cluster(points, self.TOL)
+        assert str(err.value) == (
+            f"outputs 123 and 700 are {dist:.3e} apart, inside the guard band (tol {self.TOL:.3e})"
+        )
 
 
 class TestCapacitySearch:
     def test_bsc_capacity_at_uniform_prior(self):
         p = 0.11
         cond = np.array([[1 - p, p], [p, 1 - p]])
-        capacity, prior = capacity_prior_search(cond, M=1, step=0.05)
+        capacity, prior = capacity_prior_search(cond, M=1)
         assert capacity == pytest.approx(1 - binary_entropy(p), abs=1e-9)
         assert np.allclose(prior, [0.5, 0.5])
 
@@ -255,14 +352,28 @@ class TestCapacitySearch:
         # [C_c - (M-1)/M, C_c]
         fam = enumerate_family(random_coeff_signal(rng, 3))
         assert len(fam) == 4
-        capacity, prior = capacity_prior_search(np.eye(4), M=3, step=0.05)
+        capacity, prior = capacity_prior_search(np.eye(4), M=3)
         assert capacity == pytest.approx(2 / 3, abs=1e-9)
         report = chain_bound_check(fam.signals, prior=prior)
         assert capacity - report.bound - 1e-9 <= report.mi_direct <= capacity + 1e-9
 
-    def test_large_alphabets_rejected(self):
-        with pytest.raises(ValueError, match="<= 5"):
-            capacity_prior_search(np.eye(6), M=1)
+    def test_noiseless_alphabet_of_eight(self):
+        capacity, prior = capacity_prior_search(np.eye(8), M=2)
+        assert capacity == pytest.approx(np.log2(8) / 2, abs=1e-12)
+        assert np.allclose(prior, 1 / 8)
+
+    @pytest.mark.parametrize("p", [0.1, 0.3, 0.5])
+    def test_z_channel_closed_form(self, p):
+        # input 0 is received intact; input 1 turns into 0 with probability p
+        cond = np.array([[1.0, 0.0], [p, 1 - p]])
+        capacity, prior = capacity_prior_search(cond, M=1)
+        assert capacity == pytest.approx(np.log2(1 + (1 - p) * p ** (p / (1 - p))), abs=1e-9)
+        assert prior.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(channel, "BA_MAX_ITER", 3)
+        with pytest.raises(FloatingPointError, match="did not meet in 3 iterations"):
+            capacity_prior_search(np.array([[1.0, 0.0], [0.3, 0.7]]), M=1)
 
 
 class TestMonteCarlo:

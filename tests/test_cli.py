@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import ddcap.cli
 from ddcap import (
+    InvariantViolation,
     enumerate_family,
     periodic_hilbert,
     phase_distance,
@@ -75,6 +77,7 @@ class TestRefusals:
     @pytest.mark.parametrize("args, message", [
         (["counting", "--M", "-2"], "M must be at least 1"),
         (["counting", "--M", "0"], "M must be at least 1"),
+        (["counting", "--M", "100000"], "waveforms exceed the enumeration cap 16384"),
         (["enumerate", "--max-flips", "-1"], "max_flips must be at least 0"),
         (["mi", "--n-samples", "100000000000"], "n_samples=100000000000"),
     ])
@@ -251,6 +254,21 @@ class TestCounting:
     def test_unknown_constellation_exits_3(self, runner):
         result = CliRunner().invoke(main, ["counting", "--constellation", "512apsk"])
         assert result.exit_code == 3
+
+    def test_invariant_violation_exits_4_with_one_line(self, runner, monkeypatch):
+        def violated(*_, **__):
+            raise InvariantViolation("counting bound violated: gap 3.5 > 1 bits")
+
+        monkeypatch.setattr(ddcap.cli, "counting_entropy", violated)
+        result = runner.invoke(main, ["counting", "--M", "2"], catch_exceptions=False)
+        assert result.exit_code == 4
+        assert result.stderr.splitlines() == ["error: counting bound violated: gap 3.5 > 1 bits"]
+        assert "Traceback" not in result.output
+
+    def test_alphabet_above_the_cap_exits_3(self, runner):
+        result = runner.invoke(main, ["counting", "--constellation", "8psk", "--M", "5"])
+        assert result.exit_code == 3
+        assert result.stderr.splitlines() == ["error: 32768 waveforms exceed the enumeration cap 16384"]
 
 
 class TestSimulate:

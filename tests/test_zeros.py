@@ -13,6 +13,7 @@ from ddcap import (
     intensity_grid,
     min_phase_member,
     phase_distance,
+    random_signal,
     samples_to_spectrum,
     signal_from_zeros,
     spectrum_to_samples,
@@ -249,10 +250,19 @@ class TestEnumerateFamily:
         assert [m for m, _ in fam.members] == list(fam.masks)
         assert all(np.array_equal(s.samples, row) for s, row in zip(fam.signals, fam.samples))
 
-    def test_zero_at_origin_rejected(self):
-        # F_0 = 0 puts a zero at the origin, whose reflection lies at infinity
-        with pytest.raises(ValueError, match="cannot reflect a zero at the origin within the band"):
-            enumerate_family(signal_from_coeffs([0.0, 1.0, 0.5 + 0.2j]))
+    def test_zero_at_origin_flips_to_a_constant_phase(self):
+        # F_0 = 0 puts a zero at the origin; its reflection lies at infinity,
+        # so the flipped member drops the factor Z and keeps the intensity
+        signals = [signal_from_coeffs([0.0, 1.0, 0.5 + 0.2j])]
+        signals += [random_signal(int(M), seed=seed, dc_free=True) for seed, M in enumerate((2, 3, 5, 8))]
+        for sig in signals:
+            fam = enumerate_family(sig)
+            assert len(fam) == 2**fam.zeroset.n_off_circle
+            intensities = np.abs(np.fft.fft(np.fft.ifft(fam.samples, axis=1), n=8 * sig.M, axis=1)) ** 2
+            assert np.max(np.abs(intensities - intensities[0])) <= 1e-8 * np.max(intensities[0])
+            masks, reference = self._per_mask(sig)
+            assert list(fam.masks) == masks
+            assert np.max(np.abs(fam.samples - reference)) <= 1e-12 * np.max(np.abs(reference))
 
 
 class TestMinPhaseMember:
