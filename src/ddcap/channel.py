@@ -134,13 +134,11 @@ class DiscreteChannel:
 
     ``conditional[i, j] = P(Y = j | X = i)``; ``M`` is the number of complex
     degrees of freedom used to normalize information to bits per dof.
-    ``inputs`` optionally carries the waveforms behind the input indices.
     """
 
     prior: np.ndarray
     conditional: np.ndarray
     M: int
-    inputs: tuple = ()
 
     def __post_init__(self):
         prior = np.asarray(self.prior, dtype=np.float64)
@@ -602,7 +600,11 @@ def mc_mi(
     One estimator serves every receiver.  It draws all symbols and noise up
     front, then averages log2 q(y|x) - log2 p(y) per waveform, with p(y) in
     closed form for Gaussian input and a mixture over the symbol alphabet
-    for a constellation.  Densities are evaluated in row blocks of at most
+    for a constellation.  The mixture's densities depend on a symbol only
+    through one value per output (|x|^2 at a square-law receiver, x at the
+    coherent one), so they are evaluated once per distinct (output, value)
+    and gathered: 212 evaluations per direct QPSK M=4 waveform instead of
+    256 x 8.  Densities are evaluated in row blocks of at most
     ``MC_BLOCK_ELEMENTS`` entries, so memory beyond the O(n_samples * M)
     draws is bounded; a request whose draws would exceed ``MC_DRAW_BYTES``
     raises ``ValueError`` before anything is drawn.  A symbol is one rate-B
@@ -664,6 +666,17 @@ def mc_mi(
         samples = np.array(list(itertools.product(points, repeat=length)))
         v = float(np.mean(np.abs(samples) ** 2)) / snr
         alphabet = _fields(np.fft.ifft(samples, axis=1), rx.oversample)
+        # the density sees an alphabet entry only through its key, |x|^2 at a
+        # square-law receiver: one table column per distinct (output, key),
+        # its first entry as representative, so |rep|^2 is the key bit for bit
+        key = np.abs(alphabet) ** 2 if rx.square_law else alphabet
+        col_of, rep, gather = [], [], np.empty(alphabet.shape, dtype=np.intp)
+        for m in range(alphabet.shape[1]):
+            _, first, inverse = np.unique(key[:, m], return_index=True, return_inverse=True)
+            gather[:, m] = len(rep) + inverse
+            rep.extend(alphabet[first, m])
+            col_of.extend([m] * len(first))
+        rep = np.array(rep)
         log_prior = -np.log(n_alpha)
         idx = rng.integers(0, n_alpha, size=shape)
         row_width = shape[1] * alphabet.size
@@ -681,8 +694,11 @@ def mc_mi(
         if gaussian:
             bits = rx.gaussian_bits(y, x, v).sum(axis=-1)
         else:
-            log_q = rx.log_density(y, x, v).sum(axis=-1)
-            per_symbol = rx.log_density(y[..., None, :], alphabet, v).sum(axis=-1)
+            # np.take, unlike table[..., gather], returns a C-contiguous
+            # tensor, so the sums below run in the order of a direct evaluation
+            table = rx.log_density(y[..., col_of], rep, v)
+            per_symbol = np.take(table, gather, axis=-1).sum(axis=-1)
+            log_q = np.take_along_axis(per_symbol, idx[lo : lo + rows, :, None], axis=-1)[..., 0]
             bits = (log_q - _mixture_logpdf(per_symbol, log_prior)) * _LOG2E
         values[lo : lo + rows] = bits.sum(axis=1) / M
 

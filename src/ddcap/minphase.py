@@ -140,6 +140,10 @@ def min_phase_from_intensity(
         If the out-of-band projection residual exceeds 100 * tol, i.e. no
         band-limited waveform with M coefficients has this intensity.
     """
+    if M < 1:
+        raise ValueError(f"M must be at least 1, got {M}")
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     vals = intensity.values
     if len(vals) % M != 0 or len(vals) // M < 4:
         raise ValueError(

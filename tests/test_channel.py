@@ -450,6 +450,14 @@ class TestMonteCarlo:
         ("intensity", "qpsk", "0x0.0p+0", "0x0.0p+0"),
         ("intensity", "two-ring", "0x1.cfb3e1982fc3cp-1", "0x1.8f342a1850b5cp-8"),
         ("direct", "qpsk", "0x1.6c014f52699c3p-1", "0x1.a9636755c79a7p-8"),
+        # output columns that repeat alphabet values, whose densities are
+        # evaluated once per distinct (output, value) and gathered: pinned to
+        # the values of a full (waveform, output) evaluation
+        ("direct", "qpsk M=4", "0x1.ac1a119ee34a8p-1", "0x1.c27b7ef5352e7p-8"),
+        ("direct", "bpsk M=4", "0x1.44c156b247c1ep-1", "0x1.15ad5b192dba6p-8"),
+        ("direct", "8psk", "0x1.7410e2e990dd0p-1", "0x1.34ce3cca07e10p-7"),
+        # |x|^2 over 8PSK is 1.0 or 1.0000000000000004: distinct values
+        ("intensity", "8psk", "-0x1.5fbb276874611p-52", "0x1.66c47534e2a11p-56"),
     ]
 
     @pytest.mark.parametrize("block", [channel.MC_BLOCK_ELEMENTS, 4096])
@@ -457,10 +465,22 @@ class TestMonteCarlo:
     def test_exact_values_across_blocks(self, monkeypatch, block, receiver, model, bits, se):
         # at 4096 entries every case spans several evaluation blocks
         monkeypatch.setattr(channel, "MC_BLOCK_ELEMENTS", block)
-        inputs = {"qpsk": psk(4), "two-ring": np.array([0.5, 0.5j, -1.5, -1.5j])}
-        report = mc_mi(receiver, inputs.get(model, model), NoiseSpec(snr=10.0, seed=7), 3001, M=2)
+        name, _, M = model.partition(" M=")
+        inputs = {"gaussian": "gaussian", "two-ring": np.array([0.5, 0.5j, -1.5, -1.5j])}
+        points = inputs[name] if name in inputs else named_constellation(name)
+        report = mc_mi(receiver, points, NoiseSpec(snr=10.0, seed=7), 3001, M=int(M or 2))
         assert report.estimate.bits_per_dof.hex() == bits
         assert report.estimate.std_error.hex() == se
+
+    def test_densities_evaluated_once_per_distinct_value(self, monkeypatch):
+        # direct QPSK M=4: 256 waveforms x 8 outputs, but only 212 distinct
+        # (output, |x|^2) pairs; a full evaluation would cost 2048 per sample
+        calls = []
+        i0e = channel.special.i0e
+        monkeypatch.setattr(channel.special, "i0e", lambda z: calls.append(np.size(z)) or i0e(z))
+        n = 4_000
+        mc_mi("direct", psk(4), NoiseSpec(snr=30.0, seed=1), n, M=4)
+        assert 0 < sum(calls) <= n * (212 + 8)
 
     def test_direct_memory_is_bounded(self):
         # direct QPSK M=4 has 256 waveforms of 8 outputs, so evaluated at once

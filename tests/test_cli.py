@@ -8,6 +8,7 @@ import ddcap.cli
 from ddcap import (
     InvariantViolation,
     enumerate_family,
+    intensity_grid,
     periodic_hilbert,
     phase_distance,
     random_signal,
@@ -15,7 +16,7 @@ from ddcap import (
     signal_from_zeros,
 )
 from ddcap.cli import main
-from ddcap.formats import read_intensity_csv, read_signal_json, write_signal_json
+from ddcap.formats import read_intensity_csv, read_signal_json, write_intensity_csv, write_signal_json
 
 
 @pytest.fixture
@@ -80,11 +81,19 @@ class TestRefusals:
         (["counting", "--M", "100000"], "waveforms exceed the enumeration cap 16384"),
         (["enumerate", "--max-flips", "-1"], "max_flips must be at least 0"),
         (["mi", "--n-samples", "100000000000"], "n_samples=100000000000"),
+        (["minphase", "--M", "0"], "M must be at least 1"),
+        (["minphase", "--M", "4", "--tol", "nan"], "tol must be finite and positive"),
+        (["minphase", "--M", "4", "--tol", "inf"], "tol must be finite and positive"),
+        (["minphase", "--M", "4", "--tol", "0"], "tol must be finite and positive"),
+        (["minphase", "--M", "4", "--tol", "-1"], "tol must be finite and positive"),
     ])
     def test_out_of_range_argument_exits_3_with_one_line(self, runner, tmp_path, monkeypatch, args, message):
         if args[0] == "enumerate":
             write_signal_json(tmp_path / "sig.json", random_signal(4, seed=1))
             args = args + ["--input", str(tmp_path / "sig.json"), "--output", str(tmp_path / "o.json")]
+        if args[0] == "minphase":
+            write_intensity_csv(tmp_path / "i.csv", intensity_grid(random_signal(4, seed=1), 8))
+            args = args + ["--input", str(tmp_path / "i.csv"), "--output", str(tmp_path / "o.json")]
 
         def no_draws(*_, **__):
             raise AssertionError("random draws were made for a refused request")
