@@ -20,8 +20,12 @@ global phase is unobservable; reports flag this gauge choice.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import os
+import queue
 from collections.abc import Callable
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -188,6 +192,14 @@ def exact_mi(ch: DiscreteChannel) -> MIEstimate:
 # clustering of noiseless outputs
 
 
+@functools.lru_cache(maxsize=None)
+def _projection(width: int) -> np.ndarray:
+    """The fixed orthonormal (width, min(3, width)) projection of the pair search."""
+    q = np.linalg.qr(np.random.default_rng(0).standard_normal((width, min(3, width))))[0]
+    q.setflags(write=False)
+    return q
+
+
 def _cluster(vectors, tol: float) -> np.ndarray:
     """Group the rows of an (n, d) array whose rms distance is <= tol.
 
@@ -197,6 +209,17 @@ def _cluster(vectors, tol: float) -> np.ndarray:
     counting unreliable.
     """
     flat = np.array(vectors, dtype=np.complex128, order="C").reshape(len(vectors), -1)
+    # exact duplicates share a label: only the first copy of each row enters
+    # the pair search, so repeats cost no pairs.  Kept rows stay in input
+    # order, so numbering by first appearance and the smallest offending pair
+    # come out as over all rows
+    _, first_copy, copy_of = np.unique(
+        flat.view(np.dtype((np.void, flat.itemsize * flat.shape[1])))[:, 0],
+        return_index=True,
+        return_inverse=True,
+    )
+    kept = np.sort(first_copy)
+    flat = flat[kept]
     n, dim = flat.shape
     # candidate pairs within the guard band, searched in a fixed orthonormal
     # 3-d projection (it lengthens no difference, so it loses no pair): in full
@@ -204,8 +227,7 @@ def _cluster(vectors, tol: float) -> np.ndarray:
     # search is O(n^2).  The radius is padded against rounding; the exact
     # distances below decide.
     real = flat.view(np.float64)
-    directions = np.random.default_rng(0).standard_normal((real.shape[1], min(3, real.shape[1])))
-    tree = cKDTree(real @ np.linalg.qr(directions)[0])
+    tree = cKDTree(real @ _projection(real.shape[1]))
     i, j = tree.query_pairs(10.1 * tol * np.sqrt(dim), output_type="ndarray").T
     # exact differences, in blocks of pairs to bound memory; the Gram-matrix
     # shortcut would lose sqrt(eps) of precision to cancellation, which is
@@ -224,10 +246,10 @@ def _cluster(vectors, tol: float) -> np.ndarray:
     if len(bad):
         k = bad[np.lexsort((j[bad], i[bad]))[0]]
         raise ClusteringAmbiguityError(
-            f"outputs {i[k]} and {j[k]} are {dist[k]:.3e} apart, inside the "
+            f"outputs {kept[i[k]]} and {kept[j[k]]} are {dist[k]:.3e} apart, inside the "
             f"guard band (tol {tol:.3e})"
         )
-    return labels
+    return labels[np.searchsorted(kept, first_copy)[copy_of]]
 
 
 def _noiseless_labels(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -496,9 +518,13 @@ def capacity_prior_search(conditional, M: int):
 # ---------------------------------------------------------------------------
 # Monte-Carlo estimator
 
-#: Largest number of float64 entries in one evaluation block of the
-#: Monte-Carlo (rows, symbols, alphabet, outputs) density tensor.
+#: Largest number of float64 entries in the evaluation blocks of the
+#: Monte-Carlo (rows, symbols, alphabet, outputs) density tensor, summed over
+#: all blocks in flight at once.
 MC_BLOCK_ELEMENTS = 1 << 22
+
+#: Threads that evaluate Monte-Carlo blocks: one per CPU this process may run on.
+MC_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 #: Largest size in bytes of the symbol and noise draws the Monte-Carlo
 #: estimator holds in memory at once; larger requests are refused up front.
@@ -604,10 +630,14 @@ def mc_mi(
     through one value per output (|x|^2 at a square-law receiver, x at the
     coherent one), so they are evaluated once per distinct (output, value)
     and gathered: 212 evaluations per direct QPSK M=4 waveform instead of
-    256 x 8.  Densities are evaluated in row blocks of at most
-    ``MC_BLOCK_ELEMENTS`` entries, so memory beyond the O(n_samples * M)
-    draws is bounded; a request whose draws would exceed ``MC_DRAW_BYTES``
-    raises ``ValueError`` before anything is drawn.  A symbol is one rate-B
+    256 x 8.  Densities are evaluated in row blocks, one thread per CPU in
+    the process's affinity mask (``MC_WORKERS``); ``MC_BLOCK_ELEMENTS``
+    bounds the entries of all blocks in flight together, so memory beyond
+    the O(n_samples * M) draws is bounded.  The draws are made serially
+    and each block writes only its own rows, so the estimate is
+    bit-identical for any number of cores.  A request whose draws would
+    exceed ``MC_DRAW_BYTES`` raises ``ValueError`` before anything is
+    drawn.  A symbol is one rate-B
     sample, except at the direct receiver, whose 2M outputs mix
     neighbouring samples: there it is the whole waveform, and
     ``DIRECT_ALPHABET_CAP`` on the symbol alphabet is the only limit on
@@ -676,7 +706,7 @@ def mc_mi(
             gather[:, m] = len(rep) + inverse
             rep.extend(alphabet[first, m])
             col_of.extend([m] * len(first))
-        rep = np.array(rep)
+        rep, col_of = np.array(rep), np.array(col_of)
         log_prior = -np.log(n_alpha)
         idx = rng.integers(0, n_alpha, size=shape)
         row_width = shape[1] * alphabet.size
@@ -685,8 +715,18 @@ def mc_mi(
     ).reshape(shape + (-1,))
 
     values = np.empty(n_samples)
-    rows = max(1, MC_BLOCK_ELEMENTS // row_width)
-    for lo in range(0, n_samples, rows):
+    # the workers share the element budget, and a request that would fit in
+    # one block is still split between them
+    workers = MC_WORKERS
+    rows = max(1, min(MC_BLOCK_ELEMENTS // workers // row_width, -(-n_samples // workers)))
+    starts = range(0, n_samples, rows)
+    # one gathered-density tensor per worker, the largest block temporary, is
+    # allocated up front: the peak does not depend on how the blocks overlap
+    gathered = queue.SimpleQueue()
+    for _ in range(0 if gaussian else min(workers, len(starts))):
+        gathered.put(np.empty((rows, shape[1]) + alphabet.shape))
+
+    def evaluate(lo):
         x = sent[lo : lo + rows] if gaussian else alphabet[idx[lo : lo + rows]]
         y = x + noise_fields[lo : lo + rows]
         if rx.square_law:
@@ -694,13 +734,25 @@ def mc_mi(
         if gaussian:
             bits = rx.gaussian_bits(y, x, v).sum(axis=-1)
         else:
-            # np.take, unlike table[..., gather], returns a C-contiguous
-            # tensor, so the sums below run in the order of a direct evaluation
             table = rx.log_density(y[..., col_of], rep, v)
-            per_symbol = np.take(table, gather, axis=-1).sum(axis=-1)
+            # np.take fills a C-contiguous tensor, so the sums below run in the
+            # order of a direct evaluation; mode "clip" (no index is out of
+            # range) writes straight into it, where "raise" buffers the output
+            buf = gathered.get()
+            per_symbol = np.take(table, gather, axis=-1, out=buf[: len(y)], mode="clip").sum(axis=-1)
+            gathered.put(buf)
             log_q = np.take_along_axis(per_symbol, idx[lo : lo + rows, :, None], axis=-1)[..., 0]
             bits = (log_q - _mixture_logpdf(per_symbol, log_prior)) * _LOG2E
         values[lo : lo + rows] = bits.sum(axis=1) / M
+
+    # each block writes only its own rows, so the values, and the estimate
+    # reduced from them in order below, do not depend on the worker count
+    if len(starts) == 1:
+        evaluate(0)
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            for _ in pool.map(evaluate, starts):
+                pass
 
     estimate = MIEstimate(
         bits_per_dof=float(values.mean()),

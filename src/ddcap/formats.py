@@ -64,12 +64,17 @@ def read_intensity_csv(path) -> SampledIntensity:
         rows = [line.strip().split(",") for line in fh if line.strip()]
     if len(rows) < 2:
         raise ValueError("intensity CSV needs at least two rows")
+    if any(len(r) < 2 for r in rows):
+        raise ValueError("every intensity CSV row needs a time and an intensity")
     t = np.array([float(r[0]) for r in rows])
     vals = np.array([float(r[1]) for r in rows])
     dt = np.diff(t)
-    if np.any(np.abs(dt - dt[0]) > 1e-9 * max(abs(dt[0]), 1e-300)):
+    rate = 1.0 / float(dt[0]) if dt[0] > 0 else 0.0  # a Python float: no warning on overflow
+    if not 0.0 < rate < np.inf:
+        raise ValueError("intensity grid times must increase by a positive, finite step")
+    if not np.all(np.abs(dt - dt[0]) <= 1e-9 * dt[0]):
         raise ValueError("intensity grid must be uniform")
-    return SampledIntensity(rate=1.0 / dt[0], values=vals)
+    return SampledIntensity(rate=rate, values=vals)
 
 
 def family_to_dict(fam: EqualIntensityFamily) -> dict:

@@ -1,4 +1,8 @@
+import dataclasses
 import itertools
+import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -338,6 +342,18 @@ class TestCluster:
             f"outputs 123 and 700 are {dist:.3e} apart, inside the guard band (tol {self.TOL:.3e})"
         )
 
+    def test_exact_copies_cost_no_pairs(self):
+        # thousands of copies of one waveform are one output, in memory O(n)
+        sig = random_coeff_signal(np.random.default_rng(5), 4)
+        tracemalloc.start()
+        try:
+            report = chain_bound_check([sig] * 4096)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.mi_coherent == report.mi_direct == 0.0
+        assert peak < 64 * 2**20
+
 
 class TestCapacitySearch:
     def test_bsc_capacity_at_uniform_prior(self):
@@ -460,17 +476,53 @@ class TestMonteCarlo:
         ("intensity", "8psk", "-0x1.5fbb276874611p-52", "0x1.66c47534e2a11p-56"),
     ]
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("block", [channel.MC_BLOCK_ELEMENTS, 4096])
     @pytest.mark.parametrize("receiver, model, bits, se", EXACT)
-    def test_exact_values_across_blocks(self, monkeypatch, block, receiver, model, bits, se):
+    def test_exact_values_across_blocks(self, monkeypatch, block, workers, receiver, model, bits, se):
         # at 4096 entries every case spans several evaluation blocks
         monkeypatch.setattr(channel, "MC_BLOCK_ELEMENTS", block)
+        monkeypatch.setattr(channel, "MC_WORKERS", workers)
         name, _, M = model.partition(" M=")
         inputs = {"gaussian": "gaussian", "two-ring": np.array([0.5, 0.5j, -1.5, -1.5j])}
         points = inputs[name] if name in inputs else named_constellation(name)
         report = mc_mi(receiver, points, NoiseSpec(snr=10.0, seed=7), 3001, M=int(M or 2))
         assert report.estimate.bits_per_dof.hex() == bits
         assert report.estimate.std_error.hex() == se
+
+    def test_more_workers_than_cores_under_fast_switching(self, monkeypatch):
+        # blocks sharing a row or a gathered-density buffer would change the bits
+        monkeypatch.setattr(channel, "MC_BLOCK_ELEMENTS", 4096)
+        monkeypatch.setattr(channel, "MC_WORKERS", 2 * (os.cpu_count() or 1) + 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            report = mc_mi("direct", psk(4), NoiseSpec(snr=10.0, seed=7), 3001, M=2)
+        finally:
+            sys.setswitchinterval(interval)
+        assert report.estimate.bits_per_dof.hex() == "0x1.6c014f52699c3p-1"
+        assert report.estimate.std_error.hex() == "0x1.a9636755c79a7p-8"
+
+    def test_block_exception_reaches_the_caller(self, monkeypatch):
+        # the third block's densities fail while other blocks are in flight
+        error = FloatingPointError("density failed")
+        calls = itertools.count()
+        density = channel._log_intensity_density
+
+        def failing(y, x, v):
+            if next(calls) == 2:
+                raise error
+            return density(y, x, v)
+
+        direct = dataclasses.replace(channel._RECEIVERS["direct"], log_density=failing)
+        monkeypatch.setitem(channel._RECEIVERS, "direct", direct)
+        monkeypatch.setattr(channel, "MC_BLOCK_ELEMENTS", 4096)
+        monkeypatch.setattr(channel, "MC_WORKERS", 2)
+        threads = threading.active_count()
+        with pytest.raises(FloatingPointError) as err:
+            mc_mi("direct", psk(4), NoiseSpec(snr=10.0, seed=1), 3001, M=2)
+        assert err.value is error
+        assert threading.active_count() == threads
 
     def test_densities_evaluated_once_per_distinct_value(self, monkeypatch):
         # direct QPSK M=4: 256 waveforms x 8 outputs, but only 212 distinct
@@ -484,9 +536,9 @@ class TestMonteCarlo:
 
     def test_direct_memory_is_bounded(self):
         # direct QPSK M=4 has 256 waveforms of 8 outputs, so evaluated at once
-        # the density tensor alone costs 16 KiB per sample.  Blocks hold 2048
-        # of these rows: from n=4000 on the first block is full, and the peak
-        # may grow only by the O(n M) draws.
+        # the density tensor alone costs 16 KiB per sample.  The blocks in
+        # flight hold 2048 of these rows between them: from n=4000 on they
+        # are full, and the peak may grow only by the O(n M) draws.
         budget = 5 * 8 * channel.MC_BLOCK_ELEMENTS  # five float64 block temporaries
         peaks = {}
         for n in (4_000, 12_000):

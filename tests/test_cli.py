@@ -229,17 +229,24 @@ class TestMi:
         ([], {"snr_db": "x"}),
         ([], {"receiver": "homodyne"}),
         ([], {"seed": 1.5}),
+        # minphase reads an intensity CSV: a row without a comma, a repeated time
+        pytest.param(["minphase"], "t,intensity\n0\n0.5\n", id="csv-row-without-comma"),
+        pytest.param(["minphase"], "t,intensity\n0,1\n0,1\n", id="csv-repeated-time"),
     ])
     def test_malformed_input_exits_with_one_line(self, runner, tmp_path, flags, spec):
         args = ["mi", "--n-samples", "100", *flags]
-        if spec is not None:
+        if flags == ["minphase"]:
+            (tmp_path / "i.csv").write_text(spec)
+            args = [*flags, "--input", str(tmp_path / "i.csv"), "--M", "4",
+                    "--output", str(tmp_path / "o.json")]
+        elif spec is not None:
             fields = {"receiver": "coherent", "input": "qpsk", "snr_db": 10.0, "seed": 1,
                       "n_samples": 100, **spec}
             spec_path = tmp_path / "exp.json"
             spec_path.write_text(json.dumps(fields))
             args += ["--spec", str(spec_path)]
         result = runner.invoke(main, args, catch_exceptions=False)
-        assert result.exit_code in (2, 3)
+        assert result.exit_code in ((2,) if flags == ["minphase"] else (2, 3))
         assert [line.startswith("error:") for line in result.stderr.splitlines()] == [True]
         assert "Traceback" not in result.stderr
         assert "nan" not in result.stdout
