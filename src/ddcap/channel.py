@@ -631,8 +631,9 @@ def mc_mi(
     coherent one), so they are evaluated once per distinct (output, value)
     and gathered: 212 evaluations per direct QPSK M=4 waveform instead of
     256 x 8.  Densities are evaluated in row blocks, one thread per CPU in
-    the process's affinity mask (``MC_WORKERS``); ``MC_BLOCK_ELEMENTS``
-    bounds the entries of all blocks in flight together, so memory beyond
+    the process's affinity mask (``MC_WORKERS``) but no more than the
+    budget holds rows; ``MC_BLOCK_ELEMENTS`` bounds the entries of all
+    blocks in flight together, so memory beyond
     the O(n_samples * M) draws is bounded.  The draws are made serially
     and each block writes only its own rows, so the estimate is
     bit-identical for any number of cores.  A request whose draws would
@@ -715,9 +716,9 @@ def mc_mi(
     ).reshape(shape + (-1,))
 
     values = np.empty(n_samples)
-    # the workers share the element budget, and a request that would fit in
-    # one block is still split between them
-    workers = MC_WORKERS
+    # the workers share the element budget, at least one row each, and a
+    # request that would fit in one block is still split between them
+    workers = max(1, min(MC_WORKERS, MC_BLOCK_ELEMENTS // row_width))
     rows = max(1, min(MC_BLOCK_ELEMENTS // workers // row_width, -(-n_samples // workers)))
     starts = range(0, n_samples, rows)
     # one gathered-density tensor per worker, the largest block temporary, is
@@ -739,20 +740,19 @@ def mc_mi(
             # order of a direct evaluation; mode "clip" (no index is out of
             # range) writes straight into it, where "raise" buffers the output
             buf = gathered.get()
-            per_symbol = np.take(table, gather, axis=-1, out=buf[: len(y)], mode="clip").sum(axis=-1)
-            gathered.put(buf)
+            try:
+                per_symbol = np.take(table, gather, axis=-1, out=buf[: len(y)], mode="clip").sum(axis=-1)
+            finally:
+                gathered.put(buf)
             log_q = np.take_along_axis(per_symbol, idx[lo : lo + rows, :, None], axis=-1)[..., 0]
             bits = (log_q - _mixture_logpdf(per_symbol, log_prior)) * _LOG2E
         values[lo : lo + rows] = bits.sum(axis=1) / M
 
     # each block writes only its own rows, so the values, and the estimate
     # reduced from them in order below, do not depend on the worker count
-    if len(starts) == 1:
-        evaluate(0)
-    else:
-        with ThreadPoolExecutor(workers) as pool:
-            for _ in pool.map(evaluate, starts):
-                pass
+    with ThreadPoolExecutor(workers) as pool:
+        for _ in pool.map(evaluate, starts):
+            pass
 
     estimate = MIEstimate(
         bits_per_dof=float(values.mean()),

@@ -524,6 +524,47 @@ class TestMonteCarlo:
         assert err.value is error
         assert threading.active_count() == threads
 
+    def test_gather_exception_returns_its_buffer(self, monkeypatch):
+        # a table with no columns makes np.take fail while a block holds its
+        # gathered-density buffer; every block fails, so a buffer not handed
+        # back would leave the later blocks waiting on the queue for ever
+        density = channel._log_intensity_density
+        direct = dataclasses.replace(
+            channel._RECEIVERS["direct"], log_density=lambda y, x, v: density(y, x, v)[..., :0]
+        )
+        monkeypatch.setitem(channel._RECEIVERS, "direct", direct)
+        monkeypatch.setattr(channel, "MC_BLOCK_ELEMENTS", 4096)
+        monkeypatch.setattr(channel, "MC_WORKERS", 2)
+        threads = threading.active_count()
+        errors = []
+
+        def run():
+            try:
+                mc_mi("direct", psk(4), NoiseSpec(snr=10.0, seed=1), 3001, M=2)
+            except IndexError as exc:
+                errors.append(exc)
+
+        caller = threading.Thread(target=run, daemon=True)
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive(), "mc_mi hung after a failed gather"
+        assert len(errors) == 1
+        assert threading.active_count() == threads
+
+    def test_many_workers_share_the_block_budget(self, monkeypatch):
+        # direct BPSK M=12: one row is 4096 waveforms x 24 outputs = 98304
+        # entries and the budget holds 16 rows, so 96 workers of one row each
+        # would hold six budgets of gathered densities between them
+        monkeypatch.setattr(channel, "MC_BLOCK_ELEMENTS", 16 * 98304)
+        monkeypatch.setattr(channel, "MC_WORKERS", 96)
+        tracemalloc.start()
+        try:
+            mc_mi("direct", psk(2), NoiseSpec(snr=10.0, seed=1), 200, M=12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 8 * channel.MC_BLOCK_ELEMENTS  # five float64 block temporaries
+
     def test_densities_evaluated_once_per_distinct_value(self, monkeypatch):
         # direct QPSK M=4: 256 waveforms x 8 outputs, but only 212 distinct
         # (output, |x|^2) pairs; a full evaluation would cost 2048 per sample
