@@ -23,7 +23,6 @@ from __future__ import annotations
 import functools
 import itertools
 import os
-import queue
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -86,8 +85,12 @@ def inband_noise_coefficients(M: int, total_variance: float, rng, size=None) -> 
     average of the noise field power equals ``total_variance``.
     """
     shape = (M,) if size is None else (size, M)
-    scale = np.sqrt(total_variance / (2.0 * M))
-    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    return _inband_noise(M, total_variance, rng.standard_normal(shape), rng.standard_normal(shape))
+
+
+def _inband_noise(M: int, total_variance: float, real, imag) -> np.ndarray:
+    """The coefficients of ``inband_noise_coefficients`` from its standard normal draws."""
+    return np.sqrt(total_variance / (2.0 * M)) * (real + 1j * imag)
 
 
 def apply_noise(sig: PeriodicSignal, noise: NoiseSpec) -> PeriodicSignal:
@@ -518,9 +521,10 @@ def capacity_prior_search(conditional, M: int):
 # ---------------------------------------------------------------------------
 # Monte-Carlo estimator
 
-#: Largest number of float64 entries in the evaluation blocks of the
-#: Monte-Carlo (rows, symbols, alphabet, outputs) density tensor, summed over
-#: all blocks in flight at once.
+#: Largest number of Monte-Carlo density terms, one per (row, symbol,
+#: alphabet entry, output), in the evaluation blocks in flight at once.  No
+#: block array is larger than its block's terms: a block holds its density
+#: table and a few (alphabet, symbols, rows) partial sums of those terms.
 MC_BLOCK_ELEMENTS = 1 << 22
 
 #: Threads that evaluate Monte-Carlo blocks: one per CPU this process may run on.
@@ -528,6 +532,10 @@ MC_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") el
 
 #: Largest size in bytes of the symbol and noise draws the Monte-Carlo
 #: estimator holds in memory at once; larger requests are refused up front.
+#: They are counted as 16 bytes per rate-B sample for the symbol plus 16 per
+#: noise output, an upper bound: the noise is held as its coefficients' real
+#: parts and the imaginary parts of the blocks drawn so far, at most 16 bytes
+#: per rate-B sample, and its outputs only block by block.
 MC_DRAW_BYTES = 1 << 30
 
 
@@ -570,10 +578,55 @@ def _intensity_gaussian_bits(y, x, v):
     return (_log_intensity_density(y, x, v) - (-np.log(1.0 + v) - y / (1.0 + v))) * _LOG2E
 
 
-def _mixture_logpdf(logs, log_prior):
-    """logsumexp over the alphabet axis (last)."""
-    m = logs.max(axis=-1, keepdims=True)
-    return (m + np.log(np.sum(np.exp(logs - m + log_prior), axis=-1, keepdims=True)))[..., 0]
+def _add_reduce(terms, n):
+    """terms[0] + ... + terms[n-1], added in the order of ``np.add.reduce``
+    over a contiguous float64 axis of length n >= 1.
+
+    ``terms`` is an array, summed over its first axis, or a callable that
+    builds term i, as a new array, when it is added, so a few partial sums
+    are alive at once, not n terms.  Below 8 terms they are added in turn.
+    From 8 to 128, lane j < 8 adds terms j, j+8, ... in turn up to the last
+    multiple of 8, the lanes are combined as ((0+1)+(2+3))+((4+5)+(6+7)),
+    and the n % 8 terms left are added in turn.  Above 128 the terms split
+    into two halves at a multiple of 8.  An array's eight lanes are added
+    together, one slice of eight terms at a time.  Sums are made in place,
+    into a copy of an array's terms.  (No closure here refers to itself: a
+    reference cycle would keep a block's arrays alive until the next
+    garbage collection.)
+    """
+    array = not callable(terms)
+    term = terms.__getitem__ if array else terms
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        total = _add_reduce(terms, half)
+        total += _add_reduce(terms[half:] if array else lambda i: terms(half + i), n - half)
+        return total
+    full = n - n % 8
+    if full == 0:
+        total = terms[0].copy() if array else term(0)
+    else:
+        if array:
+            lanes = terms[:8].copy()
+            for i in range(8, full, 8):
+                lanes += terms[i : i + 8]
+            lane = lanes.__getitem__
+        else:
+
+            def lane(j):
+                total = term(j)
+                for i in range(j + 8, full, 8):
+                    total += term(i)
+                return total
+
+        def pair(a, b):
+            a += b
+            return a
+
+        total = pair(pair(pair(lane(0), lane(1)), pair(lane(2), lane(3))),
+                     pair(pair(lane(4), lane(5)), pair(lane(6), lane(7))))
+    for i in range(max(full, 1), n):
+        total += term(i)
+    return total
 
 
 def _fields(coeffs, oversample):
@@ -601,6 +654,15 @@ _RECEIVERS = {
 }
 
 
+#: Entries in one partial sum over the outputs of a Monte-Carlo block.
+_SUM_CHUNK_ENTRIES = 1 << 16
+
+#: At an SNR so extreme that the float64 densities overflow, the estimator
+#: raises FloatingPointError instead of warning and returning inf or nan.
+_RAISE_ON_OVERFLOW = np.errstate(divide="raise", over="raise", invalid="raise")
+
+
+@_RAISE_ON_OVERFLOW
 def mc_mi(
     receiver: str,
     input_model,
@@ -623,22 +685,30 @@ def mc_mi(
     M : int
         Degrees of freedom per waveform, at least 1.
 
-    One estimator serves every receiver.  It draws all symbols and noise up
-    front, then averages log2 q(y|x) - log2 p(y) per waveform, with p(y) in
-    closed form for Gaussian input and a mixture over the symbol alphabet
-    for a constellation.  The mixture's densities depend on a symbol only
-    through one value per output (|x|^2 at a square-law receiver, x at the
-    coherent one), so they are evaluated once per distinct (output, value)
-    and gathered: 212 evaluations per direct QPSK M=4 waveform instead of
-    256 x 8.  Densities are evaluated in row blocks, one thread per CPU in
-    the process's affinity mask (``MC_WORKERS``) but no more than the
-    budget holds rows; ``MC_BLOCK_ELEMENTS`` bounds the entries of all
-    blocks in flight together, so memory beyond
-    the O(n_samples * M) draws is bounded.  The draws are made serially
-    and each block writes only its own rows, so the estimate is
-    bit-identical for any number of cores.  A request whose draws would
-    exceed ``MC_DRAW_BYTES`` raises ``ValueError`` before anything is
-    drawn.  A symbol is one rate-B
+    One estimator serves every receiver.  It averages log2 q(y|x) -
+    log2 p(y) per waveform, with p(y) in closed form for Gaussian input and
+    a mixture over the symbol alphabet for a constellation.  The mixture's
+    densities depend on a symbol only through one value per output (|x|^2
+    at a square-law receiver, x at the coherent one), so they are evaluated
+    once per distinct (output, value) and gathered: 212 evaluations per
+    direct QPSK M=4 waveform instead of 256 x 8.
+
+    Densities are evaluated in row blocks laid out outputs-major: each
+    (output, value), alphabet entry and symbol is one vector over the
+    block's waveforms, so every sum over them adds whole vectors, in the
+    order ``np.add.reduce`` sums a contiguous axis, and no (waveform,
+    symbol, alphabet, output) tensor is built.  The symbols and the noise's
+    real parts are drawn up front; the imaginary parts are drawn block by
+    block as each block is handed to the pool, so later draws overlap the
+    evaluation of earlier blocks.  The pool has one thread per CPU in the
+    process's affinity mask (``MC_WORKERS``) but no more than the budget
+    holds rows, and each thread gets at least two blocks;
+    ``MC_BLOCK_ELEMENTS`` bounds the density terms of all blocks in flight
+    together, so memory beyond the O(n_samples * M) draws is bounded.  The
+    draws are made in order by one thread and each block writes only its
+    own rows, so the estimate is bit-identical for any number of cores.  A
+    request whose draws would exceed ``MC_DRAW_BYTES`` raises
+    ``ValueError`` before anything is drawn.  A symbol is one rate-B
     sample, except at the direct receiver, whose 2M outputs mix
     neighbouring samples: there it is the whole waveform, and
     ``DIRECT_ALPHABET_CAP`` on the symbol alphabet is the only limit on
@@ -684,7 +754,7 @@ def mc_mi(
     rng = np.random.default_rng(noise.seed)
     if gaussian:
         v = 1.0 / snr
-        sent = (rng.standard_normal(shape + (1,)) + 1j * rng.standard_normal(shape + (1,))) / np.sqrt(2.0)
+        sent = rng.standard_normal((2,) + shape + (1,))  # real and imaginary parts
         row_width = shape[1]
     else:
         points = np.asarray(input_model)
@@ -698,7 +768,7 @@ def mc_mi(
         v = float(np.mean(np.abs(samples) ** 2)) / snr
         alphabet = _fields(np.fft.ifft(samples, axis=1), rx.oversample)
         # the density sees an alphabet entry only through its key, |x|^2 at a
-        # square-law receiver: one table column per distinct (output, key),
+        # square-law receiver: one table row per distinct (output, key),
         # its first entry as representative, so |rep|^2 is the key bit for bit
         key = np.abs(alphabet) ** 2 if rx.square_law else alphabet
         col_of, rep, gather = [], [], np.empty(alphabet.shape, dtype=np.intp)
@@ -711,47 +781,53 @@ def mc_mi(
         log_prior = -np.log(n_alpha)
         idx = rng.integers(0, n_alpha, size=shape)
         row_width = shape[1] * alphabet.size
-    noise_fields = _fields(
-        inband_noise_coefficients(length, v, rng, size=shape[0] * shape[1]), rx.oversample
-    ).reshape(shape + (-1,))
+    real = rng.standard_normal((shape[0] * shape[1], length))  # the noise's real parts
 
     values = np.empty(n_samples)
-    # the workers share the element budget, at least one row each, and a
-    # request that would fit in one block is still split between them
+    # the workers share the element budget, at least one row each, and every
+    # worker gets at least two blocks, so draws overlap the evaluation
     workers = max(1, min(MC_WORKERS, MC_BLOCK_ELEMENTS // row_width))
-    rows = max(1, min(MC_BLOCK_ELEMENTS // workers // row_width, -(-n_samples // workers)))
+    rows = max(1, min(MC_BLOCK_ELEMENTS // workers // row_width, -(-n_samples // (2 * workers))))
     starts = range(0, n_samples, rows)
-    # one gathered-density tensor per worker, the largest block temporary, is
-    # allocated up front: the peak does not depend on how the blocks overlap
-    gathered = queue.SimpleQueue()
-    for _ in range(0 if gaussian else min(workers, len(starts))):
-        gathered.put(np.empty((rows, shape[1]) + alphabet.shape))
 
-    def evaluate(lo):
-        x = sent[lo : lo + rows] if gaussian else alphabet[idx[lo : lo + rows]]
-        y = x + noise_fields[lo : lo + rows]
+    @_RAISE_ON_OVERFLOW  # pool threads do not inherit the caller's error state
+    def evaluate(lo, imag):
+        if gaussian:
+            x = (sent[0, lo : lo + rows] + 1j * sent[1, lo : lo + rows]) / np.sqrt(2.0)
+        else:
+            x = alphabet[idx[lo : lo + rows]]
+        span = slice(lo * shape[1], lo * shape[1] + len(imag))
+        y = x + _fields(_inband_noise(length, v, real[span], imag), rx.oversample).reshape(x.shape)
         if rx.square_law:
             y = np.abs(y) ** 2
         if gaussian:
-            bits = rx.gaussian_bits(y, x, v).sum(axis=-1)
+            bits = rx.gaussian_bits(y, x, v)[..., 0].T
         else:
-            table = rx.log_density(y[..., col_of], rep, v)
-            # np.take fills a C-contiguous tensor, so the sums below run in the
-            # order of a direct evaluation; mode "clip" (no index is out of
-            # range) writes straight into it, where "raise" buffers the output
-            buf = gathered.get()
-            try:
-                per_symbol = np.take(table, gather, axis=-1, out=buf[: len(y)], mode="clip").sum(axis=-1)
-            finally:
-                gathered.put(buf)
-            log_q = np.take_along_axis(per_symbol, idx[lo : lo + rows, :, None], axis=-1)[..., 0]
-            bits = (log_q - _mixture_logpdf(per_symbol, log_prior)) * _LOG2E
-        values[lo : lo + rows] = bits.sum(axis=1) / M
+            # outputs-major: a table row is one (output, key) over (symbols,
+            # rows), so every sum below adds whole row vectors
+            table = rx.log_density(y.T[col_of], rep[:, None, None], v)
+            # summed over the outputs a few rows at a time, so that the
+            # partial sums stay small and in cache
+            per_symbol = np.empty((n_alpha,) + table.shape[1:])
+            step = max(1, _SUM_CHUNK_ENTRIES // (n_alpha * shape[1]))
+            for c in range(0, per_symbol.shape[-1], step):
+                part = slice(c, c + step)
+                per_symbol[..., part] = _add_reduce(lambda m: table[gather[:, m], :, part], gather.shape[1])
+            log_q = np.take_along_axis(per_symbol, idx[lo : lo + rows].T[None], axis=0)[0]
+            # logsumexp over the alphabet, in place: per_symbol is not read again
+            peak = np.maximum.reduce(per_symbol)
+            terms = np.subtract(per_symbol, peak, out=per_symbol)
+            terms += log_prior
+            np.exp(terms, out=terms)
+            bits = (log_q - (peak + np.log(_add_reduce(terms, n_alpha)))) * _LOG2E
+        values[lo : lo + rows] = _add_reduce(bits, shape[1]) / M
 
-    # each block writes only its own rows, so the values, and the estimate
-    # reduced from them in order below, do not depend on the worker count
+    # the imaginary parts are drawn block by block, in order, as each block is
+    # submitted, and each block writes only its own rows: the values, and the
+    # estimate reduced from them in order below, do not depend on the workers
+    imags = (rng.standard_normal((min(rows, n_samples - lo) * shape[1], length)) for lo in starts)
     with ThreadPoolExecutor(workers) as pool:
-        for _ in pool.map(evaluate, starts):
+        for _ in pool.map(evaluate, starts, imags):
             pass
 
     estimate = MIEstimate(

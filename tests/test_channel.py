@@ -392,6 +392,31 @@ class TestCapacitySearch:
             capacity_prior_search(np.array([[1.0, 0.0], [0.3, 0.7]]), M=1)
 
 
+class TestMonteCarloOrder:
+    """The Monte-Carlo blocks rely on these two orders to match a direct evaluation bit for bit."""
+
+    @pytest.mark.parametrize("n", [*range(1, 10), 15, 16, 17, 24, 127, 128, 129, 212, 256, 300])
+    def test_sums_match_add_reduce_over_a_contiguous_axis(self, n):
+        # heavy-tailed terms, so that another order changes the last bits
+        rng = np.random.default_rng(n)
+        terms = rng.standard_cauchy((n, 3, 64)) * np.exp(rng.normal(0.0, 20.0, (n, 3, 64)))
+        kept = terms.copy()
+        want = np.add.reduce(np.ascontiguousarray(np.moveaxis(terms, 0, -1)), axis=-1)
+        for got in (channel._add_reduce(terms, n), channel._add_reduce(lambda i: terms[i].copy(), n)):
+            assert [x.hex() for x in got.ravel()] == [x.hex() for x in want.ravel()]
+        assert np.array_equal(terms, kept)
+        if n >= 8:  # an in-turn sum is another order
+            assert not np.array_equal(np.add.reduce(terms, axis=0), want)
+
+    def test_chunked_normal_draws_continue_one_stream(self):
+        # the noise is drawn block by block, in blocks of any size
+        sizes = [(1, 1), (7, 2), (13, 1), (1000, 2), (3, 2)]
+        whole = np.random.default_rng(11).standard_normal(sum(a * b for a, b in sizes))
+        rng = np.random.default_rng(11)
+        chunks = [rng.standard_normal(size).ravel() for size in sizes]
+        assert np.concatenate(chunks).tobytes() == whole.tobytes()
+
+
 class TestMonteCarlo:
     def test_coherent_gaussian_matches_closed_form(self):
         report = mc_mi("coherent", "gaussian", NoiseSpec(snr=10.0, seed=1), 40_000)
@@ -491,7 +516,7 @@ class TestMonteCarlo:
         assert report.estimate.std_error.hex() == se
 
     def test_more_workers_than_cores_under_fast_switching(self, monkeypatch):
-        # blocks sharing a row or a gathered-density buffer would change the bits
+        # blocks sharing a row, or a noise draw taken out of turn, would change the bits
         monkeypatch.setattr(channel, "MC_BLOCK_ELEMENTS", 4096)
         monkeypatch.setattr(channel, "MC_WORKERS", 2 * (os.cpu_count() or 1) + 1)
         interval = sys.getswitchinterval()
@@ -524,13 +549,13 @@ class TestMonteCarlo:
         assert err.value is error
         assert threading.active_count() == threads
 
-    def test_gather_exception_returns_its_buffer(self, monkeypatch):
-        # a table with no columns makes np.take fail while a block holds its
-        # gathered-density buffer; every block fails, so a buffer not handed
-        # back would leave the later blocks waiting on the queue for ever
+    def test_failed_gather_reaches_the_caller(self, monkeypatch):
+        # a density table with no (output, value) rows makes the gather of
+        # the first output fail in every block; the error must reach the
+        # caller, and no block may be left waiting on another
         density = channel._log_intensity_density
         direct = dataclasses.replace(
-            channel._RECEIVERS["direct"], log_density=lambda y, x, v: density(y, x, v)[..., :0]
+            channel._RECEIVERS["direct"], log_density=lambda y, x, v: density(y, x, v)[:0]
         )
         monkeypatch.setitem(channel._RECEIVERS, "direct", direct)
         monkeypatch.setattr(channel, "MC_BLOCK_ELEMENTS", 4096)
@@ -554,7 +579,7 @@ class TestMonteCarlo:
     def test_many_workers_share_the_block_budget(self, monkeypatch):
         # direct BPSK M=12: one row is 4096 waveforms x 24 outputs = 98304
         # entries and the budget holds 16 rows, so 96 workers of one row each
-        # would hold six budgets of gathered densities between them
+        # would hold six budgets of density terms between them
         monkeypatch.setattr(channel, "MC_BLOCK_ELEMENTS", 16 * 98304)
         monkeypatch.setattr(channel, "MC_WORKERS", 96)
         tracemalloc.start()
@@ -577,9 +602,10 @@ class TestMonteCarlo:
 
     def test_direct_memory_is_bounded(self):
         # direct QPSK M=4 has 256 waveforms of 8 outputs, so evaluated at once
-        # the density tensor alone costs 16 KiB per sample.  The blocks in
-        # flight hold 2048 of these rows between them: from n=4000 on they
-        # are full, and the peak may grow only by the O(n M) draws.
+        # its density terms alone cost 16 KiB per sample.  The blocks in
+        # flight hold at most 2048 rows between them, each worker at least
+        # two blocks: at n=4000 they hold 2000, and the peak may grow only
+        # by the O(n M) draws.
         budget = 5 * 8 * channel.MC_BLOCK_ELEMENTS  # five float64 block temporaries
         peaks = {}
         for n in (4_000, 12_000):

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings, strategies as st
 
 import ddcap.cli
 from ddcap import (
@@ -250,6 +251,33 @@ class TestMi:
         assert [line.startswith("error:") for line in result.stderr.splitlines()] == [True]
         assert "Traceback" not in result.stderr
         assert "nan" not in result.stdout
+
+    # n_samples and M stay small enough to run in well under a second, or
+    # are so large that the draw budget refuses them before any draw
+    @settings(max_examples=100, deadline=None)
+    @given(
+        receiver=st.sampled_from(ddcap.cli.MI_RECEIVERS),
+        model=st.sampled_from(["gaussian", "bpsk", "qpsk", "8psk"]),
+        m_dof=st.integers(1, 6) | st.integers(-(2**64), 0) | st.integers(2**40, 2**200),
+        n_samples=st.integers(2, 10**4) | st.integers(-(2**64), 1) | st.integers(2**40, 2**200),
+        snr_db=st.floats(-60.0, 60.0) | st.floats(-3200.0, 3200.0) | st.floats(),
+        seed=st.integers(-(2**64), 2**256),
+    )
+    # the noise variance overflows, or the densities do
+    @example("coherent", "gaussian", 2, 300, -3100.0, 1)
+    @example("intensity", "qpsk", 1, 300, -3080.0, 1)
+    @example("intensity", "gaussian", 3, 300, 3075.0, 1)
+    @example("direct", "qpsk", 3, 300, -3100.0, 1)
+    def test_extreme_arguments_exit_cleanly(self, receiver, model, m_dof, n_samples, snr_db, seed):
+        args = ["mi", "--receiver", receiver, "--input-model", model, "--M", str(m_dof),
+                "--n-samples", str(n_samples), "--snr-db", repr(snr_db), "--seed", str(seed)]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code in (0, 2, 3, 4), repr(result.exception)
+        assert "Traceback" not in result.output
+        if result.exit_code:
+            assert [line.startswith("error:") for line in result.stderr.splitlines()] == [True]
+        else:
+            assert result.stdout.startswith("bits_per_dof=") and result.stderr == ""
 
     def test_direct_gaussian_exits_3(self, runner):
         result = CliRunner().invoke(
