@@ -523,8 +523,9 @@ def capacity_prior_search(conditional, M: int):
 
 #: Largest number of Monte-Carlo density terms, one per (row, symbol,
 #: alphabet entry, output), in the evaluation blocks in flight at once.  No
-#: block array is larger than its block's terms: a block holds its density
-#: table and a few (alphabet, symbols, rows) partial sums of those terms.
+#: block array is larger than its block's terms: a block holds one
+#: (alphabet, symbols, rows) array of mixture terms, and its density table
+#: and partial sums only a few rows at a time.
 MC_BLOCK_ELEMENTS = 1 << 22
 
 #: Threads that evaluate Monte-Carlo blocks: one per CPU this process may run on.
@@ -654,8 +655,9 @@ _RECEIVERS = {
 }
 
 
-#: Entries in one partial sum over the outputs of a Monte-Carlo block.
-_SUM_CHUNK_ENTRIES = 1 << 16
+#: Entries in one chunk of a Monte-Carlo block's mixture terms, the rows
+#: whose densities and sums over the outputs are made at once.
+_CHUNK_ENTRIES = 1 << 16
 
 #: At an SNR so extreme that the float64 densities overflow, the estimator
 #: raises FloatingPointError instead of warning and returning inf or nan.
@@ -804,15 +806,14 @@ def mc_mi(
             bits = rx.gaussian_bits(y, x, v)[..., 0].T
         else:
             # outputs-major: a table row is one (output, key) over (symbols,
-            # rows), so every sum below adds whole row vectors
-            table = rx.log_density(y.T[col_of], rep[:, None, None], v)
-            # summed over the outputs a few rows at a time, so that the
-            # partial sums stay small and in cache
-            per_symbol = np.empty((n_alpha,) + table.shape[1:])
-            step = max(1, _SUM_CHUNK_ENTRIES // (n_alpha * shape[1]))
-            for c in range(0, per_symbol.shape[-1], step):
-                part = slice(c, c + step)
-                per_symbol[..., part] = _add_reduce(lambda m: table[gather[:, m], :, part], gather.shape[1])
+            # rows), so every sum below adds whole row vectors.  The table
+            # and its sums over the outputs are made a few rows at a time,
+            # so that they stay small and in cache.
+            per_symbol = np.empty((n_alpha, shape[1], len(y)))
+            step = max(1, _CHUNK_ENTRIES // (n_alpha * shape[1]))
+            for c in range(0, len(y), step):
+                table = rx.log_density(y[c : c + step].T[col_of], rep[:, None, None], v)
+                per_symbol[..., c : c + step] = _add_reduce(lambda m: table[gather[:, m]], gather.shape[1])
             log_q = np.take_along_axis(per_symbol, idx[lo : lo + rows].T[None], axis=0)[0]
             # logsumexp over the alphabet, in place: per_symbol is not read again
             peak = np.maximum.reduce(per_symbol)
