@@ -710,8 +710,9 @@ def mc_mi(
     draws are made in order by one thread and each block writes only its
     own rows, so the estimate is bit-identical for any number of cores.  A
     request whose draws would exceed ``MC_DRAW_BYTES`` raises
-    ``ValueError`` before anything is drawn.  A symbol is one rate-B
-    sample, except at the direct receiver, whose 2M outputs mix
+    ``ValueError`` before anything is drawn, and an SNR so extreme that the
+    float64 densities overflow raises ``FloatingPointError``.  A symbol is
+    one rate-B sample, except at the direct receiver, whose 2M outputs mix
     neighbouring samples: there it is the whole waveform, and
     ``DIRECT_ALPHABET_CAP`` on the symbol alphabet is the only limit on
     |constellation|^M.
