@@ -2,9 +2,9 @@
 
 Subcommands read and write the signal-JSON / intensity-CSV / family-JSON
 contracts and print line-oriented ``key=value`` summaries.  Each command
-resolves its flags into a :class:`RunConfig` and hands off to a plain
-function, so runs are reproducible from the config alone; identical
-configuration and seed produce byte-identical output files.
+loads its inputs, runs the library through :func:`_guard` and writes its
+outputs, so a run is fixed by its flags alone; identical flags and seed
+produce byte-identical output files.
 
 Exit codes: 0 success, 2 input error, 3 domain error, 4 numerical failure.
 """
@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import click
 import numpy as np
@@ -28,7 +27,6 @@ from .channel import (
     apply_noise,
     counting_entropy,
     detect_coherent,
-    detect_direct,
     detect_intensity_channel,
     mc_mi,
     named_constellation,
@@ -70,30 +68,12 @@ _DOMAIN_ERRORS = (
 _NUMERICAL_ERRORS = (RootConvergenceError, FloatingPointError, InvariantViolation)
 
 
-@dataclass
-class RunConfig:
-    """Resolved options of one subcommand invocation."""
-
-    subcommand: str
-    input_path: str | None = None
-    output_path: str | None = None
-    M: int = 4
-    B: float = 1.0
-    seed: int = 0
-    snr_db: float | None = None
-    oversample: int = 8
-    n_samples: int = 100_000
-    tol: float = 1e-6
-    receiver: str = "coherent"
-    input_model: str = "gaussian"
-    max_flips: int = 20
-
-    @property
-    def snr(self) -> float:
-        try:
-            return math.inf if self.snr_db is None else 10.0 ** (self.snr_db / 10.0)
-        except OverflowError:  # beyond the float range: noiseless
-            return math.inf
+def _snr(snr_db: float | None) -> float:
+    """The linear SNR of an ``--snr-db`` value; no value means noiseless."""
+    try:
+        return math.inf if snr_db is None else 10.0 ** (snr_db / 10.0)
+    except OverflowError:  # beyond the float range: noiseless
+        return math.inf
 
 
 def _fail(code: int, message: str):
@@ -137,14 +117,9 @@ def main():
 @click.option("--max-flips", default=20, show_default=True, help="cap on independent flips")
 def cmd_enumerate(input_path, output_path, max_flips):
     """Enumerate all band-limited waveforms sharing the input's intensity."""
-    cfg = RunConfig("enumerate", input_path=input_path, output_path=output_path, max_flips=max_flips)
-    _run_enumerate(cfg)
-
-
-def _run_enumerate(cfg: RunConfig):
-    sig = _load_signal(cfg.input_path)
-    fam = _guard(enumerate_family, sig, max_flips=cfg.max_flips)
-    write_family_json(cfg.output_path, fam)
+    sig = _load_signal(input_path)
+    fam = _guard(enumerate_family, sig, max_flips=max_flips)
+    write_family_json(output_path, fam)
     n_on = int(fam.zeroset.on_circle.sum())
     click.echo(f"members={len(fam)} zeros_on_circle={n_on}")
 
@@ -162,15 +137,10 @@ def cmd_figure2(input_path, output_path, bandwidth, seed):
     period; all member intensities are checked to agree to 1e-8 relative
     before the single intensity column is written.
     """
-    cfg = RunConfig("figure2", input_path=input_path, output_path=output_path, B=bandwidth, seed=seed)
-    _run_figure2(cfg)
-
-
-def _run_figure2(cfg: RunConfig):
-    if cfg.input_path is not None:
-        sig = _load_signal(cfg.input_path)
+    if input_path is not None:
+        sig = _load_signal(input_path)
     else:
-        sig = random_signal(4, cfg.B, seed=cfg.seed)
+        sig = random_signal(4, bandwidth, seed=seed)
     if sig.M != 4:
         _fail(EXIT_DOMAIN, f"figure2 requires an M=4 signal, got M={sig.M}")
     fam = _guard(enumerate_family, sig)
@@ -189,7 +159,7 @@ def _run_figure2(cfg: RunConfig):
     if spread > 1e-8:
         _fail(EXIT_NUMERICAL, f"member intensities disagree by {spread:.3e} relative")
     phases = np.unwrap(np.angle(fields), axis=1)
-    with open(cfg.output_path, "w") as fh:
+    with open(output_path, "w") as fh:
         fh.write("t,intensity," + ",".join(f"phase_{j}" for j in range(8)) + "\n")
         for i in range(points):
             row = [f"{times[i]:.17g}", f"{intensities[0][i]:.17g}"]
@@ -205,14 +175,9 @@ def _run_figure2(cfg: RunConfig):
 @click.option("--tol", default=1e-6, show_default=True)
 def cmd_minphase(input_path, output_path, m_dof, tol):
     """Reconstruct the minimum-phase waveform from an intensity profile."""
-    cfg = RunConfig("minphase", input_path=input_path, output_path=output_path, M=m_dof, tol=tol)
-    _run_minphase(cfg)
-
-
-def _run_minphase(cfg: RunConfig):
-    intensity = _load_intensity(cfg.input_path)
-    result = _guard(min_phase_from_intensity, intensity, cfg.M, tol=cfg.tol)
-    write_signal_json(cfg.output_path, result.signal)
+    intensity = _load_intensity(input_path)
+    result = _guard(min_phase_from_intensity, intensity, m_dof, tol=tol)
+    write_signal_json(output_path, result.signal)
     click.echo(
         f"residual={result.residual:.6e} "
         f"projection_residual={result.projection_residual:.6e} "
@@ -250,9 +215,31 @@ def cmd_mi(spec_path, receiver, input_model, snr_db, seed, n_samples, m_dof, out
         seed = _spec_value("seed", spec["seed"], int)
         n_samples = _spec_value("n_samples", spec["n_samples"], int)
         m_dof = _spec_value("M", spec.get("M", m_dof), int)
-    cfg = RunConfig("mi", output_path=output_path, M=m_dof, seed=seed, snr_db=snr_db,
-                    n_samples=n_samples, receiver=receiver, input_model=input_model)
-    _run_mi(cfg)
+    model = "gaussian" if input_model == "gaussian" else _guard(named_constellation, input_model)
+    noise = _guard(NoiseSpec, snr=_snr(snr_db), seed=seed)
+    report = _guard(mc_mi, receiver, model, noise, n_samples, M=m_dof)
+    est = report.estimate
+    payload = {
+        "version": __version__,
+        "bits_per_dof": est.bits_per_dof,
+        "std_error": est.std_error,
+        "method": est.method,
+        "bound_direction": est.bound_direction,
+        "receiver": report.receiver,
+        "input_model": report.input_model,
+        "snr_db": snr_db,
+        "seed": report.seed,
+        "n_samples": report.n_samples,
+        "M": report.M,
+        "phase_quotient": report.phase_quotient,
+        "closed_form_bits_per_dof": report.closed_form_bits_per_dof,
+    }
+    if output_path:
+        write_report_json(output_path, payload)
+    click.echo(
+        f"bits_per_dof={est.bits_per_dof:.6f} std_error={est.std_error:.6f} "
+        f"method={est.method} bound_direction={est.bound_direction}"
+    )
 
 
 def _spec_value(key: str, value, kind):
@@ -263,50 +250,17 @@ def _spec_value(key: str, value, kind):
     return value
 
 
-def _run_mi(cfg: RunConfig):
-    model = "gaussian" if cfg.input_model == "gaussian" else _guard(named_constellation, cfg.input_model)
-    noise = _guard(NoiseSpec, snr=cfg.snr, seed=cfg.seed)
-    report = _guard(mc_mi, cfg.receiver, model, noise, cfg.n_samples, M=cfg.M)
-    est = report.estimate
-    payload = {
-        "version": __version__,
-        "bits_per_dof": est.bits_per_dof,
-        "std_error": est.std_error,
-        "method": est.method,
-        "bound_direction": est.bound_direction,
-        "receiver": report.receiver,
-        "input_model": report.input_model,
-        "snr_db": cfg.snr_db,
-        "seed": report.seed,
-        "n_samples": report.n_samples,
-        "M": report.M,
-        "phase_quotient": report.phase_quotient,
-        "closed_form_bits_per_dof": report.closed_form_bits_per_dof,
-    }
-    if cfg.output_path:
-        write_report_json(cfg.output_path, payload)
-    click.echo(
-        f"bits_per_dof={est.bits_per_dof:.6f} std_error={est.std_error:.6f} "
-        f"method={est.method} bound_direction={est.bound_direction}"
-    )
-
-
 @main.command("counting")
 @click.option("--constellation", default="qpsk", show_default=True)
 @click.option("--M", "m_dof", default=2, show_default=True)
 @click.option("--output", "output_path", type=click.Path(), default=None, help="report JSON")
 def cmd_counting(constellation, m_dof, output_path):
     """Noiseless entropy counting over a constellation^M waveform alphabet."""
-    cfg = RunConfig("counting", output_path=output_path, M=m_dof, input_model=constellation)
-    _run_counting(cfg)
-
-
-def _run_counting(cfg: RunConfig):
-    points = _guard(named_constellation, cfg.input_model)
-    report = _guard(counting_entropy, points, cfg.M)
+    points = _guard(named_constellation, constellation)
+    report = _guard(counting_entropy, points, m_dof)
     payload = {
         "version": __version__,
-        "constellation": cfg.input_model,
+        "constellation": constellation,
         "M": report.M,
         "n_waveforms": report.n_waveforms,
         "n_distinct": report.n_distinct,
@@ -318,8 +272,8 @@ def _run_counting(cfg: RunConfig):
         "fiber_bound": report.fiber_bound,
         "phase_quotient": report.phase_quotient,
     }
-    if cfg.output_path:
-        write_report_json(cfg.output_path, payload)
+    if output_path:
+        write_report_json(output_path, payload)
     click.echo(
         f"n_distinct={report.n_distinct} h_coherent={report.h_coherent:.6f} "
         f"h_direct={report.h_direct:.6f} gap_bits={report.gap_bits:.6f} "
@@ -342,30 +296,20 @@ def cmd_simulate(input_path, output_path, receiver, snr_db, seed, oversample):
     coherent writes signal JSON; direct (rate 2B), intensity (rate B) and
     grid (rate oversample*B) write intensity CSV.
     """
-    cfg = RunConfig("simulate", input_path=input_path, output_path=output_path,
-                    seed=seed, snr_db=snr_db, oversample=oversample, receiver=receiver)
-    _run_simulate(cfg)
-
-
-def _run_simulate(cfg: RunConfig):
-    sig = _load_signal(cfg.input_path)
-    noise = _guard(NoiseSpec, snr=cfg.snr, seed=cfg.seed)
+    sig = _load_signal(input_path)
+    noise = _guard(NoiseSpec, snr=_snr(snr_db), seed=seed)
     received = _guard(apply_noise, sig, noise)
-    if cfg.receiver == "coherent":
+    if receiver == "coherent":
         out = PeriodicSignal(M=received.M, B=received.B, samples=detect_coherent(received))
-        write_signal_json(cfg.output_path, out)
+        write_signal_json(output_path, out)
         click.echo(f"receiver=coherent samples={out.M}")
         return
-    if cfg.receiver == "direct":
-        intensity = SampledIntensity(rate=2 * received.B, values=detect_direct(received))
-    elif cfg.receiver == "intensity":
+    if receiver == "intensity":
         intensity = SampledIntensity(rate=received.B, values=detect_intensity_channel(received))
-    else:
-        intensity = _guard(intensity_grid, received, cfg.oversample)
-    write_intensity_csv(cfg.output_path, intensity)
-    click.echo(
-        f"receiver={cfg.receiver} rows={len(intensity.values)} rate={intensity.rate:.17g}"
-    )
+    else:  # direct detection is the grid at oversample 2
+        intensity = _guard(intensity_grid, received, 2 if receiver == "direct" else oversample)
+    write_intensity_csv(output_path, intensity)
+    click.echo(f"receiver={receiver} rows={len(intensity.values)} rate={intensity.rate:.17g}")
 
 
 if __name__ == "__main__":

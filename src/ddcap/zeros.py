@@ -17,6 +17,7 @@ from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
+from scipy.sparse.csgraph import connected_components
 
 from .signals import (
     PeriodicSignal,
@@ -235,26 +236,18 @@ def _flip_groups(zs: ZeroSet) -> list[int]:
     """Independent flip bits: off-circle zeros, with near-coincident ones merged.
 
     Returns one zero-index bitmask per group, ordered by lowest zero index.
+    Merging is transitive: a chain of zeros, each within ``ZERO_MERGE_TOL``
+    of the next, is one group.
     """
-    idx = [i for i in range(len(zs.zeros)) if not zs.on_circle[i]]
-    parent = {i: i for i in idx}
-
-    def root(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for a in idx:
-        for b in idx:
-            if a < b and abs(zs.zeros[a] - zs.zeros[b]) <= ZERO_MERGE_TOL:
-                parent[root(b)] = root(a)
-
-    groups: dict[int, int] = {}
-    for i in idx:
-        r = root(i)
-        groups[r] = groups.get(r, 0) | (1 << i)
-    return [groups[r] for r in sorted(groups)]
+    idx = np.flatnonzero(~zs.on_circle)
+    z = zs.zeros[idx]
+    near = np.abs(z[:, None] - z[None, :]) <= ZERO_MERGE_TOL
+    # components are numbered in order of their lowest index
+    n_groups, labels = connected_components(near, directed=False)
+    groups = [0] * n_groups
+    for i, label in zip(idx.tolist(), labels.tolist()):
+        groups[label] |= 1 << i
+    return groups
 
 
 @dataclass(frozen=True)

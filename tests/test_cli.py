@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -29,6 +31,13 @@ def run_ok(runner, args):
     result = runner.invoke(main, args, catch_exceptions=False)
     assert result.exit_code == 0, result.output
     return result
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs about half a second and 30 MiB at every start
+    code = "import sys, ddcap.cli; print('scipy.stats' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"
 
 
 class TestEnumerate:
@@ -82,6 +91,11 @@ class TestRefusals:
         (["counting", "--M", "100000"], "waveforms exceed the enumeration cap 16384"),
         (["enumerate", "--max-flips", "-1"], "max_flips must be at least 0"),
         (["mi", "--n-samples", "100000000000"], "n_samples=100000000000"),
+        # the square-law densities cancel catastrophically above 100 dB
+        (["mi", "--receiver", "intensity", "--input-model", "gaussian", "--snr-db", "300"],
+         "above 1e+10 (100 dB)"),
+        (["mi", "--receiver", "direct", "--input-model", "qpsk", "--M", "2", "--snr-db", "300"],
+         "above 1e+10 (100 dB)"),
         (["minphase", "--M", "0"], "M must be at least 1"),
         (["minphase", "--M", "4", "--tol", "nan"], "tol must be finite and positive"),
         (["minphase", "--M", "4", "--tol", "inf"], "tol must be finite and positive"),
@@ -341,6 +355,18 @@ class TestSimulate:
         assert len(chan.values) == 5 and chan.rate == pytest.approx(1.0)
         # intensity channel output is the even half of the direct output
         assert np.allclose(chan.values, direct.values[::2], atol=1e-12)
+
+    def test_direct_is_the_grid_at_oversample_2(self, runner, tmp_path):
+        sig_path = tmp_path / "in.json"
+        write_signal_json(sig_path, random_signal(6, seed=4))
+        outs = []
+        for name, flags in (("direct.csv", ["--receiver", "direct"]),
+                            ("grid.csv", ["--receiver", "grid", "--oversample", "2"])):
+            out = tmp_path / name
+            run_ok(runner, ["simulate", "--input", str(sig_path), *flags, "--snr-db", "12",
+                            "--seed", "3", "--output", str(out)])
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
 
     def test_noise_is_seeded(self, runner, tmp_path):
         sig_path = tmp_path / "in.json"

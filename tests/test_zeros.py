@@ -19,7 +19,7 @@ from ddcap import (
     spectrum_to_samples,
 )
 from ddcap.signals import SpectralPoly
-from ddcap.zeros import _flip_groups, poly_from_zeroset
+from ddcap.zeros import ZERO_MERGE_TOL, ZeroSet, _flip_groups, poly_from_zeroset
 
 from conftest import random_coeff_signal, signal_from_coeffs
 
@@ -214,6 +214,17 @@ class TestEnumerateFamily:
         fam = enumerate_family(signal_from_zeros([w, w + 1e-9, 2.0 - 1.0j], M=4))
         # the two near-identical zeros act as one flip bit: 2^2 members
         assert len(fam) == 4
+
+    def test_chain_of_near_zeros_merges_transitively(self):
+        # zeros 0-4 and 4-3 are within the merge tolerance, 0-3 are not; the
+        # groups come in order of their lowest zero index
+        a, b = 0.6 + 0.2j, 2.0 - 1.0j
+        tol = ZERO_MERGE_TOL
+        zeros = np.array([a, b, b + 0.5 * tol, a + 1.6 * tol, a + 0.8 * tol, 0.3j])
+        assert abs(zeros[3] - zeros[0]) > tol
+        zs = ZeroSet(zeros=zeros, leading=1.0, on_circle=np.zeros(6, dtype=bool),
+                     inside=np.abs(zeros) < 1.0, on_circle_times=np.zeros(0), M=7, B=1.0)
+        assert _flip_groups(zs) == [0b011001, 0b000110, 0b100000]
 
     @staticmethod
     def _per_mask(sig):
