@@ -28,13 +28,19 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
-from scipy.sparse import coo_array
-from scipy.sparse.csgraph import connected_components
-from scipy.spatial import cKDTree
+
+# scipy is imported inside the three kernels that use it (_cluster, the
+# quantized channel and the intensity density): loading it costs every
+# command about half a second and 40 MiB at start-up
 
 # canonicalize_phase stays bound here: a call site perfbench/spans.py wraps
-from .signals import PeriodicSignal, canonical_rotation, canonicalize_phase, intensity_grid
+from .signals import (
+    PeriodicSignal,
+    canonical_rotation,
+    canonicalize_phase,
+    component_roots,
+    intensity_grid,
+)
 
 #: Largest waveform alphabet for which exact noiseless channels are built.
 COUNTING_CAP = 1 << 14
@@ -152,6 +158,8 @@ class DiscreteChannel:
         cond = np.asarray(self.conditional, dtype=np.float64)
         if prior.ndim != 1 or cond.ndim != 2 or cond.shape[0] != len(prior):
             raise ValueError("prior and conditional shapes are inconsistent")
+        if not (np.all(np.isfinite(prior)) and np.all(np.isfinite(cond))):
+            raise ValueError("probabilities must be finite")
         if np.any(prior < 0) or np.any(cond < 0):
             raise ValueError("probabilities must be nonnegative")
         if abs(prior.sum() - 1.0) > 1e-12:
@@ -211,6 +219,8 @@ def _cluster(vectors, tol: float) -> np.ndarray:
     closer than 10 * tol: outputs that close but not identical make entropy
     counting unreliable.
     """
+    from scipy.spatial import cKDTree
+
     flat = np.array(vectors, dtype=np.complex128, order="C").reshape(len(vectors), -1)
     # exact duplicates share a label: only the first copy of each row enters
     # the pair search, so repeats cost no pairs.  Kept rows stay in input
@@ -241,10 +251,9 @@ def _cluster(vectors, tol: float) -> np.ndarray:
         diff = flat[i[lo : lo + block]] - flat[j[lo : lo + block]]
         dist[lo : lo + block] = np.sqrt(np.sum(np.abs(diff) ** 2, axis=1) / dim)
     near = dist <= tol
-    graph = coo_array((np.ones(near.sum()), (i[near], j[near])), shape=(n, n))
-    _, component = connected_components(graph, directed=False)
-    _, first, inverse = np.unique(component, return_index=True, return_inverse=True)
-    labels = np.argsort(np.argsort(first))[inverse]
+    # a component's lowest row is its first: numbering roots in order numbers
+    # labels by first appearance
+    _, labels = np.unique(component_roots(n, i[near], j[near]), return_inverse=True)
     (bad,) = np.nonzero((labels[i] != labels[j]) & (dist < 10.0 * tol))
     if len(bad):
         k = bad[np.lexsort((j[bad], i[bad]))[0]]
@@ -309,7 +318,8 @@ def chain_bound_check(
     quantized channels are implemented for M=1 only, where the canonical
     coherent output is the scalar field magnitude: amplitude bins of width
     ``bin_width_factor * noise_std`` spanning ``range_sigmas`` deviations, and
-    the intensity output is the image of the same bins under squaring.
+    the intensity output is the image of the same bins under squaring.  They
+    refuse an SNR above ``MC_SQUARE_LAW_MAX_SNR`` with ``ValueError``.
     """
     inputs = list(inputs)
     if not inputs:
@@ -365,6 +375,13 @@ def _quantized_scalar_channel(inputs, prior, snr, bin_width_factor, range_sigmas
     squared images of the coherent bins, Y is a function of Y' by
     construction, and one table serves both receivers.
     """
+    from scipy import special
+
+    if snr > MC_SQUARE_LAW_MAX_SNR:
+        raise ValueError(
+            f"snr {snr:.3g} is above {MC_SQUARE_LAW_MAX_SNR:.0e} (100 dB), where the "
+            f"quantized channel's chi-square CDF no longer holds"
+        )
     amps = np.array([abs(s.samples[0]) for s in inputs])
     power = float(np.sum(prior * amps**2))
     if power == 0.0:
@@ -542,7 +559,9 @@ MC_DRAW_BYTES = 1 << 30
 #: order SNR that cancel: against its 60 dB value, direct QPSK at M=2 moves
 #: by 5e-9 bits at 100 dB, 4e-6 at 120 dB and 5e-4 at 140 dB, and collapses
 #: at 160 dB.  A higher SNR raises ValueError; the coherent receiver has no
-#: such cancellation.
+#: such cancellation.  The noisy ``chain_bound_check`` holds to the same
+#: limit: its chi-square CDF returns NaN for some bins at 110 dB, and its
+#: table grows as sqrt(SNR).
 MC_SQUARE_LAW_MAX_SNR = 1e10
 
 
@@ -568,6 +587,8 @@ def _log_field_density(y, x, v):
 
 def _log_intensity_density(y, x, sigma2):
     """log density of |x + nu|^2 at y (noncentral chi-square), nu circular with E|nu|^2 = sigma2."""
+    from scipy import special
+
     s = np.abs(x) ** 2
     v = sigma2 / 2.0
     z = np.sqrt(np.maximum(y * s, 0.0)) / v

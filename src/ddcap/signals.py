@@ -33,6 +33,12 @@ NEG_INTENSITY_FLOOR = 1e-14
 #: make the canonical form orbit-dependent.
 CANON_TIE_REL = 1e-9
 
+#: Most points a field grid may have (64 MiB of complex128).  A larger
+#: ``oversample * M`` raises ValueError before anything is allocated:
+#: ``simulate --oversample`` takes any integer, and unchecked a large one
+#: ends in a MemoryError or an out-of-memory kill.
+FIELD_GRID_CAP = 1 << 22
+
 
 class DimensionMismatchError(ValueError):
     """Two signals do not live on the same (M, B) grid."""
@@ -188,6 +194,9 @@ def field_grid(spec: SpectralPoly, oversample: int) -> np.ndarray:
     if oversample < 1:
         raise ValueError("oversample must be >= 1")
     n = oversample * spec.M
+    if n > FIELD_GRID_CAP:
+        raise ValueError(f"a grid of {n} points (oversample {oversample} x M={spec.M}) is above "
+                         f"the cap of {FIELD_GRID_CAP} points")
     padded = np.zeros(n, dtype=np.complex128)
     padded[: spec.M] = spec.coeffs
     return np.fft.fft(padded)
@@ -330,3 +339,25 @@ def random_signal(M: int, B: float = 1.0, seed=None, dc_free: bool = False) -> P
             raise ValueError("dc_free requires M >= 2")
         coeffs[0] = 0.0
     return spectrum_to_samples(SpectralPoly(coeffs=coeffs, M=M, B=B))
+
+
+def component_roots(n: int, i, j) -> np.ndarray:
+    """The lowest node index in each node's connected component.
+
+    The graph has nodes ``0 .. n-1`` and the undirected edges
+    ``(i[k], j[k])``.  Each round hooks every root onto the lowest root across
+    its edges, then jumps pointers until every node points at a root, so a
+    label only falls and always names a node of its own component.  A round
+    that finds no edge between two roots ends with each component labelled by
+    its lowest node.
+    """
+    root = np.arange(n)
+    while True:
+        ri, rj = root[i], root[j]
+        if np.array_equal(ri, rj):
+            return root
+        np.minimum.at(root, ri, rj)
+        np.minimum.at(root, rj, ri)
+        up = root[root]
+        while not np.array_equal(up, root):
+            root, up = up, up[up]

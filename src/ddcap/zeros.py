@@ -17,13 +17,13 @@ from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.sparse.csgraph import connected_components
 
 from .signals import (
     PeriodicSignal,
     SpectralPoly,
     canonical_rotation,
     canonicalize_phase,
+    component_roots,
     horner,
     samples_to_spectrum,
     spectrum_to_samples,
@@ -242,12 +242,12 @@ def _flip_groups(zs: ZeroSet) -> list[int]:
     idx = np.flatnonzero(~zs.on_circle)
     z = zs.zeros[idx]
     near = np.abs(z[:, None] - z[None, :]) <= ZERO_MERGE_TOL
-    # components are numbered in order of their lowest index
-    n_groups, labels = connected_components(near, directed=False)
-    groups = [0] * n_groups
-    for i, label in zip(idx.tolist(), labels.tolist()):
-        groups[label] |= 1 << i
-    return groups
+    # a group's lowest index is its root and the first of its zeros seen, so
+    # groups enter the dict in order of their lowest index
+    groups = {}
+    for i, root in zip(idx.tolist(), component_roots(len(z), *np.nonzero(near)).tolist()):
+        groups[root] = groups.get(root, 0) | 1 << i
+    return list(groups.values())
 
 
 @dataclass(frozen=True)

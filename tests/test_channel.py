@@ -143,6 +143,15 @@ class TestExactMI:
         ch = DiscreteChannel(prior=np.array([0.4, 0.6]), conditional=cond, M=2)
         assert exact_mi(ch).bits_per_dof == exact_mi(ch).bits_per_dof
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_pmf_rejected(self, bad):
+        # a NaN row sums to NaN, which no comparison with 1 rejects
+        with pytest.raises(ValueError, match="finite"):
+            DiscreteChannel(prior=np.array([0.5, 0.5]),
+                            conditional=np.array([[bad, 0.5], [0.5, 0.5]]), M=1)
+        with pytest.raises(ValueError, match="finite"):
+            DiscreteChannel(prior=np.array([bad, 0.5]), conditional=np.eye(2), M=1)
+
     def test_invalid_pmf_rejected(self):
         with pytest.raises(ValueError, match="sum"):
             DiscreteChannel(prior=np.array([0.5, 0.4]), conditional=np.eye(2), M=1)
@@ -190,6 +199,37 @@ class TestChainBound:
         assert report.method == "exact_quantized"
         assert report.mi_coherent > 0.5  # informative channel
         assert report.gap == 0.0
+
+    # amplitudes, SNR, bin width factor and the float.hex of mi_coherent
+    # (= mi_direct; gap 0.0).  The on-off rows change in the last bits if
+    # amplitude 0 takes chndtr(x, 2, 0) in place of chdtr(2, x)
+    EXACT = [
+        ((0.0, 1.0), 1e-3, 0.5, "0x1.64bbd2f200000p-21"),
+        ((0.0, 1.0), 1e7, 0.1, "0x1.0000000000000p+0"),
+        ((0.5, 1.0, 1.5), 20.0, 0.25, "0x1.3b1d1389d1ca0p+0"),
+        ((0.0, 0.3, 1.0, 1.0 + 1e-9), 1e5, 0.1, "0x1.80000000000a0p+0"),
+        ((1.0, 2.0, 3.0, 4.0), 8.0, 0.5, "0x1.b5d4a2b8784f0p-1"),
+    ]
+
+    @pytest.mark.parametrize("amps, snr, width, bits", EXACT)
+    def test_noisy_exact_values(self, amps, snr, width, bits):
+        report = chain_bound_check([constant(a) for a in amps], noise=NoiseSpec(snr=snr),
+                                   bin_width_factor=width)
+        assert report.mi_coherent.hex() == report.mi_direct.hex() == bits
+        assert report.gap == 0.0
+
+    def test_noisy_snr_above_the_limit_is_refused_before_any_bin(self, monkeypatch):
+        # at 110 dB the on-off table held NaN rows and reported 0.5 bits, not 1
+        from scipy import special
+
+        def no_cdf(*_, **__):
+            raise AssertionError("bins were built for a refused SNR")
+
+        monkeypatch.setattr(special, "chndtr", no_cdf)
+        monkeypatch.setattr(special, "chdtr", no_cdf)
+        inputs = [constant(0.0), constant(1.0)]
+        with pytest.raises(ValueError, match="above 1e\\+10"):
+            chain_bound_check(inputs, noise=NoiseSpec(snr=channel.MC_SQUARE_LAW_MAX_SNR * 10))
 
     def test_noisy_requires_m1(self, rng):
         with pytest.raises(DensityUnavailableError):
@@ -593,9 +633,11 @@ class TestMonteCarlo:
     def test_densities_evaluated_once_per_distinct_value(self, monkeypatch):
         # direct QPSK M=4: 256 waveforms x 8 outputs, but only 212 distinct
         # (output, |x|^2) pairs; a full evaluation would cost 2048 per sample
+        from scipy import special
+
         calls = []
-        i0e = channel.special.i0e
-        monkeypatch.setattr(channel.special, "i0e", lambda z: calls.append(np.size(z)) or i0e(z))
+        i0e = special.i0e
+        monkeypatch.setattr(special, "i0e", lambda z: calls.append(np.size(z)) or i0e(z))
         n = 4_000
         mc_mi("direct", psk(4), NoiseSpec(snr=30.0, seed=1), n, M=4)
         assert 0 < sum(calls) <= n * (212 + 8)

@@ -10,6 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 import ddcap.cli
 from ddcap import (
     InvariantViolation,
+    PeriodicSignal,
+    SampledIntensity,
     enumerate_family,
     intensity_grid,
     periodic_hilbert,
@@ -20,6 +22,7 @@ from ddcap import (
 )
 from ddcap.cli import main
 from ddcap.formats import read_intensity_csv, read_signal_json, write_intensity_csv, write_signal_json
+from ddcap.signals import FIELD_GRID_CAP
 
 
 @pytest.fixture
@@ -33,11 +36,66 @@ def run_ok(runner, args):
     return result
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats costs about half a second and 30 MiB at every start
-    code = "import sys, ddcap.cli; print('scipy.stats' in sys.modules)"
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "False"
+def assert_clean_exit(result, summary):
+    """Exit 0 with the summary line, or 2, 3 or 4 with one ``error:`` line."""
+    assert result.exit_code in (0, 2, 3, 4), repr(result.exception)
+    assert "Traceback" not in result.output
+    if result.exit_code:
+        assert [line.startswith("error:") for line in result.stderr.splitlines()] == [True]
+    else:
+        assert result.stdout.startswith(summary) and result.stderr == ""
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """Input files shared by the hypothesis tests, which cannot take tmp_path."""
+    path = tmp_path_factory.mktemp("inputs")
+    for M in (1, 5, 16):
+        write_signal_json(path / f"sig{M}.json", random_signal(M, seed=M))
+    write_signal_json(path / "zero.json", PeriodicSignal(M=3, B=1.0, samples=np.zeros(3)))
+    write_intensity_csv(path / "i4.csv", intensity_grid(random_signal(4, seed=1), 8))
+    write_intensity_csv(path / "i16.csv", intensity_grid(random_signal(16, seed=2), 4))
+    write_intensity_csv(path / "zero.csv", SampledIntensity(rate=8.0, values=np.zeros(32)))
+    (path / "bad.csv").write_text("t,intensity\n0,1\n0.5,nan\n")
+    return path
+
+
+# scipy costs about half a second and 40 MiB at every start: only the
+# kernels that need it import it
+_SCIPY_FREE_RUN = """
+import os
+import sys
+import ddcap.cli
+from ddcap import random_signal
+from ddcap.formats import write_signal_json
+
+def scipy_loaded():
+    return sorted(name for name in sys.modules if name.partition(".")[0] == "scipy")
+
+print(scipy_loaded())
+os.chdir(sys.argv[1])
+write_signal_json("sig.json", random_signal(4, seed=3))
+for args in (
+    ["simulate", "--input", "sig.json", "--receiver", "grid", "--snr-db", "30", "--output", "i.csv"],
+    ["simulate", "--input", "sig.json", "--receiver", "coherent", "--snr-db", "10", "--output", "c.json"],
+    ["simulate", "--input", "sig.json", "--receiver", "direct", "--output", "d.csv"],
+    ["minphase", "--input", "i.csv", "--M", "4", "--output", "m.json"],
+    ["enumerate", "--input", "sig.json", "--output", "f.json"],
+    ["figure2", "--output", "fig.csv"],
+    ["mi", "--n-samples", "1000"],
+    ["mi", "--input-model", "qpsk", "--M", "2", "--n-samples", "1000"],
+):
+    ddcap.cli.main(args, standalone_mode=False)
+print(scipy_loaded())
+"""
+
+
+def test_commands_without_scipy_kernels_leave_it_unloaded(tmp_path):
+    result = subprocess.run([sys.executable, "-c", _SCIPY_FREE_RUN, str(tmp_path)],
+                            capture_output=True, text=True, check=True)
+    lines = result.stdout.splitlines()
+    assert len(lines) == 10  # a line after the import, eight summaries, a line after the runs
+    assert lines[0] == lines[-1] == "[]"
 
 
 class TestEnumerate:
@@ -198,6 +256,17 @@ class TestMinphase:
         recon = read_signal_json(out_path)
         assert phase_distance(sig, recon) < 1e-6 * sig.power()
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        name=st.sampled_from(["i4.csv", "i16.csv", "zero.csv", "bad.csv"]),
+        m_dof=st.integers(1, 40) | st.integers(-(2**64), 0) | st.integers(2**40, 2**200),
+        tol=st.floats(1e-12, 1e-2) | st.floats(),
+    )
+    def test_extreme_arguments_exit_cleanly(self, inputs, name, m_dof, tol):
+        args = ["minphase", "--input", str(inputs / name), "--output", str(inputs / "out"),
+                "--M", str(m_dof), "--tol", repr(tol)]
+        assert_clean_exit(CliRunner().invoke(main, args), "residual=")
+
     def test_bad_csv_exits_2(self, runner, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("wrong,header\n1,2\n")
@@ -285,13 +354,7 @@ class TestMi:
     def test_extreme_arguments_exit_cleanly(self, receiver, model, m_dof, n_samples, snr_db, seed):
         args = ["mi", "--receiver", receiver, "--input-model", model, "--M", str(m_dof),
                 "--n-samples", str(n_samples), "--snr-db", repr(snr_db), "--seed", str(seed)]
-        result = CliRunner().invoke(main, args)
-        assert result.exit_code in (0, 2, 3, 4), repr(result.exception)
-        assert "Traceback" not in result.output
-        if result.exit_code:
-            assert [line.startswith("error:") for line in result.stderr.splitlines()] == [True]
-        else:
-            assert result.stdout.startswith("bits_per_dof=") and result.stderr == ""
+        assert_clean_exit(CliRunner().invoke(main, args), "bits_per_dof=")
 
     def test_direct_gaussian_exits_3(self, runner):
         result = CliRunner().invoke(
@@ -367,6 +430,22 @@ class TestSimulate:
                             "--seed", "3", "--output", str(out)])
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    # grids stay small, or above FIELD_GRID_CAP, which is refused before any allocation
+    @settings(max_examples=100, deadline=None)
+    @given(
+        name=st.sampled_from(["sig1.json", "sig5.json", "sig16.json", "zero.json"]),
+        receiver=st.sampled_from(["coherent", "direct", "intensity", "grid"]),
+        snr_db=st.none() | st.floats(-60.0, 60.0) | st.floats(-3200.0, 3200.0) | st.floats(),
+        seed=st.integers(-(2**64), 2**256),
+        oversample=st.integers(-(2**64), 64) | st.integers(FIELD_GRID_CAP + 1, 2**200),
+    )
+    def test_extreme_arguments_exit_cleanly(self, inputs, name, receiver, snr_db, seed, oversample):
+        args = ["simulate", "--input", str(inputs / name), "--output", str(inputs / "out"),
+                "--receiver", receiver, "--seed", str(seed), "--oversample", str(oversample)]
+        if snr_db is not None:
+            args += ["--snr-db", repr(snr_db)]
+        assert_clean_exit(CliRunner().invoke(main, args), "receiver=")
 
     def test_noise_is_seeded(self, runner, tmp_path):
         sig_path = tmp_path / "in.json"

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +16,7 @@ from ddcap import (
     samples_to_spectrum,
     spectrum_to_samples,
 )
-from ddcap.signals import SpectralPoly
+from ddcap.signals import FIELD_GRID_CAP, SpectralPoly, component_roots, field_grid
 
 from conftest import random_coeff_signal, signal_from_coeffs
 
@@ -219,3 +221,52 @@ class TestValidation:
         a = random_signal(6, seed=9)
         b = random_signal(6, seed=9)
         assert np.array_equal(a.samples, b.samples)
+
+
+class TestComponentRoots:
+    @staticmethod
+    def _reference(n, i, j):
+        """The lowest node of each node's component, from scipy's labelling."""
+        from scipy.sparse import coo_array
+        from scipy.sparse.csgraph import connected_components
+
+        _, label = connected_components(coo_array((np.ones(len(i)), (i, j)), shape=(n, n)))
+        lowest = np.full(n, n)
+        np.minimum.at(lowest, label, np.arange(n))
+        return lowest[label]
+
+    def test_matches_scipy_on_random_graphs(self, rng):
+        for trial in range(400):
+            n = int(rng.integers(1, 120))
+            if trial % 4 == 0:  # a path over the nodes in random order
+                order = rng.permutation(n)
+                i, j = order[:-1], order[1:]
+            else:  # sparse edges, many isolated nodes, repeats and self-loops
+                m = int(rng.integers(0, 2 * n))
+                i, j = rng.integers(n, size=m), rng.integers(n, size=m)
+            assert np.array_equal(component_roots(n, i, j), self._reference(n, i, j))
+
+    def test_empty_graphs_and_isolated_nodes(self):
+        none = np.zeros(0, dtype=np.intp)
+        assert component_roots(0, none, none).shape == (0,)
+        assert np.array_equal(component_roots(5, none, none), np.arange(5))
+        assert np.array_equal(component_roots(5, [4, 3], [3, 1]), [0, 1, 2, 1, 1])
+
+    def test_long_reversed_path_is_fast(self):
+        n = 100_000
+        start = time.perf_counter()
+        roots = component_roots(n, np.arange(n - 1, 0, -1), np.arange(n - 2, -1, -1))
+        assert time.perf_counter() - start < 1.0
+        assert not roots.any()
+
+
+def test_field_grid_above_the_cap_is_refused_before_allocation(monkeypatch):
+    spec = samples_to_spectrum(random_signal(4, seed=1))
+    assert len(field_grid(spec, FIELD_GRID_CAP // 4)) == FIELD_GRID_CAP
+
+    def no_alloc(*_, **__):
+        raise AssertionError("a refused grid was allocated")
+
+    monkeypatch.setattr(np, "zeros", no_alloc)
+    with pytest.raises(ValueError, match="cap"):
+        field_grid(spec, FIELD_GRID_CAP // 4 + 1)
