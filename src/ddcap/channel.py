@@ -29,9 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# scipy is imported inside the three kernels that use it (_cluster, the
-# quantized channel and the intensity density): loading it costs every
-# command about half a second and 40 MiB at start-up
+# scipy is imported inside the two kernels that use it (the quantized
+# channel and the intensity density, both for scipy.special): loading it
+# costs a process about half a second and 40 MiB at start-up
 
 # canonicalize_phase stays bound here: a call site perfbench/spans.py wraps
 from .signals import (
@@ -44,6 +44,10 @@ from .signals import (
 
 #: Largest waveform alphabet for which exact noiseless channels are built.
 COUNTING_CAP = 1 << 14
+
+#: Largest number of entries (inputs x amplitude bins) in the noisy quantized
+#: ``chain_bound_check`` table: 32 MiB of float64.
+QUANTIZED_TABLE_CAP = 1 << 22
 
 #: Noiseless outputs closer than this rms distance, relative to the largest
 #: input's rms amplitude (its square for intensities), are one output.
@@ -106,10 +110,11 @@ def apply_noise(sig: PeriodicSignal, noise: NoiseSpec) -> PeriodicSignal:
         raise ValueError("signal power is zero, SNR scaling is undefined")
     if np.isinf(noise.snr):
         return sig
+    variance = power / noise.snr
+    if not np.isfinite(variance):
+        raise ValueError(f"snr {noise.snr:.3g} is so small that the noise variance overflows")
     rng = np.random.default_rng(noise.seed)
-    coeffs = np.fft.ifft(sig.samples) + inband_noise_coefficients(
-        sig.M, power / noise.snr, rng
-    )
+    coeffs = np.fft.ifft(sig.samples) + inband_noise_coefficients(sig.M, variance, rng)
     return PeriodicSignal(M=sig.M, B=sig.B, samples=np.fft.fft(coeffs))
 
 
@@ -204,11 +209,35 @@ def exact_mi(ch: DiscreteChannel) -> MIEstimate:
 
 
 @functools.lru_cache(maxsize=None)
-def _projection(width: int) -> np.ndarray:
-    """The fixed orthonormal (width, min(3, width)) projection of the pair search."""
-    q = np.linalg.qr(np.random.default_rng(0).standard_normal((width, min(3, width))))[0]
-    q.setflags(write=False)
-    return q
+def _sort_axis(width: int) -> np.ndarray:
+    """The fixed unit vector of length width whose projection orders rows in the pair search."""
+    u = np.random.default_rng(0).standard_normal(width)
+    u /= np.linalg.norm(u)
+    u.setflags(write=False)
+    return u
+
+
+def _candidate_pairs(points, radius: float, block: int):
+    """Every pair of rows of a real (n, width) array whose projections on
+    ``_sort_axis(width)`` lie at most ``radius`` apart, as index arrays (i, j)
+    with i < j, at most ``block`` pairs at a time.
+
+    The rows are sorted on their projection, and each row's partners are the
+    run after it within ``radius``.  The pairs are numbered row by row in that
+    order, and each block expands one range of those numbers, so memory stays
+    O(n + block) even when every row shares one key.
+    """
+    key = points @ _sort_axis(points.shape[1])
+    order = np.argsort(key)
+    key = key[order]
+    count = np.searchsorted(key, key + radius, side="right") - np.arange(1, len(key) + 1)
+    first = np.cumsum(count) - count  # the number of each sorted row's first pair
+    total = int(count.sum())
+    for lo in range(0, total, block):
+        k = np.arange(lo, min(lo + block, total))
+        p = np.searchsorted(first, k, side="right") - 1
+        a, b = order[p], order[p + 1 + k - first[p]]
+        yield np.minimum(a, b), np.maximum(a, b)
 
 
 def _cluster(vectors, tol: float) -> np.ndarray:
@@ -219,8 +248,6 @@ def _cluster(vectors, tol: float) -> np.ndarray:
     closer than 10 * tol: outputs that close but not identical make entropy
     counting unreliable.
     """
-    from scipy.spatial import cKDTree
-
     flat = np.array(vectors, dtype=np.complex128, order="C").reshape(len(vectors), -1)
     # exact duplicates share a label: only the first copy of each row enters
     # the pair search, so repeats cost no pairs.  Kept rows stay in input
@@ -234,22 +261,21 @@ def _cluster(vectors, tol: float) -> np.ndarray:
     kept = np.sort(first_copy)
     flat = flat[kept]
     n, dim = flat.shape
-    # candidate pairs within the guard band, searched in a fixed orthonormal
-    # 3-d projection (it lengthens no difference, so it loses no pair): in full
-    # dimension the k-d cells of lattice alphabets (PSK^M) all touch and the
-    # search is O(n^2).  The radius is padded against rounding; the exact
-    # distances below decide.
-    real = flat.view(np.float64)
-    tree = cKDTree(real @ _projection(real.shape[1]))
-    i, j = tree.query_pairs(10.1 * tol * np.sqrt(dim), output_type="ndarray").T
-    # exact differences, in blocks of pairs to bound memory; the Gram-matrix
+    # candidate pairs within the guard band come from a sweep along one fixed
+    # direction (a projection lengthens no difference, so it loses no pair;
+    # the radius is padded against rounding).  Their exact distances decide,
+    # a bounded block of candidates at a time, and only pairs inside the
+    # guard band are kept.  Exact differences, because the Gram-matrix
     # shortcut would lose sqrt(eps) of precision to cancellation, which is
     # exactly the scale the guard band watches
-    dist = np.empty(len(i))
-    block = max(1, (1 << 20) // dim)
-    for lo in range(0, len(i), block):
-        diff = flat[i[lo : lo + block]] - flat[j[lo : lo + block]]
-        dist[lo : lo + block] = np.sqrt(np.sum(np.abs(diff) ** 2, axis=1) / dim)
+    none = np.empty(0, dtype=np.intp)
+    found = [(none, none, np.empty(0))]
+    radius, block = 10.1 * tol * np.sqrt(dim), max(1, (1 << 16) // dim)
+    for a, b in _candidate_pairs(flat.view(np.float64), radius, block):
+        d = np.sqrt(np.sum(np.abs(flat[a] - flat[b]) ** 2, axis=1) / dim)
+        close = d <= 10.0 * tol
+        found.append((a[close], b[close], d[close]))
+    i, j, dist = map(np.concatenate, zip(*found))
     near = dist <= tol
     # a component's lowest row is its first: numbering roots in order numbers
     # labels by first appearance
@@ -319,7 +345,8 @@ def chain_bound_check(
     coherent output is the scalar field magnitude: amplitude bins of width
     ``bin_width_factor * noise_std`` spanning ``range_sigmas`` deviations, and
     the intensity output is the image of the same bins under squaring.  They
-    refuse an SNR above ``MC_SQUARE_LAW_MAX_SNR`` with ``ValueError``.
+    refuse an SNR above ``MC_SQUARE_LAW_MAX_SNR``, and a table of more than
+    ``QUANTIZED_TABLE_CAP`` entries, with ``ValueError``.
     """
     inputs = list(inputs)
     if not inputs:
@@ -375,13 +402,13 @@ def _quantized_scalar_channel(inputs, prior, snr, bin_width_factor, range_sigmas
     squared images of the coherent bins, Y is a function of Y' by
     construction, and one table serves both receivers.
     """
-    from scipy import special
-
     if snr > MC_SQUARE_LAW_MAX_SNR:
         raise ValueError(
             f"snr {snr:.3g} is above {MC_SQUARE_LAW_MAX_SNR:.0e} (100 dB), where the "
             f"quantized channel's chi-square CDF no longer holds"
         )
+    if not bin_width_factor > 0:
+        raise ValueError(f"bin_width_factor must be positive, got {bin_width_factor}")
     amps = np.array([abs(s.samples[0]) for s in inputs])
     power = float(np.sum(prior * amps**2))
     if power == 0.0:
@@ -390,6 +417,17 @@ def _quantized_scalar_channel(inputs, prior, snr, bin_width_factor, range_sigmas
     sigma = np.sqrt(sigma2)
     width = bin_width_factor * sigma
     top = amps.max() + range_sigmas * sigma
+    # the bin width follows the prior-weighted power, the range the largest
+    # amplitude: a rare strong input asks for many bins
+    with np.errstate(over="ignore"):  # inf bins, refused below
+        bins = np.ceil((top + width) / width)  # the length of np.arange below
+    if not len(amps) * bins <= QUANTIZED_TABLE_CAP:
+        raise ValueError(
+            f"{len(amps)} inputs x {bins:.3g} amplitude bins exceed the quantized "
+            f"channel's table cap {QUANTIZED_TABLE_CAP}"
+        )
+    from scipy import special
+
     edges = np.arange(0.0, top + width, width)
     edges = np.append(edges, np.inf)
     v = sigma2 / 2.0  # per-quadrature variance
@@ -399,7 +437,8 @@ def _quantized_scalar_channel(inputs, prior, snr, bin_width_factor, range_sigmas
         # the noncentral chi-square CDF with 2 degrees of freedom, central at a = 0
         with np.errstate(over="ignore"):
             cdf = special.chndtr(x, 2, a**2 / v) if a else special.chdtr(2, x)
-        cond[i] = np.diff(cdf)
+        # where the CDF is flat to rounding, its differences can dip below 0
+        cond[i] = np.maximum(np.diff(cdf), 0.0)
         cond[i, -1] += max(0.0, 1.0 - cond[i].sum())
     return DiscreteChannel(prior=prior, conditional=cond, M=1)
 

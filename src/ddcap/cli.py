@@ -140,9 +140,11 @@ def cmd_figure2(input_path, output_path, bandwidth, seed):
     if input_path is not None:
         sig = _load_signal(input_path)
     else:
-        sig = random_signal(4, bandwidth, seed=seed)
+        sig = _guard(random_signal, 4, bandwidth, seed=seed)
     if sig.M != 4:
         _fail(EXIT_DOMAIN, f"figure2 requires an M=4 signal, got M={sig.M}")
+    if not (math.isfinite(sig.B) and math.isfinite(sig.period)):
+        _fail(EXIT_DOMAIN, f"figure2 needs a finite bandwidth and period, got B={sig.B!r}")
     fam = _guard(enumerate_family, sig)
     if len(fam) != 8:
         _fail(

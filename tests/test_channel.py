@@ -231,6 +231,36 @@ class TestChainBound:
         with pytest.raises(ValueError, match="above 1e\\+10"):
             chain_bound_check(inputs, noise=NoiseSpec(snr=channel.MC_SQUARE_LAW_MAX_SNR * 10))
 
+    def test_noisy_table_above_the_cap_is_refused_before_any_bin(self):
+        # the bin width follows the prior-weighted power and the range the
+        # amplitude 1: this table would need 4e8 bins, about 3 GiB a row
+        inputs = [constant(0.0), constant(1.0)]
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="2 inputs x 4e\\+08 amplitude bins exceed"):
+                chain_bound_check(inputs, prior=[1 - 1e-6, 1e-6], noise=NoiseSpec(snr=1e10))
+            with pytest.raises(ValueError, match="2 inputs x inf amplitude bins exceed"):
+                chain_bound_check(inputs, noise=NoiseSpec(snr=10.0), bin_width_factor=1e-320)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+    @pytest.mark.parametrize("width", [0.0, -0.1, np.nan])
+    def test_noisy_bins_must_have_a_width(self, width):
+        # 0 divided by zero and -0.1 built a table with no bins
+        with pytest.raises(ValueError, match="bin_width_factor must be positive"):
+            chain_bound_check([constant(0.0), constant(1.0)], noise=NoiseSpec(snr=10.0), bin_width_factor=width)
+
+    def test_fine_bins_where_the_cdf_is_flat_to_rounding(self):
+        # one chndtr difference among these 2261 bins is -1.1e-16, once
+        # refused as a negative probability
+        inputs = [constant(a) for a in (0.0, 0.3, 1.0)]
+        fine = chain_bound_check(inputs, noise=NoiseSpec(snr=100.0), bin_width_factor=0.01)
+        coarse = chain_bound_check(inputs, noise=NoiseSpec(snr=100.0), bin_width_factor=0.02)
+        assert fine.gap == 0.0
+        assert abs(fine.mi_coherent - coarse.mi_coherent) < 1e-3
+
     def test_noisy_requires_m1(self, rng):
         with pytest.raises(DensityUnavailableError):
             chain_bound_check(qpsk_waveforms(2), noise=NoiseSpec(snr=10.0))
@@ -344,6 +374,53 @@ def _reference_cluster(flat, tol):
     return labels, [tuple(pair) for pair in np.argwhere(np.triu(bad, 1))]
 
 
+def _kdtree_cluster(flat, tol):
+    """The k-d-tree clustering: pairs within the padded guard band in a fixed
+    orthonormal 3-d projection, their exact rms distances, scipy's components."""
+    from scipy.sparse import coo_array
+    from scipy.sparse.csgraph import connected_components
+    from scipy.spatial import cKDTree
+
+    flat = np.ascontiguousarray(flat, dtype=complex)
+    n, dim = flat.shape
+    real = flat.view(float)
+    width = real.shape[1]
+    projection = np.linalg.qr(np.random.default_rng(0).standard_normal((width, min(3, width))))[0]
+    pairs = cKDTree(real @ projection).query_pairs(10.1 * tol * np.sqrt(dim), output_type="ndarray")
+    i, j = pairs.T
+    dist = np.sqrt(np.sum(np.abs(flat[i] - flat[j]) ** 2, axis=1) / dim)
+    near = dist <= tol
+    _, label = connected_components(coo_array((np.ones(near.sum()), (i[near], j[near])), shape=(n, n)))
+    _, first = np.unique(label, return_index=True)  # number the components by first appearance
+    rank = np.empty(len(first), dtype=int)
+    rank[np.argsort(first)] = np.arange(len(first))
+    return rank[label]
+
+
+def _pair_set(pairs):
+    return sorted(zip(*(np.concatenate(side).tolist() for side in zip(*pairs))))
+
+
+def _counting_rows(points, M):
+    """The (rows, tol) of each clustering that counting_entropy runs."""
+    calls = []
+    cluster = channel._cluster
+
+    def record(vectors, tol):
+        calls.append((np.asarray(vectors), tol))
+        return cluster(vectors, tol)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(channel, "_cluster", record)
+        counting_entropy(points, M)
+    return calls
+
+
+# counting alphabets from a field of 2 rows to 16384: the benchmark's mix and the cap
+COUNTING_ALPHABETS = [("bpsk", 1), ("bpsk", 6), ("bpsk", 9), ("bpsk", 14), ("qpsk", 3), ("qpsk", 4),
+                      ("qpsk", 7), ("8psk", 2), ("8psk", 3), ("8psk", 4)]
+
+
 class TestCluster:
     TOL = 1e-6
 
@@ -369,6 +446,54 @@ class TestCluster:
         reference, bad = _reference_cluster(points.astype(complex), self.TOL)
         assert bad == [] and reference.max() + 1 == n_centres
         assert list(channel._cluster(points, self.TOL)) == list(reference)
+
+    @pytest.mark.parametrize("n_centres, dim, dtype", [(133, 4, complex), (666, 8, float), (2000, 2, complex)])
+    def test_labels_and_candidates_match_a_kd_tree(self, rng, n_centres, dim, dtype):
+        points = self._clustered_points(rng, n_centres, dim, dtype).astype(complex)
+        assert list(channel._cluster(points, self.TOL)) == list(_kdtree_cluster(points, self.TOL))
+        self._assert_candidates_match_a_kd_tree(np.unique(points, axis=0), self.TOL)
+
+    @pytest.mark.parametrize("name, M", COUNTING_ALPHABETS)
+    def test_counting_alphabets_match_a_kd_tree(self, name, M):
+        for rows, tol in _counting_rows(named_constellation(name), M):
+            assert np.array_equal(channel._cluster(rows, tol), _kdtree_cluster(rows, tol))
+            self._assert_candidates_match_a_kd_tree(np.unique(rows, axis=0), tol)
+
+    @staticmethod
+    def _assert_candidates_match_a_kd_tree(flat, tol):
+        """The sweep's candidates are the key pairs a 1-d k-d tree finds, and
+        they hold every pair inside the guard band."""
+        from scipy.spatial import cKDTree
+
+        dim = flat.shape[1]
+        real = flat.view(float)
+        radius = 10.1 * tol * np.sqrt(dim)
+        candidates = _pair_set(channel._candidate_pairs(real, radius, 97))
+        key = real @ channel._sort_axis(real.shape[1])
+        assert candidates == sorted(map(tuple, cKDTree(key[:, None]).query_pairs(radius)))
+        guarded = cKDTree(real).query_pairs(10.0 * tol * np.sqrt(dim))
+        assert guarded <= set(candidates)
+
+    def test_rows_sharing_the_sort_key_cost_time_not_memory(self, monkeypatch):
+        # 4096 distinct rows whose key (the real part) is 0: all n(n-1)/2
+        # pairs are candidates, expanded a bounded block at a time.  Rows 2m
+        # and 2m+1 are tol/2 apart, and every other pair is much farther
+        monkeypatch.setattr(channel, "_sort_axis", lambda width: np.eye(width)[0])
+        n = 4096
+        points = 1j * (np.arange(n) // 2 + np.arange(n) % 2 * 0.5 * self.TOL)[:, None]
+        reference, bad = _reference_cluster(points, self.TOL)
+        assert bad == [] and reference.max() + 1 == n // 2
+        blocks = list(channel._candidate_pairs(points.view(float), self.TOL, 1 << 16))
+        assert sum(len(i) for i, _ in blocks) == n * (n - 1) // 2
+        del blocks
+        tracemalloc.start()
+        try:
+            labels = channel._cluster(points, self.TOL)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(labels, reference)
+        assert peak < 16 * 2**20  # the 8.4 million candidates alone would take 128 MiB
 
     def test_guard_band_names_the_smallest_pair(self, rng):
         points = rng.standard_normal((1000, 4))

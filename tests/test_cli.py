@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -61,12 +62,13 @@ def inputs(tmp_path_factory):
 
 
 # scipy costs about half a second and 40 MiB at every start: only the
-# kernels that need it import it
+# kernels that need it import it, so of the commands only square-law mi
+# loads it
 _SCIPY_FREE_RUN = """
 import os
 import sys
 import ddcap.cli
-from ddcap import random_signal
+from ddcap import chain_bound_check, enumerate_family, random_signal
 from ddcap.formats import write_signal_json
 
 def scipy_loaded():
@@ -84,8 +86,11 @@ for args in (
     ["figure2", "--output", "fig.csv"],
     ["mi", "--n-samples", "1000"],
     ["mi", "--input-model", "qpsk", "--M", "2", "--n-samples", "1000"],
+    ["counting", "--constellation", "qpsk", "--M", "4"],
+    ["counting", "--constellation", "bpsk", "--M", "9"],
 ):
     ddcap.cli.main(args, standalone_mode=False)
+print(chain_bound_check(enumerate_family(random_signal(4, seed=3)).signals).gap)
 print(scipy_loaded())
 """
 
@@ -94,7 +99,8 @@ def test_commands_without_scipy_kernels_leave_it_unloaded(tmp_path):
     result = subprocess.run([sys.executable, "-c", _SCIPY_FREE_RUN, str(tmp_path)],
                             capture_output=True, text=True, check=True)
     lines = result.stdout.splitlines()
-    assert len(lines) == 10  # a line after the import, eight summaries, a line after the runs
+    # a line after the import, ten summaries, the chain-bound gap, a line after the runs
+    assert len(lines) == 13
     assert lines[0] == lines[-1] == "[]"
 
 
@@ -229,6 +235,18 @@ class TestFigure2:
         )
         assert result.exit_code == 3
         assert "re-seed" in result.output or "reseed" in result.output
+
+    @settings(max_examples=100, deadline=None)
+    @given(bandwidth=st.floats(1e-3, 1e3) | st.floats(), seed=st.integers(-(2**64), 2**256))
+    @example(0.0, 0)
+    @example(-1.0, 0)
+    @example(math.inf, 0)
+    @example(math.nan, 0)
+    @example(1e-308, 0)  # a period beyond the float range
+    @example(1.0, -1)
+    def test_extreme_arguments_exit_cleanly(self, inputs, bandwidth, seed):
+        args = ["figure2", "--output", str(inputs / "out"), "--B", repr(bandwidth), "--seed", str(seed)]
+        assert_clean_exit(CliRunner().invoke(main, args), "members=")
 
     def test_wrong_m_exits_3(self, runner, tmp_path):
         sig_path = tmp_path / "sig.json"
@@ -386,6 +404,16 @@ class TestCounting:
         assert result.stderr.splitlines() == ["error: counting bound violated: gap 3.5 > 1 bits"]
         assert "Traceback" not in result.output
 
+    # alphabets above COUNTING_CAP are refused before anything is enumerated
+    @settings(max_examples=100, deadline=None)
+    @given(
+        constellation=st.sampled_from(["bpsk", "qpsk", "8psk", "QPSK", "", "16qam"]) | st.text(max_size=6),
+        m_dof=st.integers(-(2**64), 16) | st.integers(2**40, 2**200),
+    )
+    def test_extreme_arguments_exit_cleanly(self, constellation, m_dof):
+        args = ["counting", "--constellation", constellation, "--M", str(m_dof)]
+        assert_clean_exit(CliRunner().invoke(main, args), "n_distinct=")
+
     def test_alphabet_above_the_cap_exits_3(self, runner):
         result = runner.invoke(main, ["counting", "--constellation", "8psk", "--M", "5"])
         assert result.exit_code == 3
@@ -440,6 +468,7 @@ class TestSimulate:
         seed=st.integers(-(2**64), 2**256),
         oversample=st.integers(-(2**64), 64) | st.integers(FIELD_GRID_CAP + 1, 2**200),
     )
+    @example("sig5.json", "coherent", -3084.0, 0, 0)  # the noise variance overflows
     def test_extreme_arguments_exit_cleanly(self, inputs, name, receiver, snr_db, seed, oversample):
         args = ["simulate", "--input", str(inputs / name), "--output", str(inputs / "out"),
                 "--receiver", receiver, "--seed", str(seed), "--oversample", str(oversample)]
