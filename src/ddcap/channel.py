@@ -20,6 +20,7 @@ global phase is unobservable; reports flag this gauge choice.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import os
@@ -95,12 +96,7 @@ def inband_noise_coefficients(M: int, total_variance: float, rng, size=None) -> 
     average of the noise field power equals ``total_variance``.
     """
     shape = (M,) if size is None else (size, M)
-    return _inband_noise(M, total_variance, rng.standard_normal(shape), rng.standard_normal(shape))
-
-
-def _inband_noise(M: int, total_variance: float, real, imag) -> np.ndarray:
-    """The coefficients of ``inband_noise_coefficients`` from its standard normal draws."""
-    return np.sqrt(total_variance / (2.0 * M)) * (real + 1j * imag)
+    return np.sqrt(total_variance / (2.0 * M)) * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
 def apply_noise(sig: PeriodicSignal, noise: NoiseSpec) -> PeriodicSignal:
@@ -576,22 +572,19 @@ def capacity_prior_search(conditional, M: int):
 # Monte-Carlo estimator
 
 #: Largest number of Monte-Carlo density terms, one per (row, symbol,
-#: alphabet entry, output), in the evaluation blocks in flight at once.  No
-#: block array is larger than its block's terms: a block holds one
-#: (alphabet, symbols, rows) array of mixture terms, and its density table
-#: and partial sums only a few rows at a time.
+#: alphabet entry, output), in the evaluation blocks in flight at once.  A
+#: waveform with more terms than this is refused.
 MC_BLOCK_ELEMENTS = 1 << 22
 
 #: Threads that evaluate Monte-Carlo blocks: one per CPU this process may run on.
 MC_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
-#: Largest size in bytes of the symbol and noise draws the Monte-Carlo
-#: estimator holds in memory at once; larger requests are refused up front.
-#: They are counted as 16 bytes per rate-B sample for the symbol plus 16 per
-#: noise output, an upper bound: the noise is held as its coefficients' real
-#: parts and the imaginary parts of the blocks drawn so far, at most 16 bytes
-#: per rate-B sample, and its outputs only block by block.
-MC_DRAW_BYTES = 1 << 30
+#: Largest number of waveforms the Monte-Carlo estimator draws.  Its memory
+#: does not grow with the count, but its run time does: on two cores 10^10
+#: waveforms take about a quarter of an hour with the cheapest case,
+#: coherent Gaussian input at M=1 (about 80 ns a waveform), and over a day
+#: with direct QPSK at M=4 (about 12 us).
+MC_MAX_SAMPLES = 10**10
 
 #: Largest SNR at which the square-law receivers' Monte-Carlo estimate is
 #: made (100 dB).  Their noncentral chi-square log density adds terms of
@@ -645,55 +638,24 @@ def _intensity_gaussian_bits(y, x, v):
     return (_log_intensity_density(y, x, v) - (-np.log(1.0 + v) - y / (1.0 + v))) * _LOG2E
 
 
-def _add_reduce(terms, n):
-    """terms[0] + ... + terms[n-1], added in the order of ``np.add.reduce``
-    over a contiguous float64 axis of length n >= 1.
+def _pooled(a, b):
+    """(count, mean, sum of squared deviations) of two samples together, from
+    each one's (Chan, Golub & LeVeque, 1979)."""
+    count = a[0] + b[0]
+    delta = b[1] - a[1]
+    return count, a[1] + delta * (b[0] / count), a[2] + b[2] + delta**2 * (a[0] * b[0] / count)
 
-    ``terms`` is an array, summed over its first axis, or a callable that
-    builds term i, as a new array, when it is added, so a few partial sums
-    are alive at once, not n terms.  Below 8 terms they are added in turn.
-    From 8 to 128, lane j < 8 adds terms j, j+8, ... in turn up to the last
-    multiple of 8, the lanes are combined as ((0+1)+(2+3))+((4+5)+(6+7)),
-    and the n % 8 terms left are added in turn.  Above 128 the terms split
-    into two halves at a multiple of 8.  An array's eight lanes are added
-    together, one slice of eight terms at a time.  Sums are made in place,
-    into a copy of an array's terms.  (No closure here refers to itself: a
-    reference cycle would keep a block's arrays alive until the next
-    garbage collection.)
-    """
-    array = not callable(terms)
-    term = terms.__getitem__ if array else terms
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        total = _add_reduce(terms, half)
-        total += _add_reduce(terms[half:] if array else lambda i: terms(half + i), n - half)
-        return total
-    full = n - n % 8
-    if full == 0:
-        total = terms[0].copy() if array else term(0)
-    else:
-        if array:
-            lanes = terms[:8].copy()
-            for i in range(8, full, 8):
-                lanes += terms[i : i + 8]
-            lane = lanes.__getitem__
-        else:
 
-            def lane(j):
-                total = term(j)
-                for i in range(j + 8, full, 8):
-                    total += term(i)
-                return total
-
-        def pair(a, b):
-            a += b
-            return a
-
-        total = pair(pair(pair(lane(0), lane(1)), pair(lane(2), lane(3))),
-                     pair(pair(lane(4), lane(5)), pair(lane(6), lane(7))))
-    for i in range(max(full, 1), n):
-        total += term(i)
-    return total
+def _bounded_map(pool, fn, n, ahead):
+    """fn(0), ..., fn(n-1) on the pool, returned in order, with at most
+    ``ahead`` calls submitted whose results have not been returned."""
+    pending = collections.deque()
+    for i in range(n):
+        if len(pending) == ahead:
+            yield pending.popleft().result()
+        pending.append(pool.submit(fn, i))
+    while pending:
+        yield pending.popleft().result()
 
 
 def _fields(coeffs, oversample):
@@ -721,9 +683,10 @@ _RECEIVERS = {
 }
 
 
-#: Entries in one chunk of a Monte-Carlo block's mixture terms, the rows
-#: whose densities and sums over the outputs are made at once.
-_CHUNK_ENTRIES = 1 << 16
+#: Mixture entries, one per (row, symbol, alphabet entry), in one
+#: Monte-Carlo block: the rows whose draws, densities and sums are made at
+#: once, small enough to stay in cache.
+_BLOCK_ENTRIES = 1 << 16
 
 #: At an SNR so extreme that the float64 densities overflow, the estimator
 #: raises FloatingPointError instead of warning and returning inf or nan.
@@ -755,34 +718,37 @@ def mc_mi(
 
     One estimator serves every receiver.  It averages log2 q(y|x) -
     log2 p(y) per waveform, with p(y) in closed form for Gaussian input and
-    a mixture over the symbol alphabet for a constellation.  The mixture's
-    densities depend on a symbol only through one value per output (|x|^2
-    at a square-law receiver, x at the coherent one), so they are evaluated
-    once per distinct (output, value) and gathered: 212 evaluations per
-    direct QPSK M=4 waveform instead of 256 x 8.
-
-    Densities are evaluated in row blocks laid out outputs-major: each
-    (output, value), alphabet entry and symbol is one vector over the
-    block's waveforms, so every sum over them adds whole vectors, in the
-    order ``np.add.reduce`` sums a contiguous axis, and no (waveform,
-    symbol, alphabet, output) tensor is built.  The symbols and the noise's
-    real parts are drawn up front; the imaginary parts are drawn block by
-    block as each block is handed to the pool, so later draws overlap the
-    evaluation of earlier blocks.  The pool has one thread per CPU in the
-    process's affinity mask (``MC_WORKERS``) but no more than the budget
-    holds rows, and each thread gets at least two blocks;
-    ``MC_BLOCK_ELEMENTS`` bounds the density terms of all blocks in flight
-    together, so memory beyond the O(n_samples * M) draws is bounded.  The
-    draws are made in order by one thread and each block writes only its
-    own rows, so the estimate is bit-identical for any number of cores.  A
-    request whose draws would exceed ``MC_DRAW_BYTES``, or an SNR above
-    ``MC_SQUARE_LAW_MAX_SNR`` at a square-law receiver, raises
-    ``ValueError`` before anything is drawn, and an SNR so extreme that the
-    float64 densities overflow raises ``FloatingPointError``.  A symbol is
-    one rate-B sample, except at the direct receiver, whose 2M outputs mix
+    a mixture over the symbol alphabet for a constellation.  A symbol is one
+    rate-B sample, except at the direct receiver, whose 2M outputs mix
     neighbouring samples: there it is the whole waveform, and
     ``DIRECT_ALPHABET_CAP`` on the symbol alphabet is the only limit on
-    |constellation|^M.
+    |constellation|^M.  The mixture's densities depend on a symbol only
+    through one value per output (|x|^2 at a square-law receiver, x at the
+    coherent one), so they are evaluated once per distinct (output, value)
+    and gathered: 212 evaluations per direct QPSK M=4 waveform instead of
+    256 x 8.
+
+    The waveforms are cut into blocks of at most ``_BLOCK_ENTRIES`` mixture
+    entries and at most ``MC_BLOCK_ELEMENTS`` density terms, and into at
+    least eight blocks where there are eight waveforms.  Block b draws its symbols and noise from its own stream,
+    seeded by ``SeedSequence(noise.seed, spawn_key=(b,))``, and returns the
+    count, mean and sum of squared deviations of its waveforms' values,
+    which are pooled in block order.  So the partition, every draw and the
+    estimate depend on the request alone, bit for bit, and not on the number
+    of cores.  A block is laid out outputs-major: each (output, value),
+    alphabet entry and symbol is one vector over the block's waveforms, so
+    the sums over them add whole vectors, and no (waveform, symbol,
+    alphabet, output) tensor is built.
+
+    Blocks run on a pool of one thread per CPU in the process's affinity
+    mask (``MC_WORKERS``), but no more than ``MC_BLOCK_ELEMENTS`` holds
+    blocks, and at most two blocks per thread are handed to the pool at
+    once, so memory is bounded whatever ``n_samples`` is.  More than
+    ``MC_MAX_SAMPLES`` waveforms, a waveform of more than
+    ``MC_BLOCK_ELEMENTS`` density terms, or an SNR above
+    ``MC_SQUARE_LAW_MAX_SNR`` at a square-law receiver raise ``ValueError``
+    before anything is drawn, and an SNR so extreme that the float64
+    densities overflow raises ``FloatingPointError``.
 
     The direct receiver's metric treats its correlated outputs as
     independent, so it reports the auxiliary-channel lower bound of Arnold,
@@ -815,30 +781,29 @@ def mc_mi(
             f"snr {snr:.3g} is above {MC_SQUARE_LAW_MAX_SNR:.0e} (100 dB), where the "
             f"{receiver} receiver's float64 densities no longer hold"
         )
-
-    # per rate-B sample: a complex symbol (or a symbol index) and oversample complex noise outputs
-    draw_bytes = 16 * (1 + rx.oversample) * n_samples * M
-    if draw_bytes > MC_DRAW_BYTES:
-        raise ValueError(
-            f"n_samples={n_samples} at M={M} needs {draw_bytes / 2**30:.3g} GiB of draws, "
-            f"above the {MC_DRAW_BYTES / 2**30:.3g} GiB budget"
-        )
-
     length = M if rx.oversample > 1 else 1  # rate-B samples per symbol
-    shape = (n_samples, M // length)  # (waveforms, symbols per waveform)
-    rng = np.random.default_rng(noise.seed)
-    if gaussian:
-        v = 1.0 / snr
-        sent = rng.standard_normal((2,) + shape + (1,))  # real and imaginary parts
-        row_width = shape[1]
-    else:
+    n_alpha = 1
+    if not gaussian:
         points = np.asarray(input_model)
-        n_alpha = len(points) ** length
+        # beyond 64 samples |X|^length would be a huge integer
+        n_alpha = len(points) ** length if length <= 64 else np.inf
         if n_alpha > DIRECT_ALPHABET_CAP:
             raise ValueError(
                 f"the estimator enumerates the symbol alphabet; {n_alpha} symbols "
                 f"exceed the cap {DIRECT_ALPHABET_CAP}"
             )
+    row_width = M * rx.oversample * n_alpha  # a waveform's density terms
+    if n_samples > MC_MAX_SAMPLES or row_width > MC_BLOCK_ELEMENTS:
+        raise ValueError(
+            f"n_samples={n_samples} waveforms of {row_width} density terms each are beyond "
+            f"the estimator's limits of {MC_MAX_SAMPLES:.0e} waveforms and "
+            f"{MC_BLOCK_ELEMENTS} terms per waveform"
+        )
+
+    symbols = M // length  # per waveform
+    if gaussian:
+        v = 1.0 / snr
+    else:
         samples = np.array(list(itertools.product(points, repeat=length)))
         v = float(np.mean(np.abs(samples) ** 2)) / snr
         alphabet = _fields(np.fft.ifft(samples, axis=1), rx.oversample)
@@ -854,59 +819,54 @@ def mc_mi(
             col_of.extend([m] * len(first))
         rep, col_of = np.array(rep), np.array(col_of)
         log_prior = -np.log(n_alpha)
-        idx = rng.integers(0, n_alpha, size=shape)
-        row_width = shape[1] * alphabet.size
-    real = rng.standard_normal((shape[0] * shape[1], length))  # the noise's real parts
 
-    values = np.empty(n_samples)
-    # the workers share the element budget, at least one row each, and every
-    # worker gets at least two blocks, so draws overlap the evaluation
-    workers = max(1, min(MC_WORKERS, MC_BLOCK_ELEMENTS // row_width))
-    rows = max(1, min(MC_BLOCK_ELEMENTS // workers // row_width, -(-n_samples // (2 * workers))))
-    starts = range(0, n_samples, rows)
+    # the partition depends on the request alone; at least eight blocks, so
+    # that a small run still uses several cores
+    rows = max(1, min(_BLOCK_ENTRIES // (symbols * n_alpha), MC_BLOCK_ELEMENTS // row_width,
+                      -(-n_samples // 8)))
+    threads = max(1, min(MC_WORKERS, MC_BLOCK_ELEMENTS // (rows * row_width)))
 
     @_RAISE_ON_OVERFLOW  # pool threads do not inherit the caller's error state
-    def evaluate(lo, imag):
-        if gaussian:
-            x = (sent[0, lo : lo + rows] + 1j * sent[1, lo : lo + rows]) / np.sqrt(2.0)
+    def evaluate(block):
+        rng = np.random.default_rng(np.random.SeedSequence(noise.seed, spawn_key=(block,)))
+        count = min(rows, n_samples - block * rows)
+        if gaussian:  # unit-power circular symbols
+            x = (rng.standard_normal((count, symbols, 1)) + 1j * rng.standard_normal((count, symbols, 1)))
+            x /= np.sqrt(2.0)
         else:
-            x = alphabet[idx[lo : lo + rows]]
-        span = slice(lo * shape[1], lo * shape[1] + len(imag))
-        y = x + _fields(_inband_noise(length, v, real[span], imag), rx.oversample).reshape(x.shape)
+            sent = rng.integers(0, n_alpha, size=(count, symbols))
+            x = alphabet[sent]
+        noise_coeffs = inband_noise_coefficients(length, v, rng, size=count * symbols)
+        y = x + _fields(noise_coeffs, rx.oversample).reshape(x.shape)
         if rx.square_law:
             y = np.abs(y) ** 2
         if gaussian:
             bits = rx.gaussian_bits(y, x, v)[..., 0].T
         else:
             # outputs-major: a table row is one (output, key) over (symbols,
-            # rows), so every sum below adds whole row vectors.  The table
-            # and its sums over the outputs are made a few rows at a time,
-            # so that they stay small and in cache.
-            per_symbol = np.empty((n_alpha, shape[1], len(y)))
-            step = max(1, _CHUNK_ENTRIES // (n_alpha * shape[1]))
-            for c in range(0, len(y), step):
-                table = rx.log_density(y[c : c + step].T[col_of], rep[:, None, None], v)
-                per_symbol[..., c : c + step] = _add_reduce(lambda m: table[gather[:, m]], gather.shape[1])
-            log_q = np.take_along_axis(per_symbol, idx[lo : lo + rows].T[None], axis=0)[0]
+            # rows), so every sum below adds whole row vectors
+            table = rx.log_density(y.T[col_of], rep[:, None, None], v)
+            per_symbol = table[gather[:, 0]]
+            for m in range(1, gather.shape[1]):
+                per_symbol += table[gather[:, m]]
+            log_q = np.take_along_axis(per_symbol, sent.T[None], axis=0)[0]
             # logsumexp over the alphabet, in place: per_symbol is not read again
-            peak = np.maximum.reduce(per_symbol)
+            peak = per_symbol.max(axis=0)
             terms = np.subtract(per_symbol, peak, out=per_symbol)
             terms += log_prior
             np.exp(terms, out=terms)
-            bits = (log_q - (peak + np.log(_add_reduce(terms, n_alpha)))) * _LOG2E
-        values[lo : lo + rows] = _add_reduce(bits, shape[1]) / M
+            bits = (log_q - (peak + np.log(terms.sum(axis=0)))) * _LOG2E
+        values = bits.sum(axis=0) / M
+        mean = values.mean()
+        return count, mean, np.sum((values - mean) ** 2)
 
-    # the imaginary parts are drawn block by block, in order, as each block is
-    # submitted, and each block writes only its own rows: the values, and the
-    # estimate reduced from them in order below, do not depend on the workers
-    imags = (rng.standard_normal((min(rows, n_samples - lo) * shape[1], length)) for lo in starts)
-    with ThreadPoolExecutor(workers) as pool:
-        for _ in pool.map(evaluate, starts, imags):
-            pass
+    blocks = -(-n_samples // rows)
+    with ThreadPoolExecutor(threads) as pool:
+        count, mean, squares = functools.reduce(_pooled, _bounded_map(pool, evaluate, blocks, 2 * threads))
 
     estimate = MIEstimate(
-        bits_per_dof=float(values.mean()),
-        std_error=float(values.std(ddof=1) / np.sqrt(n_samples)),
+        bits_per_dof=float(mean),
+        std_error=float(np.sqrt(squares / (count - 1)) / np.sqrt(count)),
         method="monte_carlo",
         bound_direction=rx.bound_direction,
     )

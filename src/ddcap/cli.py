@@ -143,7 +143,7 @@ def cmd_figure2(input_path, output_path, bandwidth, seed):
         sig = _guard(random_signal, 4, bandwidth, seed=seed)
     if sig.M != 4:
         _fail(EXIT_DOMAIN, f"figure2 requires an M=4 signal, got M={sig.M}")
-    if not (math.isfinite(sig.B) and math.isfinite(sig.period)):
+    if not math.isfinite(sig.period):
         _fail(EXIT_DOMAIN, f"figure2 needs a finite bandwidth and period, got B={sig.B!r}")
     fam = _guard(enumerate_family, sig)
     if len(fam) != 8:
@@ -154,7 +154,9 @@ def cmd_figure2(input_path, output_path, bandwidth, seed):
         )
     points = 512
     oversample = points // sig.M
-    times = np.arange(points) / (oversample * sig.B)
+    # oversample is a power of two: dividing by it first changes no bit, and
+    # oversample * B could overflow
+    times = np.arange(points) / oversample / sig.B
     fields = np.fft.fft(np.fft.ifft(fam.samples, axis=1), n=points, axis=1)  # zero-padded spectra
     intensities = np.abs(fields) ** 2
     spread = np.max(np.abs(intensities - intensities[0])) / np.max(intensities[0])

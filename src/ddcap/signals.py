@@ -66,8 +66,8 @@ class PeriodicSignal:
     def __post_init__(self):
         if self.M < 1:
             raise ValueError("M must be a positive integer")
-        if not (self.B > 0):
-            raise ValueError("B must be positive")
+        if not (0 < self.B < np.inf):
+            raise ValueError("B must be finite and positive")
         samples = _as_complex_vector(self.samples, self.M)
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
@@ -102,8 +102,8 @@ class SpectralPoly:
     def __post_init__(self):
         if self.M < 1:
             raise ValueError("M must be a positive integer")
-        if not (self.B > 0):
-            raise ValueError("B must be positive")
+        if not (0 < self.B < np.inf):
+            raise ValueError("B must be finite and positive")
         coeffs = _as_complex_vector(self.coeffs, self.M)
         coeffs.setflags(write=False)
         object.__setattr__(self, "coeffs", coeffs)

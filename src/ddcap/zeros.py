@@ -289,6 +289,9 @@ def _convolve_rows(rows: np.ndarray, factor: np.ndarray) -> np.ndarray:
     return out
 
 
+# samples so small or so large that the spectrum or the root iteration leave
+# the float64 range raise FloatingPointError instead of warning
+@np.errstate(divide="raise", over="raise", invalid="raise")
 def enumerate_family(sig: PeriodicSignal, max_flips: int = DEFAULT_FLIP_CAP) -> EqualIntensityFamily:
     """Enumerate the 2^N0 waveforms sharing the intensity of ``sig``.
 

@@ -148,6 +148,40 @@ class TestEnumerate:
         assert result.exit_code == 3
 
 
+    @pytest.mark.parametrize("bandwidth", [math.inf, -math.inf, math.nan])
+    def test_nonfinite_bandwidth_exits_2(self, runner, tmp_path, bandwidth):
+        # json writes these as Infinity and NaN, which its reader accepts
+        sig_path = tmp_path / "sig.json"
+        sig_path.write_text(json.dumps({"M": 2, "B": bandwidth, "samples": [[1.0, 0.0], [0.5, 0.25]]}))
+        result = runner.invoke(main, ["enumerate", "--input", str(sig_path), "--output", str(tmp_path / "o.json")])
+        assert result.exit_code == 2
+        assert result.stderr.splitlines() == [
+            f"error: cannot read signal JSON {sig_path}: malformed signal record: B must be finite and positive"
+        ]
+        assert not (tmp_path / "o.json").exists()
+
+    # families hold at most 2^(M-1) = 32 members; the flip cap is checked
+    # before any member is built
+    @settings(max_examples=100, deadline=None)
+    @given(
+        samples=st.lists(st.tuples(st.floats(-10.0, 10.0) | st.floats(), st.floats(-10.0, 10.0) | st.floats()),
+                         min_size=1, max_size=6),
+        bandwidth=st.floats(1e-3, 1e3) | st.floats(),
+        max_flips=st.integers(-(2**64), 40) | st.integers(2**40, 2**200),
+    )
+    @example([(0.0, 0.0)] * 3, 1.0, 20)  # the zero signal
+    @example([(1.0, 0.0), (math.nan, 0.0)], 1.0, 20)
+    @example([(1e308, -1e308), (1e308, 1e308), (-1e308, 0.0)], 1.0, 20)  # power overflows
+    @example([(5e-324, 0.0), (0.0, -5e-324), (5e-324, 5e-324)], 1.0, 20)  # subnormal
+    @example([(1.0, 0.0), (0.5, 0.25)], math.inf, 20)
+    @example([(1.0, 0.0), (0.5, 0.25), (-0.3, 0.1)], 1.0, 2**200)
+    def test_extreme_arguments_exit_cleanly(self, inputs, samples, bandwidth, max_flips):
+        sig_path = inputs / "enumerate.json"
+        sig_path.write_text(json.dumps({"M": len(samples), "B": bandwidth, "samples": samples}))
+        args = ["enumerate", "--input", str(sig_path), "--output", str(inputs / "out"), "--max-flips", str(max_flips)]
+        assert_clean_exit(CliRunner().invoke(main, args), "members=")
+
+
 class TestRefusals:
     @pytest.mark.parametrize("args, message", [
         (["counting", "--M", "-2"], "M must be at least 1"),
@@ -235,6 +269,14 @@ class TestFigure2:
         )
         assert result.exit_code == 3
         assert "re-seed" in result.output or "reseed" in result.output
+
+    def test_time_column_at_the_largest_bandwidths(self, runner, tmp_path):
+        # 128 * B overflows at B=1e308: the times divide by 128, then by B
+        out = tmp_path / "fig.csv"
+        run_ok(runner, ["figure2", "--B", "1e308", "--output", str(out)])
+        t = np.loadtxt(out, delimiter=",", skiprows=1)[:, 0]
+        assert np.all(np.isfinite(t)) and np.all(np.diff(t) > 0)
+        assert t[-1] == 511 / 128 / 1e308
 
     @settings(max_examples=100, deadline=None)
     @given(bandwidth=st.floats(1e-3, 1e3) | st.floats(), seed=st.integers(-(2**64), 2**256))
