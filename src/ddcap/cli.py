@@ -35,6 +35,7 @@ from .formats import (
     read_experiment_json,
     read_intensity_csv,
     read_signal_json,
+    write_csv,
     write_family_json,
     write_intensity_csv,
     write_report_json,
@@ -163,12 +164,8 @@ def cmd_figure2(input_path, output_path, bandwidth, seed):
     if spread > 1e-8:
         _fail(EXIT_NUMERICAL, f"member intensities disagree by {spread:.3e} relative")
     phases = np.unwrap(np.angle(fields), axis=1)
-    with open(output_path, "w") as fh:
-        fh.write("t,intensity," + ",".join(f"phase_{j}" for j in range(8)) + "\n")
-        for i in range(points):
-            row = [f"{times[i]:.17g}", f"{intensities[0][i]:.17g}"]
-            row += [f"{p[i]:.17g}" for p in phases]
-            fh.write(",".join(row) + "\n")
+    write_csv(output_path, "t,intensity," + ",".join(f"phase_{j}" for j in range(8)),
+              [times, intensities[0], *phases])
     click.echo(f"members=8 points={points} intensity_spread={spread:.3e}")
 
 

@@ -12,6 +12,7 @@ yields every band-limited waveform sharing the intensity, 2^N0 of them.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -289,8 +290,14 @@ def _convolve_rows(rows: np.ndarray, factor: np.ndarray) -> np.ndarray:
     return out
 
 
-# samples so small or so large that the spectrum or the root iteration leave
-# the float64 range raise FloatingPointError instead of warning
+def _ldexp(z, exponent: int) -> np.ndarray:
+    """Complex z times 2**exponent: exact while the result stays normal, and
+    defined where 2**exponent itself is not a float."""
+    return np.ldexp(np.ascontiguousarray(z).view(np.float64), exponent).view(np.complex128)
+
+
+# members that leave the float64 range raise FloatingPointError instead of
+# warning
 @np.errstate(divide="raise", over="raise", invalid="raise")
 def enumerate_family(sig: PeriodicSignal, max_flips: int = DEFAULT_FLIP_CAP) -> EqualIntensityFamily:
     """Enumerate the 2^N0 waveforms sharing the intensity of ``sig``.
@@ -307,11 +314,24 @@ def enumerate_family(sig: PeriodicSignal, max_flips: int = DEFAULT_FLIP_CAP) -> 
     group as ``[rows * unflipped, rows * flipped]``, which puts the members in
     binary counting order of the flip pattern.  Reflected zeros at the origin
     contribute the factor 1, as in :func:`flip_zeros`.
+
+    The zeros do not depend on the signal's scale, so the samples are scaled
+    by a power of two to a largest component in [0.5, 1) before the spectrum
+    is taken, and the members are scaled back: both exact, so that huge
+    samples neither overflow the spectrum nor change a bit elsewhere.
+    Samples whose largest component is subnormal are refused (ValueError):
+    at that scale a member would round to a few bits.
     """
     if max_flips < 0:
         raise ValueError(f"max_flips must be at least 0, got {max_flips}")
-    spec = samples_to_spectrum(sig)
-    zs = find_zeros(spec)
+    peak = float(np.max(np.abs([sig.samples.real, sig.samples.imag])))
+    if 0.0 < peak < np.finfo(np.float64).tiny:
+        raise ValueError(
+            f"samples peak at {peak:.3g}, below the smallest normal float64 "
+            f"{np.finfo(np.float64).tiny:.3g}: members at that scale would round to a few bits"
+        )
+    shift = int(np.frexp(peak)[1])
+    zs = find_zeros(samples_to_spectrum(PeriodicSignal(sig.M, sig.B, _ldexp(sig.samples, -shift))))
     groups = _flip_groups(zs)
     if len(groups) > max_flips:
         raise EnumerationCapError(
@@ -331,8 +351,10 @@ def enumerate_family(sig: PeriodicSignal, max_flips: int = DEFAULT_FLIP_CAP) -> 
         masks += [mask | group for mask in masks]
     coeffs = np.zeros((len(rows), sig.M), dtype=np.complex128)
     coeffs[:, : rows.shape[1]] = rows
-    samples = np.fft.fft(coeffs, axis=1) * canonical_rotation(coeffs)
+    samples = _ldexp(np.fft.fft(coeffs, axis=1) * canonical_rotation(coeffs), shift)
     samples.setflags(write=False)
+    leading = complex(np.ldexp(zs.leading.real, shift), np.ldexp(zs.leading.imag, shift))
+    zs = dataclasses.replace(zs, leading=leading)
     return EqualIntensityFamily(base=sig, zeroset=zs, masks=tuple(masks), samples=samples)
 
 

@@ -5,6 +5,7 @@ import os
 import sys
 import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -558,6 +559,39 @@ class TestCapacitySearch:
             capacity_prior_search(np.array([[1.0, 0.0], [0.3, 0.7]]), M=1)
 
 
+class TestI0e:
+    """The square-law densities' exp(-z) I0(z), against scipy's Cephes i0e."""
+
+    EDGES = [0.0, 5e-324, 1e-300, np.nextafter(8.0, 0.0), 8.0, np.nextafter(8.0, 9.0), 1e300, np.inf]
+
+    @staticmethod
+    def assert_bitwise_scipy(z):
+        from scipy import special
+
+        expected = special.i0e(z).view(np.int64)
+        kept, out = z.copy(), np.empty_like(z)
+        assert channel._i0e(z, out) is out
+        np.testing.assert_array_equal(out.view(np.int64), expected)
+        np.testing.assert_array_equal(z, kept)
+        # in place, as the densities call it
+        assert channel._i0e(z, z) is z
+        np.testing.assert_array_equal(z.view(np.int64), expected)
+
+    def test_edges(self):
+        self.assert_bitwise_scipy(np.array(self.EDGES))
+        for z in self.EDGES:  # each on its own, so that every branch runs whole
+            self.assert_bitwise_scipy(np.array([z]))
+
+    @pytest.mark.parametrize("low, high", [(0.0, 8.0), (8.0, 1e3), (0.0, 40.0)])
+    def test_random_draws_in_each_branch(self, low, high):
+        rng = np.random.default_rng(int(high))
+        self.assert_bitwise_scipy(rng.uniform(low, high, 100_000))
+
+    def test_random_magnitudes(self):
+        rng = np.random.default_rng(0)
+        self.assert_bitwise_scipy(np.exp(rng.uniform(-745.0, 709.0, 100_000)).reshape(10, 100, 100))
+
+
 class TestMonteCarloBlocks:
     """The Monte-Carlo blocks' statistics, pooled in block order."""
 
@@ -744,26 +778,34 @@ class TestMonteCarlo:
 
     def test_many_workers_share_the_block_budget(self, monkeypatch):
         # direct BPSK M=12: one row is 4096 waveforms x 24 outputs = 98304
-        # entries and the budget holds 16 rows, so 96 workers of one row each
-        # would hold six budgets of density terms between them
-        monkeypatch.setattr(channel, "MC_BLOCK_ELEMENTS", 16 * 98304)
+        # entries, a block holds 16 rows and the budget 64, so the budget
+        # admits four workers of the 96 asked for; 96 workers of a block each
+        # would hold 24 budgets of density terms between them
+        monkeypatch.setattr(channel, "MC_BLOCK_ELEMENTS", 64 * 98304)
         monkeypatch.setattr(channel, "MC_WORKERS", 96)
+        workers = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(channel, "ThreadPoolExecutor", RecordingPool)
         tracemalloc.start()
         try:
             mc_mi("direct", psk(2), NoiseSpec(snr=10.0, seed=1), 200, M=12)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert workers == [4]
         assert peak < 5 * 8 * channel.MC_BLOCK_ELEMENTS  # five float64 block temporaries
 
     def test_densities_evaluated_once_per_distinct_value(self, monkeypatch):
         # direct QPSK M=4: 256 waveforms x 8 outputs, but only 212 distinct
         # (output, |x|^2) pairs; a full evaluation would cost 2048 per sample
-        from scipy import special
-
         calls = []
-        i0e = special.i0e
-        monkeypatch.setattr(special, "i0e", lambda z: calls.append(np.size(z)) or i0e(z))
+        i0e = channel._i0e
+        monkeypatch.setattr(channel, "_i0e", lambda z, out: calls.append(np.size(z)) or i0e(z, out))
         n = 4_000
         mc_mi("direct", psk(4), NoiseSpec(snr=30.0, seed=1), n, M=4)
         assert 0 < sum(calls) <= n * (212 + 8)
@@ -773,7 +815,8 @@ class TestMonteCarlo:
         # its density terms alone cost 16 KiB per sample.  Its blocks hold 256
         # rows and draw their own symbols and noise, so ten times the samples
         # means more blocks, not larger ones.  One worker, so that no two
-        # blocks' temporaries coincide at random; a first call loads scipy
+        # blocks' temporaries coincide at random; an untraced first call keeps
+        # one-time set-up out of the peaks
         monkeypatch.setattr(channel, "MC_WORKERS", 1)
         mc_mi("direct", psk(4), NoiseSpec(snr=30.0, seed=1), 100, M=4)
         peaks = {}

@@ -61,9 +61,8 @@ def inputs(tmp_path_factory):
     return path
 
 
-# scipy costs about half a second and 40 MiB at every start: only the
-# kernels that need it import it, so of the commands only square-law mi
-# loads it
+# scipy costs about a third of a second and 23 MiB at every start: only the
+# noisy chain_bound_check imports it, so no command loads it
 _SCIPY_FREE_RUN = """
 import os
 import sys
@@ -86,6 +85,8 @@ for args in (
     ["figure2", "--output", "fig.csv"],
     ["mi", "--n-samples", "1000"],
     ["mi", "--input-model", "qpsk", "--M", "2", "--n-samples", "1000"],
+    ["mi", "--receiver", "intensity", "--n-samples", "1000"],
+    ["mi", "--receiver", "direct", "--input-model", "qpsk", "--M", "2", "--n-samples", "1000"],
     ["counting", "--constellation", "qpsk", "--M", "4"],
     ["counting", "--constellation", "bpsk", "--M", "9"],
 ):
@@ -99,8 +100,8 @@ def test_commands_without_scipy_kernels_leave_it_unloaded(tmp_path):
     result = subprocess.run([sys.executable, "-c", _SCIPY_FREE_RUN, str(tmp_path)],
                             capture_output=True, text=True, check=True)
     lines = result.stdout.splitlines()
-    # a line after the import, ten summaries, the chain-bound gap, a line after the runs
-    assert len(lines) == 13
+    # a line after the import, twelve summaries, the chain-bound gap, a line after the runs
+    assert len(lines) == 15
     assert lines[0] == lines[-1] == "[]"
 
 
@@ -173,6 +174,7 @@ class TestEnumerate:
     @example([(1.0, 0.0), (math.nan, 0.0)], 1.0, 20)
     @example([(1e308, -1e308), (1e308, 1e308), (-1e308, 0.0)], 1.0, 20)  # power overflows
     @example([(5e-324, 0.0), (0.0, -5e-324), (5e-324, 5e-324)], 1.0, 20)  # subnormal
+    @example([(1e-300, 0.0), (5e-324, 0.0), (0.0, -1e-310)], 1.0, 20)  # normal peak, subnormal rest
     @example([(1.0, 0.0), (0.5, 0.25)], math.inf, 20)
     @example([(1.0, 0.0), (0.5, 0.25), (-0.3, 0.1)], 1.0, 2**200)
     def test_extreme_arguments_exit_cleanly(self, inputs, samples, bandwidth, max_flips):
@@ -180,6 +182,24 @@ class TestEnumerate:
         sig_path.write_text(json.dumps({"M": len(samples), "B": bandwidth, "samples": samples}))
         args = ["enumerate", "--input", str(sig_path), "--output", str(inputs / "out"), "--max-flips", str(max_flips)]
         assert_clean_exit(CliRunner().invoke(main, args), "members=")
+
+    def test_subnormal_samples_exit_3_naming_their_scale(self, runner, tmp_path):
+        sig_path = tmp_path / "sig.json"
+        sig_path.write_text(json.dumps({"M": 3, "B": 1.0, "samples": [[5e-324, 0], [0, -5e-324], [5e-324, 5e-324]]}))
+        result = runner.invoke(main, ["enumerate", "--input", str(sig_path), "--output", str(tmp_path / "o.json")])
+        assert result.exit_code == 3
+        assert result.stderr.startswith("error: samples peak at 4.94e-324, below the smallest normal float64")
+
+    def test_huge_samples_enumerate_with_their_intensity(self, runner, tmp_path):
+        # their spectrum overflowed before the samples were scaled to about 1
+        sig_path, fam_path = tmp_path / "sig.json", tmp_path / "family.json"
+        samples = [[1e308, -1e308], [1e308, 1e308], [-1e308, 0.0]]
+        sig_path.write_text(json.dumps({"M": 3, "B": 1.0, "samples": samples}))
+        run_ok(runner, ["enumerate", "--input", str(sig_path), "--output", str(fam_path)])
+        members = [m["signal"]["samples"] for m in json.loads(fam_path.read_text())["members"]]
+        moduli = np.hypot(*np.moveaxis(np.array(members), -1, 0))
+        assert len(members) == 4
+        np.testing.assert_allclose(moduli, np.broadcast_to(np.hypot(*np.array(samples).T), moduli.shape), rtol=1e-8)
 
 
 class TestRefusals:

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from ddcap import enumerate_family, intensity_grid, random_signal
+from ddcap import formats
 from ddcap.formats import (
     read_experiment_json,
     read_intensity_csv,
     read_signal_json,
     signal_from_dict,
+    write_csv,
     write_family_json,
     write_intensity_csv,
     write_report_json,
@@ -50,6 +52,18 @@ def test_intensity_csv_roundtrip_is_bit_exact(tmp_path, rng):
     back = read_intensity_csv(path)
     assert np.array_equal(back.values, grid.values)  # 17 significant digits round-trip
     assert back.rate == pytest.approx(grid.rate, rel=1e-15)
+
+
+@pytest.mark.parametrize("rows", [0, 1, formats._CSV_BLOCK_ROWS, 2 * formats._CSV_BLOCK_ROWS + 1])
+def test_csv_rows_match_a_row_by_row_writer(tmp_path, rows):
+    rng = np.random.default_rng(rows)
+    columns = [rng.standard_normal(rows) * 10.0 ** rng.integers(-320, 300, rows) for _ in range(3)]
+    for column, value in zip(columns, (-0.0, np.inf, np.nan)):
+        column[rows // 2 :: 97] = value
+    path = tmp_path / "table.csv"
+    write_csv(path, "a,b,c", columns)
+    expected = "a,b,c\n" + "".join(f"{a:.17g},{b:.17g},{c:.17g}\n" for a, b, c in zip(*columns))
+    assert path.read_text() == expected
 
 
 def test_intensity_csv_rejects_nonuniform_grid(tmp_path):

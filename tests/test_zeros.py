@@ -4,6 +4,7 @@ import pytest
 from ddcap import (
     EnumerationCapError,
     OnCircleFlipError,
+    PeriodicSignal,
     canonicalize_phase,
     embed_finite_support,
     enumerate_family,
@@ -260,6 +261,22 @@ class TestEnumerateFamily:
         assert not fam.samples.flags.writeable
         assert [m for m, _ in fam.members] == list(fam.masks)
         assert all(np.array_equal(s.samples, row) for s, row in zip(fam.signals, fam.samples))
+
+    @pytest.mark.parametrize("exponent", [-960, -600, -1, 3, 600, 1020])
+    def test_scaling_by_a_power_of_two_scales_the_members_exactly(self, rng, exponent):
+        # the zeros do not depend on the scale, so the members keep their bits
+        sig = random_coeff_signal(rng, 6)
+        fam = enumerate_family(sig)
+        scaled = enumerate_family(PeriodicSignal(sig.M, sig.B, sig.samples * 2.0**exponent))
+        assert scaled.masks == fam.masks
+        assert np.array_equal(scaled.samples, fam.samples * 2.0**exponent)
+        assert np.array_equal(scaled.zeroset.zeros, fam.zeroset.zeros)
+        assert scaled.zeroset.leading == fam.zeroset.leading * 2.0**exponent
+
+    def test_subnormal_samples_are_refused_naming_their_scale(self):
+        sig = PeriodicSignal(3, 1.0, [5e-324, -5e-324j, 5e-324 + 5e-324j])
+        with pytest.raises(ValueError, match="samples peak at 4.94e-324, below the smallest normal"):
+            enumerate_family(sig)
 
     def test_zero_at_origin_flips_to_a_constant_phase(self):
         # F_0 = 0 puts a zero at the origin; its reflection lies at infinity,
