@@ -91,23 +91,41 @@ def read_intensity_csv(path) -> SampledIntensity:
     return SampledIntensity(rate=rate, values=vals)
 
 
-def family_to_dict(fam: EqualIntensityFamily) -> dict:
-    zs = fam.zeroset
-    M, B = fam.base.M, fam.base.B
-    pairs = np.stack([fam.samples.real, fam.samples.imag], axis=-1).tolist()  # (members, M, 2)
-    return {
-        "base": signal_to_dict(fam.base),
-        "zeros": [[float(z.real), float(z.imag)] for z in zs.zeros],
-        "on_circle": [bool(b) for b in zs.on_circle],
-        "members": [
-            {"mask": mask, "signal": {"M": M, "B": B, "samples": samples}}
-            for mask, samples in zip(fam.masks, pairs)
-        ],
-    }
+#: Members formatted and written at a time when a family is written: the
+#: members' Python floats and text are held for one block, not the family.
+_FAMILY_BLOCK_ROWS = 1 << 8
 
 
 def write_family_json(path, fam: EqualIntensityFamily):
-    _write_json(path, family_to_dict(fam))
+    """Family JSON: keys base, members, on_circle and zeros, as ``_write_json``
+    would write them, with a ``{"mask", "signal"}`` record per member.
+
+    The members are streamed a block at a time through one template, whose
+    ``%d`` and ``%r`` print ints and finite floats as the JSON encoder does.
+    Non-finite samples, which it prints as ``Infinity`` or ``NaN``, are
+    refused (ValueError).
+    """
+    rows = np.ascontiguousarray(fam.samples).view(np.float64)  # (members, 2M): re, im, re, ...
+    if not np.isfinite(rows).all():
+        raise ValueError("family samples must be finite")
+    zs = fam.zeroset
+    skeleton = {
+        "base": signal_to_dict(fam.base),
+        "members": [],
+        "on_circle": [bool(b) for b in zs.on_circle],
+        "zeros": [[float(z.real), float(z.imag)] for z in zs.zeros],
+    }
+    head, tail = json.dumps(skeleton, sort_keys=True).split('"members": []')
+    B, M = json.dumps(fam.base.B), json.dumps(fam.base.M)
+    pairs = ", ".join(["[%r, %r]"] * fam.base.M)
+    member = f'{{"mask": %d, "signal": {{"B": {B}, "M": {M}, "samples": [{pairs}]}}}}'
+    with open(path, "w") as fh:
+        fh.write(head + '"members": [')
+        for start in range(0, len(rows), _FAMILY_BLOCK_ROWS):
+            block = slice(start, start + _FAMILY_BLOCK_ROWS)
+            text = ", ".join([member % (mask, *row) for mask, row in zip(fam.masks[block], rows[block].tolist())])
+            fh.write((", " if start else "") + text)
+        fh.write("]" + tail + "\n")
 
 
 def write_report_json(path, report: dict):

@@ -296,6 +296,26 @@ def _ldexp(z, exponent: int) -> np.ndarray:
     return np.ldexp(np.ascontiguousarray(z).view(np.float64), exponent).view(np.complex128)
 
 
+def _unit_spectrum(sig: PeriodicSignal) -> tuple[SpectralPoly, int]:
+    """The spectrum of ``sig`` scaled by a power of two to a largest sample
+    component in [0.5, 1), and the exponent ``shift`` that scales back.
+
+    The zeros do not depend on the signal's scale, and both scalings are
+    exact, so a result built at unit scale and restored by
+    ``_ldexp(..., shift)`` has the bits it would have had unscaled wherever
+    that did not overflow.  Samples whose largest component is subnormal are
+    refused (ValueError): at that scale a result would round to a few bits.
+    """
+    peak = float(np.max(np.abs([sig.samples.real, sig.samples.imag])))
+    if 0.0 < peak < np.finfo(np.float64).tiny:
+        raise ValueError(
+            f"samples peak at {peak:.3g}, below the smallest normal float64 "
+            f"{np.finfo(np.float64).tiny:.3g}: results at that scale would round to a few bits"
+        )
+    shift = int(np.frexp(peak)[1])
+    return samples_to_spectrum(PeriodicSignal(sig.M, sig.B, _ldexp(sig.samples, -shift))), shift
+
+
 # members that leave the float64 range raise FloatingPointError instead of
 # warning
 @np.errstate(divide="raise", over="raise", invalid="raise")
@@ -315,23 +335,14 @@ def enumerate_family(sig: PeriodicSignal, max_flips: int = DEFAULT_FLIP_CAP) -> 
     binary counting order of the flip pattern.  Reflected zeros at the origin
     contribute the factor 1, as in :func:`flip_zeros`.
 
-    The zeros do not depend on the signal's scale, so the samples are scaled
-    by a power of two to a largest component in [0.5, 1) before the spectrum
-    is taken, and the members are scaled back: both exact, so that huge
-    samples neither overflow the spectrum nor change a bit elsewhere.
-    Samples whose largest component is subnormal are refused (ValueError):
-    at that scale a member would round to a few bits.
+    The zeros are found at unit scale (:func:`_unit_spectrum`, which refuses
+    subnormal samples) and the members scaled back, so huge samples neither
+    overflow the spectrum nor change a bit elsewhere.
     """
     if max_flips < 0:
         raise ValueError(f"max_flips must be at least 0, got {max_flips}")
-    peak = float(np.max(np.abs([sig.samples.real, sig.samples.imag])))
-    if 0.0 < peak < np.finfo(np.float64).tiny:
-        raise ValueError(
-            f"samples peak at {peak:.3g}, below the smallest normal float64 "
-            f"{np.finfo(np.float64).tiny:.3g}: members at that scale would round to a few bits"
-        )
-    shift = int(np.frexp(peak)[1])
-    zs = find_zeros(samples_to_spectrum(PeriodicSignal(sig.M, sig.B, _ldexp(sig.samples, -shift))))
+    spec, shift = _unit_spectrum(sig)
+    zs = find_zeros(spec)
     groups = _flip_groups(zs)
     if len(groups) > max_flips:
         raise EnumerationCapError(
@@ -358,20 +369,25 @@ def enumerate_family(sig: PeriodicSignal, max_flips: int = DEFAULT_FLIP_CAP) -> 
     return EqualIntensityFamily(base=sig, zeroset=zs, masks=tuple(masks), samples=samples)
 
 
+# as in enumerate_family, a member that leaves the float64 range raises
+# FloatingPointError instead of warning
+@np.errstate(divide="raise", over="raise", invalid="raise")
 def min_phase_member(sig: PeriodicSignal) -> PeriodicSignal:
     """The family member with no zeros strictly inside the unit circle.
 
     Obtained by reflecting exactly the inside zeros to the outside; the result
-    is phase-canonical.
+    is phase-canonical.  It is built at unit scale and scaled back, as the
+    members of :func:`enumerate_family` are, so subnormal samples are refused
+    (ValueError) and huge ones keep their bits.
     """
-    spec = samples_to_spectrum(sig)
+    spec, shift = _unit_spectrum(sig)
     zs = find_zeros(spec)
     mask = 0
     for i in range(len(zs.zeros)):
         if zs.inside[i]:
             mask |= 1 << i
-    flipped = flip_zeros(spec, mask, zeroset=zs)
-    return canonicalize_phase(spectrum_to_samples(flipped))
+    member = canonicalize_phase(spectrum_to_samples(flip_zeros(spec, mask, zeroset=zs)))
+    return PeriodicSignal(sig.M, sig.B, _ldexp(member.samples, shift))
 
 
 def embed_finite_support(payload, M_prime: int, B: float = 1.0) -> PeriodicSignal:

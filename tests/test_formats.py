@@ -1,15 +1,27 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
+from hypothesis import example, given, settings, strategies as st
 
-from ddcap import enumerate_family, intensity_grid, random_signal
+from ddcap import (
+    EqualIntensityFamily,
+    PeriodicSignal,
+    embed_finite_support,
+    enumerate_family,
+    intensity_grid,
+    random_signal,
+)
 from ddcap import formats
+from ddcap.cli import main
 from ddcap.formats import (
     read_experiment_json,
     read_intensity_csv,
     read_signal_json,
     signal_from_dict,
+    signal_to_dict,
     write_csv,
     write_family_json,
     write_intensity_csv,
@@ -91,6 +103,78 @@ def test_family_json_schema(tmp_path):
     assert [m["mask"] for m in data["members"]] == sorted(m["mask"] for m in data["members"])
     member = signal_from_dict(data["members"][0]["signal"])
     assert member.M == 4
+
+
+def family_dict(fam):
+    """The family as the dict whose sorted-key ``json.dumps`` the family JSON is."""
+    zs = fam.zeroset
+    M, B = fam.base.M, fam.base.B
+    pairs = np.stack([fam.samples.real, fam.samples.imag], axis=-1).tolist()  # (members, M, 2)
+    return {
+        "base": signal_to_dict(fam.base),
+        "zeros": [[float(z.real), float(z.imag)] for z in zs.zeros],
+        "on_circle": [bool(b) for b in zs.on_circle],
+        "members": [
+            {"mask": mask, "signal": {"M": M, "B": B, "samples": samples}}
+            for mask, samples in zip(fam.masks, pairs)
+        ],
+    }
+
+
+def assert_same_family_text(got, expected):
+    # member by member: pytest would diff the one-line texts character by character
+    assert got.split('{"mask": ') == expected.split('{"mask": ')
+
+
+@st.composite
+def family_inputs(draw):
+    M = draw(st.integers(1, 10))
+    B = draw(st.sampled_from([1, 3, 0.75, 2.5e9]))
+    if M >= 4 and draw(st.booleans()):  # on-circle zeros from the zero guard samples
+        payload = random_signal(draw(st.integers(1, M // 4)), seed=draw(st.integers(0, 99))).samples
+        samples = embed_finite_support(payload, M).samples
+    else:
+        samples = random_signal(M, seed=draw(st.integers(0, 2**32 - 1))).samples
+    exponent = draw(st.integers(-1000, 1000))
+    return PeriodicSignal(M, B, np.ldexp(samples.view(np.float64), exponent).view(np.complex128))
+
+
+@settings(max_examples=60, deadline=None)
+@given(sig=family_inputs())
+@example(sig=PeriodicSignal(1, 1, [0.5 - 2j]))  # no zeros, one member
+@example(sig=embed_finite_support([1.0, -0.5j], 8, B=2))
+def test_family_json_is_the_sorted_json_of_its_dict(tmp_path_factory, sig):
+    fam = enumerate_family(sig)
+    path = tmp_path_factory.mktemp("family") / "family.json"
+    write_family_json(path, fam)
+    assert_same_family_text(path.read_text(), json.dumps(family_dict(fam), sort_keys=True) + "\n")
+
+
+def test_family_json_refuses_non_finite_samples(tmp_path):
+    fam = enumerate_family(random_signal(3, seed=1))
+    samples = fam.samples.copy()
+    samples[1, 2] = complex(np.inf, 0.0)
+    hand_built = EqualIntensityFamily(fam.base, fam.zeroset, fam.masks, samples)
+    with pytest.raises(ValueError, match="finite"):
+        write_family_json(tmp_path / "family.json", hand_built)
+
+
+# SHA-256 of ``ddcap enumerate`` output, fixed so that no writer change
+# drifts from the published bytes unnoticed
+@pytest.mark.parametrize(
+    "M, size, digest",
+    [
+        (10, 254595, "9cd96bf12c116111db3183ca274eb15a709e45c1e593a1128c186299370f51b0"),
+        (1, 230, "fe3cf18dc311584169fa8ef65dcb0c039cd5d00fbf544c680c3118e0ef65d409"),
+    ],
+)
+def test_enumerate_output_is_pinned(tmp_path, M, size, digest):
+    write_signal_json(tmp_path / "sig.json", random_signal(M, seed=5))
+    args = ["enumerate", "--input", str(tmp_path / "sig.json"), "--output", str(tmp_path / "family.json")]
+    result = CliRunner().invoke(main, args, catch_exceptions=False)
+    assert result.exit_code == 0, result.output
+    data = (tmp_path / "family.json").read_bytes()
+    assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
 
 
 def test_writers_are_deterministic(tmp_path):

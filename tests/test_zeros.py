@@ -314,6 +314,40 @@ class TestMinPhaseMember:
         result = min_phase_member(sig)
         assert phase_distance(sig, result) < 1e-14
 
+    @pytest.mark.filterwarnings("error")
+    def test_subnormal_samples_are_refused_naming_their_scale(self):
+        sig = PeriodicSignal(3, 1.0, [5e-324, -5e-324j, 5e-324 + 5e-324j])
+        with pytest.raises(ValueError, match="samples peak at 4.94e-324, below the smallest normal"):
+            min_phase_member(sig)
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_samples_scale_the_member_exactly(self):
+        samples = np.array([1e308, -1e308j, 5e307 + 5e307j])
+        result = min_phase_member(PeriodicSignal(3, 1.0, samples))
+        reference = min_phase_member(PeriodicSignal(3, 1.0, samples * 2.0**-1000))
+        assert np.array_equal(result.samples, reference.samples * 2.0**1000)
+        assert not find_zeros(samples_to_spectrum(reference)).inside.any()
+
+    # bits of the minimum-phase member, fixed so that the scaling around the
+    # zero search changes none of them
+    @pytest.mark.parametrize(
+        "M, seed, bits",
+        [
+            (3, 1, "0x1.64f79da4aab2fp-2 0x1.015fd00e288b0p-1 0x1.ec8602a73c134p-1 "
+                   "-0x1.a7b8347c9784bp-3 0x1.3bd65958f2cd6p-1 -0x1.2ee385de0553cp-2"),
+            (4, 2, "0x1.62261bfca0952p+0 0x1.c89571693611fp-1 0x1.55c2f72464e6bp-3 "
+                   "-0x1.3cc3eadad9ef1p-2 0x1.e9749a1d2102ep-1 -0x1.c6d71c37adc8ep-3 "
+                   "0x1.62d01c876e7dep+0 -0x1.70fb69dbbb501p-2"),
+            (5, 3, "0x1.6a83e77f83bb3p-5 -0x1.66e3b4ba934dap-2 0x1.297d7930fe00ep+0 "
+                   "0x1.632036054fdb7p-1 0x1.15bdb93bdc91dp-2 0x1.2bd79cf23dac4p-4 "
+                   "0x1.50027c085713dp+1 -0x1.1a605248a071bp+0 0x1.c0999d3d08a3cp+0 "
+                   "0x1.5f97554af2f94p-1"),
+        ],
+    )
+    def test_random_signal_bits_are_pinned(self, M, seed, bits):
+        result = min_phase_member(random_signal(M, seed=seed))
+        assert " ".join(float(x).hex() for x in result.samples.view(np.float64)) == bits
+
 
 class TestEmbedFiniteSupport:
     def test_single_sample_payload(self):
