@@ -54,7 +54,6 @@ from .channel import (
     chain_bound_check,
     counting_entropy,
     detect_coherent,
-    detect_direct,
     detect_intensity_channel,
     exact_mi,
     inband_noise_coefficients,

@@ -23,7 +23,9 @@ from __future__ import annotations
 import collections
 import functools
 import itertools
+import math
 import os
+import threading
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -34,7 +36,8 @@ import numpy as np
 # quantized channel (scipy.special's chi-square CDFs): loading it costs a
 # process about a third of a second and 23 MiB at start-up
 
-# canonicalize_phase stays bound here: a call site perfbench/spans.py wraps
+# canonicalize_phase and intensity_grid stay bound here: call sites
+# perfbench/spans.py wraps
 from .signals import (
     PeriodicSignal,
     canonical_rotation,
@@ -96,7 +99,25 @@ def inband_noise_coefficients(M: int, total_variance: float, rng, size=None) -> 
     average of the noise field power equals ``total_variance``.
     """
     shape = (M,) if size is None else (size, M)
-    return np.sqrt(total_variance / (2.0 * M)) * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    coeffs = np.empty(shape, dtype=np.complex128)
+    return _inband_noise(M, total_variance, rng, coeffs, np.empty((2, coeffs.size)))
+
+
+def _circular_normal(rng, out, work):
+    """a + 1j b into the complex array out, where a and then b are drawn as
+    standard normals in out's shape into the first two rows of the float
+    array work."""
+    a, b = (row[: out.size].reshape(out.shape) for row in work[:2])
+    rng.standard_normal(out=a)
+    rng.standard_normal(out=b)
+    np.multiply(1j, b, out=out)
+    return np.add(a, out, out=out)
+
+
+def _inband_noise(M, total_variance, rng, out, work):
+    """inband_noise_coefficients into the complex array out of shape (..., M),
+    with work as _circular_normal's scratch."""
+    return np.multiply(np.sqrt(total_variance / (2.0 * M)), _circular_normal(rng, out, work), out=out)
 
 
 def apply_noise(sig: PeriodicSignal, noise: NoiseSpec) -> PeriodicSignal:
@@ -117,15 +138,6 @@ def apply_noise(sig: PeriodicSignal, noise: NoiseSpec) -> PeriodicSignal:
 def detect_coherent(sig: PeriodicSignal) -> np.ndarray:
     """The M complex rate-B samples: a lossless representation of the field."""
     return sig.samples.copy()
-
-
-def detect_direct(sig: PeriodicSignal) -> np.ndarray:
-    """The 2M intensity samples at rate 2B.
-
-    Even entries are |E_n|^2; odd entries are the half-sample intensities that
-    carry the phase-difference information.
-    """
-    return intensity_grid(sig, oversample=2).values
 
 
 def detect_intensity_channel(sig: PeriodicSignal) -> np.ndarray:
@@ -572,8 +584,11 @@ def capacity_prior_search(conditional, M: int):
 # Monte-Carlo estimator
 
 #: Largest number of Monte-Carlo density terms, one per (row, symbol,
-#: alphabet entry, output), in the evaluation blocks in flight at once.  A
-#: waveform with more terms than this is refused.
+#: alphabet entry, output), in the evaluation blocks in flight at once: it
+#: caps a block's rows and the threads that evaluate blocks together.  A
+#: waveform with more terms than this is refused.  A block holds far fewer
+#: than its terms: one density per distinct (output, value), its per-symbol
+#: sums, and its thread's fixed scratch.
 MC_BLOCK_ELEMENTS = 1 << 22
 
 #: Threads that evaluate Monte-Carlo blocks: one per CPU this process may run on.
@@ -612,9 +627,17 @@ class MonteCarloReport:
     closed_form_bits_per_dof: float | None = None
 
 
-def _log_field_density(y, x, v):
-    """log density of x + nu at y, nu circular with E|nu|^2 = v."""
-    return -np.abs(y - x) ** 2 / v - np.log(np.pi * v)
+def _log_field_density(y, x, v, out, work):
+    """log density of x + nu at y into out, nu circular with E|nu|^2 = v.
+
+    y is overwritten; work is unused (the square-law density's scratch).
+    """
+    # -|y - x|^2 / v - log(pi v), in that order
+    np.square(np.abs(np.subtract(y, x, out=y), out=out), out=out)
+    np.negative(out, out=out)
+    out /= v
+    out -= np.log(np.pi * v)
+    return out
 
 
 #: Chebyshev coefficients of exp(-z) I0(z), from the Cephes Math Library's
@@ -687,58 +710,89 @@ def _i0e_far(z, out, work):
     return np.divide(x, np.sqrt(z, out=out), out=out)
 
 
-def _i0e(z, out):
+def _i0e(z, out, work):
     """exp(-z) I0(z) for z >= 0 into out, which may be z: scipy.special.i0e
     bit for bit, without loading scipy.
 
-    A table in one branch is evaluated whole; a mixed one is gathered into
-    its two branches and scattered back, by index: boolean masks cost
-    several times more here.  The scratch is one allocation of four rows
-    the table's size: as separate arrays, freed and allocated on every call,
-    their pages were returned and faulted in again, which with two threads
-    on a 2-vCPU host cost the Monte-Carlo benchmark about 15% of its
-    throughput.
+    z and out are C-contiguous.  work is a float array of five rows of at
+    least z.size entries: three Clenshaw rows, the far branch's argument and
+    a branch's part.  A table in one branch is evaluated whole; a mixed one
+    is gathered into its two branches and scattered back, by index: boolean
+    masks cost several times more here.  Nothing the table's size is
+    allocated but its branch mask and indices, so a caller that evaluates a
+    wide table in pieces through one reused ``work`` keeps its memory to the
+    piece's size: scratch freed and allocated on every call has its pages
+    returned and faulted in again.
     """
-    near = z <= 8.0
-    work = np.empty((4, z.size))
+    flat_z, flat_out = z.reshape(-1), out.reshape(-1)  # views: both are contiguous
+    n = flat_z.size
+    near = flat_z <= 8.0
     if near.all():
-        return _i0e_near(z, out, work.reshape((4, *z.shape)))
-    if not near.any():
-        return _i0e_far(z, out, work.reshape((4, *z.shape)))
-    for index, branch in ((np.flatnonzero(near), _i0e_near), (np.flatnonzero(~near), _i0e_far)):
-        part = np.take(z, index)
-        np.put(out, index, branch(part, part, work[:, : len(index)]))
+        _i0e_near(flat_z, flat_out, work[:4, :n])
+    elif not near.any():
+        _i0e_far(flat_z, flat_out, work[:4, :n])
+    else:
+        for index, branch in ((np.flatnonzero(near), _i0e_near), (np.flatnonzero(~near), _i0e_far)):
+            # mode="clip": with out=, take's default mode buffers a copy of out
+            part = np.take(flat_z, index, out=work[4, : len(index)], mode="clip")
+            np.put(flat_out, index, branch(part, part, work[:4, : len(index)]), mode="clip")
     return out
 
 
-def _log_intensity_density(y, x, sigma2):
-    """log density of |x + nu|^2 at y (noncentral chi-square), nu circular with E|nu|^2 = sigma2."""
-    s = np.abs(x) ** 2
+def _log_intensity_density(y, s, sigma2, out, work):
+    """log density of |x + nu|^2 at y (noncentral chi-square) into out, for
+    s = |x|^2 and nu circular with E|nu|^2 = sigma2.
+
+    work is a float array of six rows of at least y.size entries: z, then
+    _i0e's five; s may be the first row, shaped like y.
+    """
     v = sigma2 / 2.0
+    z = work[0, : y.size].reshape(y.shape)
     # -log(2v) - (y + s)/(2v) + z + log(i0e(z)), z = sqrt(max(y s, 0))/v, in
-    # that order but in place: two table-sized arrays instead of eight fresh
-    # temporaries, which two threads allocating at once make slow
-    z = np.multiply(y, s)
+    # that order, in place; the first terms are formed before z, which may
+    # overwrite s
+    np.add(y, s, out=out)
+    out /= 2.0 * v
+    np.subtract(-np.log(2.0 * v), out, out=out)
+    np.multiply(y, s, out=z)
     np.maximum(z, 0.0, out=z)
     np.sqrt(z, out=z)
     z /= v
-    log_density = np.add(y, s)
-    log_density /= 2.0 * v
-    np.subtract(-np.log(2.0 * v), log_density, out=log_density)
-    log_density += z
+    out += z
     # log I0(z) = z + log(i0e(z)), overflow-safe
-    log_density += np.log(_i0e(z, z), out=z)
-    return log_density
+    out += np.log(_i0e(z, z, work[1:]), out=z)
+    return out
 
 
-def _field_gaussian_bits(y, x, v):
-    """log2 q(y|x)/p(y) for unit-power Gaussian x: y is circular Gaussian with variance 1 + v."""
-    return (-np.abs(y - x) ** 2 / v + np.abs(y) ** 2 / (1.0 + v)) * _LOG2E + np.log2((1.0 + v) / v)
+def _field_gaussian_bits(y, x, v, out, work):
+    """log2 q(y|x)/p(y) for unit-power Gaussian x into out: y is circular
+    Gaussian with variance 1 + v.  y is overwritten, and work's first row
+    is scratch."""
+    # (-|y - x|^2 / v + |y|^2 / (1 + v)) log2(e) + log2((1 + v) / v)
+    p = work[0, : y.size].reshape(y.shape)
+    np.square(np.abs(y, out=p), out=p)
+    p /= 1.0 + v
+    np.square(np.abs(np.subtract(y, x, out=y), out=out), out=out)
+    np.negative(out, out=out)
+    out /= v
+    out += p
+    out *= _LOG2E
+    out += np.log2((1.0 + v) / v)
+    return out
 
 
-def _intensity_gaussian_bits(y, x, v):
-    """log2 q(y|x)/p(y) for unit-power Gaussian x: y is exponential with mean 1 + v."""
-    return (_log_intensity_density(y, x, v) - (-np.log(1.0 + v) - y / (1.0 + v))) * _LOG2E
+def _intensity_gaussian_bits(y, x, v, out, work):
+    """log2 q(y|x)/p(y) for unit-power Gaussian x into out: y is exponential
+    with mean 1 + v.  work is _log_intensity_density's."""
+    s = work[0, : y.size].reshape(y.shape)
+    np.square(np.abs(x, out=s), out=s)
+    _log_intensity_density(y, s, v, out, work)
+    # (log q(y|x) - (-log(1 + v) - y / (1 + v))) log2(e)
+    log_p = np.divide(y, 1.0 + v, out=s)
+    np.subtract(-np.log(1.0 + v), log_p, out=log_p)
+    out -= log_p
+    out *= _LOG2E
+    return out
 
 
 def _pooled(a, b):
@@ -768,14 +822,37 @@ def _fields(coeffs, oversample):
     return np.fft.fft(coeffs, n=oversample * coeffs.shape[-1], axis=-1)
 
 
+def _view(buffer, shape):
+    """The first entries of a 1-d buffer, as a C-contiguous view of the given shape."""
+    return buffer[: math.prod(shape)].reshape(shape)
+
+
+def _pieces(rows, width, size):
+    """A (rows, width) table as rectangles (r0, r1, c0, c1) of at most
+    ``size`` entries each, as few as fit and of nearly equal size: runs of
+    whole rows where a row fits, else one row cut into runs of columns."""
+    if width <= size:
+        step = -(-rows // -(-rows // (size // width)))
+        for r0 in range(0, rows, step):
+            yield r0, min(r0 + step, rows), 0, width
+    else:
+        step = -(-width // -(-width // size))
+        for r0 in range(rows):
+            for c0 in range(0, width, step):
+                yield r0, r0 + 1, c0, min(c0 + step, width)
+
+
 @dataclass(frozen=True)
 class _Receiver:
     """One receiver as the Monte-Carlo estimator sees it."""
 
     oversample: int  # output samples per rate-B sample
     square_law: bool  # detects |field|^2 rather than the field
-    log_density: Callable  # log q(y | noiseless field x, noise variance v) per output sample
-    gaussian_bits: Callable | None  # closed-form log2 q(y|x)/p(y) under Gaussian input
+    # log q(y | key, noise variance v) per output sample into out, with work as
+    # scratch; the key of a noiseless field x is |x|^2 at a square-law
+    # receiver and x itself at the coherent one
+    log_density: Callable
+    gaussian_bits: Callable | None  # closed-form log2 q(y|x)/p(y) under Gaussian input, into out
     bound_direction: str
 
 
@@ -790,6 +867,13 @@ _RECEIVERS = {
 #: Monte-Carlo block: the rows whose draws, densities and sums are made at
 #: once, small enough to stay in cache.
 _BLOCK_ENTRIES = 1 << 16
+
+#: Density-table entries evaluated at once: a block's table is cut into
+#: pieces of this many, so each worker's scratch is fixed whatever the table's
+#: width.  Smaller pieces cost more ufunc calls per table, each of which takes
+#: the GIL back.
+_PIECE_ENTRIES = _BLOCK_ENTRIES // 2
+
 
 #: At an SNR so extreme that the float64 densities overflow, the estimator
 #: raises FloatingPointError instead of warning and returning inf or nan.
@@ -833,15 +917,25 @@ def mc_mi(
 
     The waveforms are cut into blocks of at most ``_BLOCK_ENTRIES`` mixture
     entries and at most ``MC_BLOCK_ELEMENTS`` density terms, and into at
-    least eight blocks where there are eight waveforms.  Block b draws its symbols and noise from its own stream,
-    seeded by ``SeedSequence(noise.seed, spawn_key=(b,))``, and returns the
-    count, mean and sum of squared deviations of its waveforms' values,
-    which are pooled in block order.  So the partition, every draw and the
-    estimate depend on the request alone, bit for bit, and not on the number
-    of cores.  A block is laid out outputs-major: each (output, value),
+    least eight blocks where there are eight waveforms.  Block b draws its
+    symbols and noise from its own stream, seeded by
+    ``SeedSequence(noise.seed, spawn_key=(b,))``, and returns the count,
+    mean and sum of squared deviations of its waveforms' values, which are
+    pooled in block order.  So the partition, every draw and the estimate
+    depend on the request alone, bit for bit, and not on the number of
+    cores.  A block is laid out outputs-major: each (output, value),
     alphabet entry and symbol is one vector over the block's waveforms, so
     the sums over them add whole vectors, and no (waveform, symbol,
     alphabet, output) tensor is built.
+
+    A block allocates afresh only its density table and its per-symbol
+    sums (and, at the direct receiver, its noise's fields).  Its draws,
+    noise, outputs and every density temporary go through ``out=`` into a
+    scratch that each thread allocates at its first block of the call and
+    reuses for the rest, and the table is evaluated in pieces of at most
+    ``_PIECE_ENTRIES`` entries, so the scratch does not grow with the
+    table's width.  The densities are elementwise, so neither the pieces nor
+    the reuse changes a bit of the estimate.
 
     Blocks run on a pool of one thread per CPU in the process's affinity
     mask (``MC_WORKERS``), but no more than ``MC_BLOCK_ELEMENTS`` holds
@@ -909,18 +1003,20 @@ def mc_mi(
     else:
         samples = np.array(list(itertools.product(points, repeat=length)))
         v = float(np.mean(np.abs(samples) ** 2)) / snr
-        alphabet = _fields(np.fft.ifft(samples, axis=1), rx.oversample)
+        # each output's noiseless field over the alphabet, outputs-major as
+        # a block reads it
+        columns = np.ascontiguousarray(_fields(np.fft.ifft(samples, axis=1), rx.oversample).T)
         # the density sees an alphabet entry only through its key, |x|^2 at a
-        # square-law receiver: one table row per distinct (output, key),
-        # its first entry as representative, so |rep|^2 is the key bit for bit
-        key = np.abs(alphabet) ** 2 if rx.square_law else alphabet
-        col_of, rep, gather = [], [], np.empty(alphabet.shape, dtype=np.intp)
-        for m in range(alphabet.shape[1]):
-            _, first, inverse = np.unique(key[:, m], return_index=True, return_inverse=True)
-            gather[:, m] = len(rep) + inverse
-            rep.extend(alphabet[first, m])
+        # square-law receiver: one table row per distinct (output, key), and
+        # gather[m] maps the alphabet to output m's rows
+        key = np.abs(columns) ** 2 if rx.square_law else columns
+        col_of, keys, gather = [], [], np.empty(columns.shape, dtype=np.intp)
+        for m, column in enumerate(key):
+            _, first, inverse = np.unique(column, return_index=True, return_inverse=True)
+            gather[m] = len(keys) + inverse
+            keys.extend(column[first])
             col_of.extend([m] * len(first))
-        rep, col_of = np.array(rep), np.array(col_of)
+        keys, col_of = np.array(keys), np.array(col_of)
         log_prior = -np.log(n_alpha)
 
     # the partition depends on the request alone; at least eight blocks, so
@@ -929,29 +1025,86 @@ def mc_mi(
                       -(-n_samples // 8)))
     threads = max(1, min(MC_WORKERS, MC_BLOCK_ELEMENTS // (rows * row_width)))
 
+    outputs = length * rx.oversample  # per symbol
+    y_type = np.float64 if rx.square_law else np.complex128
+    # the largest piece of a full block's table; a narrower last block is cut
+    # into pieces no larger
+    piece = max((r1 - r0) * (c1 - c0) for r0, r1, c0, c1 in
+                _pieces(1 if gaussian else len(keys), symbols * rows, _PIECE_ENTRIES))
+    local = threading.local()
+
+    def scratch():
+        """This thread's buffers: allocated for its first block of the call,
+        and reused by the rest, so a block allocates afresh only its density
+        table and its per-symbol sums."""
+        if not hasattr(local, "work"):
+            drawn, received = rows * symbols * length, rows * symbols * outputs
+            # only the square-law density needs six rows; the draws are spent
+            # before the densities' scratch is used, so they share it
+            work_rows = 6 if rx.square_law else 1
+            floats = np.empty(max(2 * drawn, work_rows * piece))
+            local.draws = floats[: 2 * drawn].reshape(2, drawn)
+            local.work = floats[: work_rows * piece].reshape(work_rows, piece)
+            local.noise = np.empty(drawn, dtype=np.complex128)
+            local.x = np.empty(rows * symbols, dtype=np.complex128)
+            # a Gaussian block's coherent output is its noise buffer
+            local.y = np.empty(0 if gaussian and not rx.square_law else received, dtype=y_type)
+            # the square-law density takes its gathered outputs in work's first
+            # row, and builds z over them; complex outputs need their own
+            complex_gather = not (gaussian or rx.square_law)
+            local.gathered = np.empty(piece, dtype=np.complex128) if complex_gather else local.work[0]
+        return local
+
     @_RAISE_ON_OVERFLOW  # pool threads do not inherit the caller's error state
     def evaluate(block):
         rng = np.random.default_rng(np.random.SeedSequence(noise.seed, spawn_key=(block,)))
         count = min(rows, n_samples - block * rows)
+        buf = scratch()
+        shape = (count, symbols, outputs)
         if gaussian:  # unit-power circular symbols
-            x = (rng.standard_normal((count, symbols, 1)) + 1j * rng.standard_normal((count, symbols, 1)))
+            x = _circular_normal(rng, _view(buf.x, shape), buf.draws)
             x /= np.sqrt(2.0)
         else:
             sent = rng.integers(0, n_alpha, size=(count, symbols))
-            x = alphabet[sent]
-        noise_coeffs = inband_noise_coefficients(length, v, rng, size=count * symbols)
-        y = x + _fields(noise_coeffs, rx.oversample).reshape(x.shape)
-        if rx.square_law:
-            y = np.abs(y) ** 2
+        coeffs = _inband_noise(length, v, rng, _view(buf.noise, (count * symbols, length)), buf.draws)
+        fields = _fields(coeffs, rx.oversample).reshape(shape)
         if gaussian:
-            bits = rx.gaussian_bits(y, x, v)[..., 0].T
+            y = np.add(x, fields, out=fields)
+            if rx.square_law:
+                y = np.abs(y, out=_view(buf.y, shape))
+                np.square(y, out=y)
+            table = np.empty(shape)
+            ys, xs, out = (a.reshape(-1) for a in (y, x, table))
+            for _, _, c0, c1 in _pieces(1, table.size, piece):
+                rx.gaussian_bits(ys[c0:c1], xs[c0:c1], v, out[c0:c1], buf.work)
+            bits = table[..., 0].T
         else:
             # outputs-major: a table row is one (output, key) over (symbols,
             # rows), so every sum below adds whole row vectors
-            table = rx.log_density(y.T[col_of], rep[:, None, None], v)
-            per_symbol = table[gather[:, 0]]
-            for m in range(1, gather.shape[1]):
-                per_symbol += table[gather[:, m]]
+            y, x = _view(buf.y, shape[::-1]), _view(buf.x, shape[:2])
+            for m in range(outputs):  # x is output m's noiseless field
+                # mode="clip" (the indices are valid): with out=, take's
+                # default mode buffers a copy of out
+                np.take(columns[m], sent, out=x, mode="clip")
+                if rx.square_law:
+                    np.abs(np.add(fields[..., m], x, out=x), out=y[m].T)
+                else:
+                    np.add(fields[..., m], x, out=y[m].T)
+            if rx.square_law:
+                np.square(y, out=y)
+            width = symbols * count
+            y = y.reshape(outputs, width)
+            table = np.empty((len(keys), width))
+            for r0, r1, c0, c1 in _pieces(len(keys), width, piece):
+                gathered = _view(buf.gathered, (r1 - r0, c1 - c0))
+                np.take(y[:, c0:c1], col_of[r0:r1], axis=0, out=gathered, mode="clip")
+                rx.log_density(gathered, keys[r0:r1, None], v, table[r0:r1, c0:c1], buf.work)
+            per_symbol = table[gather[0]]
+            for a0, a1, c0, c1 in _pieces(n_alpha, width, piece):
+                part, term = per_symbol[a0:a1, c0:c1], _view(buf.work[0], (a1 - a0, c1 - c0))
+                for m in range(1, outputs):
+                    part += np.take(table[:, c0:c1], gather[m, a0:a1], axis=0, out=term, mode="clip")
+            per_symbol = per_symbol.reshape(n_alpha, symbols, count)
             log_q = np.take_along_axis(per_symbol, sent.T[None], axis=0)[0]
             # logsumexp over the alphabet, in place: per_symbol is not read again
             peak = per_symbol.max(axis=0)

@@ -123,7 +123,9 @@ def write_family_json(path, fam: EqualIntensityFamily):
         fh.write(head + '"members": [')
         for start in range(0, len(rows), _FAMILY_BLOCK_ROWS):
             block = slice(start, start + _FAMILY_BLOCK_ROWS)
-            text = ", ".join([member % (mask, *row) for mask, row in zip(fam.masks[block], rows[block].tolist())])
+            text = ", ".join(
+                [member % (mask, *row) for mask, row in zip(fam.masks[block], rows[block].tolist())]
+            )
             fh.write((", " if start else "") + text)
         fh.write("]" + tail + "\n")
 

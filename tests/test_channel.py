@@ -22,13 +22,13 @@ from ddcap import (
     chain_bound_check,
     counting_entropy,
     detect_coherent,
-    detect_direct,
     detect_intensity_channel,
     embed_finite_support,
     enumerate_family,
     exact_mi,
     half_sample_intensity_oracle,
     inband_noise_coefficients,
+    intensity_grid,
     mc_mi,
     named_constellation,
     psk,
@@ -43,6 +43,24 @@ def constant(c, B=1.0):
 
 def binary_entropy(p):
     return -p * np.log2(p) - (1 - p) * np.log2(1 - p)
+
+
+def direct_memory_bound(points, M, rows, workers):
+    """Bytes the direct receiver's mc_mi may hold at once: per worker, one
+    block's density table and per-symbol sums plus the fixed scratch, and
+    once, the alphabet's fields, keys and gather map.
+
+    The table has a row per distinct (output, |x|^2) and the per-symbol sums
+    a row per alphabet entry, each with a column per waveform of the block.
+    The scratch is at most seven float rows of a piece, and the block's draws,
+    noise, fields and outputs, 64 bytes per (waveform, output).
+    """
+    samples = np.array(list(itertools.product(points, repeat=M)))
+    fields = np.fft.fft(np.fft.ifft(samples, axis=1), n=2 * M, axis=1)
+    distinct = sum(len(np.unique(np.abs(column) ** 2)) for column in fields.T)
+    block = 8 * rows * (distinct + len(samples))
+    scratch = 8 * 7 * channel._PIECE_ENTRIES + 64 * rows * 2 * M
+    return workers * (block + scratch) + 96 * len(samples) * 2 * M
 
 
 class TestNoise:
@@ -83,13 +101,13 @@ class TestDetectors:
         assert np.array_equal(detect_coherent(sig), sig.samples)
 
     def test_direct_constant(self):
-        out = detect_direct(constant(2.0 - 1.0j))
+        out = intensity_grid(constant(2.0 - 1.0j), 2).values
         assert np.allclose(out, 5.0)
         assert len(out) == 2
 
     def test_direct_even_entries_are_sample_intensities(self, rng):
         sig = random_coeff_signal(rng, 6)
-        out = detect_direct(sig)
+        out = intensity_grid(sig, 2).values
         assert len(out) == 12
         assert np.allclose(out[::2], np.abs(sig.samples) ** 2, atol=1e-13)
 
@@ -100,7 +118,7 @@ class TestDetectors:
         payload = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         m_prime = 16_384
         sig = embed_finite_support(payload, M_prime=m_prime)
-        out = detect_direct(sig)
+        out = intensity_grid(sig, 2).values
         offset = (m_prime - 4) // 2
         scale = np.max(out)
         for n_local in range(-1, 4):
@@ -111,7 +129,7 @@ class TestDetectors:
     def test_intensity_channel_drops_half_samples(self, rng):
         sig = random_coeff_signal(rng, 5)
         out = detect_intensity_channel(sig)
-        assert np.allclose(out, detect_direct(sig)[::2], atol=1e-13)
+        assert np.allclose(out, intensity_grid(sig, 2).values[::2], atol=1e-13)
         assert np.allclose(detect_intensity_channel(constant(1.5j)), 2.25)
 
     def test_intensity_channel_confuses_family_members(self, rng):
@@ -569,12 +587,12 @@ class TestI0e:
         from scipy import special
 
         expected = special.i0e(z).view(np.int64)
-        kept, out = z.copy(), np.empty_like(z)
-        assert channel._i0e(z, out) is out
+        kept, out, work = z.copy(), np.empty_like(z), np.empty((5, z.size))
+        assert channel._i0e(z, out, work) is out
         np.testing.assert_array_equal(out.view(np.int64), expected)
         np.testing.assert_array_equal(z, kept)
         # in place, as the densities call it
-        assert channel._i0e(z, z) is z
+        assert channel._i0e(z, z, work) is z
         np.testing.assert_array_equal(z.view(np.int64), expected)
 
     def test_edges(self):
@@ -710,6 +728,21 @@ class TestMonteCarlo:
         monkeypatch.setattr(channel, "MC_WORKERS", workers)
         if block == 4096:
             bits, se = self.SMALL_BUDGET.get((receiver, model), (bits, se))
+        self.assert_exact(receiver, model, bits, se)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("piece", [257, 4099])
+    @pytest.mark.parametrize("receiver, model, bits, se", EXACT)
+    def test_exact_values_across_pieces(self, monkeypatch, piece, workers, receiver, model, bits, se):
+        # 257 entries cut every table into several pieces, and rows wider than
+        # that into runs of columns; 4099 makes pieces of whole rows.  Neither
+        # size is a multiple of a vector width, so pieces end mid-vector
+        monkeypatch.setattr(channel, "_PIECE_ENTRIES", piece)
+        monkeypatch.setattr(channel, "MC_WORKERS", workers)
+        self.assert_exact(receiver, model, bits, se)
+
+    @staticmethod
+    def assert_exact(receiver, model, bits, se):
         name, _, M = model.partition(" M=")
         inputs = {"gaussian": "gaussian", "two-ring": np.array([0.5, 0.5j, -1.5, -1.5j])}
         points = inputs[name] if name in inputs else named_constellation(name)
@@ -732,14 +765,15 @@ class TestMonteCarlo:
 
     def test_block_exception_reaches_the_caller(self, monkeypatch):
         # the third block's densities fail while other blocks are in flight
+        # (each block's table here is one piece, so one density call)
         error = FloatingPointError("density failed")
         calls = itertools.count()
         density = channel._log_intensity_density
 
-        def failing(y, x, v):
+        def failing(*args):
             if next(calls) == 2:
                 raise error
-            return density(y, x, v)
+            return density(*args)
 
         direct = dataclasses.replace(channel._RECEIVERS["direct"], log_density=failing)
         monkeypatch.setitem(channel._RECEIVERS, "direct", direct)
@@ -751,12 +785,11 @@ class TestMonteCarlo:
         assert threading.active_count() == threads
 
     def test_failed_gather_reaches_the_caller(self, monkeypatch):
-        # a density table with no (output, value) rows makes the gather of
-        # the first output fail in every block; the error must reach the
-        # caller, and no block may be left waiting on another
-        density = channel._log_intensity_density
+        # a density that gathers past the end of its table piece fails in
+        # every block; the error must reach the caller, and no block may be
+        # left waiting on another
         direct = dataclasses.replace(
-            channel._RECEIVERS["direct"], log_density=lambda y, x, v: density(y, x, v)[:0]
+            channel._RECEIVERS["direct"], log_density=lambda y, key, v, out, work: out[[len(out)]]
         )
         monkeypatch.setitem(channel._RECEIVERS, "direct", direct)
         monkeypatch.setattr(channel, "MC_WORKERS", 2)
@@ -798,14 +831,29 @@ class TestMonteCarlo:
         finally:
             tracemalloc.stop()
         assert workers == [4]
-        assert peak < 5 * 8 * channel.MC_BLOCK_ELEMENTS  # five float64 block temporaries
+        assert peak < direct_memory_bound(psk(2), 12, rows=16, workers=4)
+
+    def test_wide_table_memory_is_bounded(self, monkeypatch):
+        # direct BPSK M=10: 1024 waveforms of 20 outputs have 5442 distinct
+        # (output, |x|^2) rows, so a 64-waveform block's table holds 348k
+        # densities.  Evaluated whole, its temporaries held several times
+        # that; in pieces, the table and a fixed scratch are all
+        monkeypatch.setattr(channel, "MC_WORKERS", 1)
+        mc_mi("direct", psk(2), NoiseSpec(snr=10.0, seed=1), 100, M=10)
+        tracemalloc.start()
+        try:
+            mc_mi("direct", psk(2), NoiseSpec(snr=10.0, seed=1), 1000, M=10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < direct_memory_bound(psk(2), 10, rows=64, workers=1)
 
     def test_densities_evaluated_once_per_distinct_value(self, monkeypatch):
         # direct QPSK M=4: 256 waveforms x 8 outputs, but only 212 distinct
         # (output, |x|^2) pairs; a full evaluation would cost 2048 per sample
         calls = []
         i0e = channel._i0e
-        monkeypatch.setattr(channel, "_i0e", lambda z, out: calls.append(np.size(z)) or i0e(z, out))
+        monkeypatch.setattr(channel, "_i0e", lambda z, *args: calls.append(np.size(z)) or i0e(z, *args))
         n = 4_000
         mc_mi("direct", psk(4), NoiseSpec(snr=30.0, seed=1), n, M=4)
         assert 0 < sum(calls) <= n * (212 + 8)
@@ -827,7 +875,7 @@ class TestMonteCarlo:
                 peaks[n] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peaks[4_000] < 5 * 8 * channel.MC_BLOCK_ELEMENTS  # five float64 block temporaries
+        assert peaks[4_000] < direct_memory_bound(psk(4), 4, rows=256, workers=1)
         assert abs(peaks[40_000] - peaks[4_000]) < 64 * 1024
 
     @pytest.mark.parametrize("kwargs, match", [
