@@ -824,6 +824,7 @@ class TestMonteCarlo:
                 super().__init__(max_workers)
 
         monkeypatch.setattr(channel, "ThreadPoolExecutor", RecordingPool)
+        threads = threading.active_count()
         tracemalloc.start()
         try:
             mc_mi("direct", psk(2), NoiseSpec(snr=10.0, seed=1), 200, M=12)
@@ -831,6 +832,8 @@ class TestMonteCarlo:
         finally:
             tracemalloc.stop()
         assert workers == [4]
+        # the workers and their scratch end with the call
+        assert threading.active_count() == threads
         assert peak < direct_memory_bound(psk(2), 12, rows=16, workers=4)
 
     def test_wide_table_memory_is_bounded(self, monkeypatch):
