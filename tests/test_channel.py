@@ -25,7 +25,6 @@ from ddcap import (
     detect_intensity_channel,
     embed_finite_support,
     enumerate_family,
-    exact_mi,
     half_sample_intensity_oracle,
     inband_noise_coefficients,
     intensity_grid,
@@ -140,29 +139,7 @@ class TestDetectors:
             assert np.max(np.abs(out - outputs[0])) < 1e-8 * outputs[0].max()
 
 
-class TestExactMI:
-    def test_noiseless_identity_channel(self):
-        ch = DiscreteChannel(prior=np.full(4, 0.25), conditional=np.eye(4), M=1)
-        est = exact_mi(ch)
-        assert est.bits_per_dof == pytest.approx(2.0, abs=1e-12)
-        assert est.method == "exact" and est.std_error == 0.0
-
-    def test_output_independent_of_input(self):
-        cond = np.tile([0.3, 0.7], (3, 1))
-        ch = DiscreteChannel(prior=np.full(3, 1 / 3), conditional=cond, M=1)
-        assert exact_mi(ch).bits_per_dof == pytest.approx(0.0, abs=1e-12)
-
-    def test_binary_symmetric_channel(self):
-        p = 0.11
-        cond = np.array([[1 - p, p], [p, 1 - p]])
-        ch = DiscreteChannel(prior=np.array([0.5, 0.5]), conditional=cond, M=1)
-        assert exact_mi(ch).bits_per_dof == pytest.approx(1 - binary_entropy(p), abs=1e-12)
-
-    def test_recomputation_is_bit_identical(self):
-        cond = np.array([[0.9, 0.1], [0.2, 0.8]])
-        ch = DiscreteChannel(prior=np.array([0.4, 0.6]), conditional=cond, M=2)
-        assert exact_mi(ch).bits_per_dof == exact_mi(ch).bits_per_dof
-
+class TestDiscreteChannel:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_pmf_rejected(self, bad):
         # a NaN row sums to NaN, which no comparison with 1 rejects
@@ -213,83 +190,12 @@ class TestChainBound:
         assert report.mi_coherent == pytest.approx(3 / 4, abs=1e-12)
         assert report.gap == pytest.approx(report.bound, abs=1e-12)
 
-    def test_noisy_m1_gap_exactly_zero(self):
-        inputs = [constant(a) for a in (0.5, 1.0, 1.5)]
-        report = chain_bound_check(inputs, noise=NoiseSpec(snr=20.0))
-        assert report.method == "exact_quantized"
-        assert report.mi_coherent > 0.5  # informative channel
-        assert report.gap == 0.0
-
-    # amplitudes, SNR, bin width factor and the float.hex of mi_coherent
-    # (= mi_direct; gap 0.0).  The on-off rows change in the last bits if
-    # amplitude 0 takes chndtr(x, 2, 0) in place of chdtr(2, x)
-    EXACT = [
-        ((0.0, 1.0), 1e-3, 0.5, "0x1.64bbd2f200000p-21"),
-        ((0.0, 1.0), 1e7, 0.1, "0x1.0000000000000p+0"),
-        ((0.5, 1.0, 1.5), 20.0, 0.25, "0x1.3b1d1389d1ca0p+0"),
-        ((0.0, 0.3, 1.0, 1.0 + 1e-9), 1e5, 0.1, "0x1.80000000000a0p+0"),
-        ((1.0, 2.0, 3.0, 4.0), 8.0, 0.5, "0x1.b5d4a2b8784f0p-1"),
-    ]
-
-    @pytest.mark.parametrize("amps, snr, width, bits", EXACT)
-    def test_noisy_exact_values(self, amps, snr, width, bits):
-        report = chain_bound_check([constant(a) for a in amps], noise=NoiseSpec(snr=snr),
-                                   bin_width_factor=width)
-        assert report.mi_coherent.hex() == report.mi_direct.hex() == bits
-        assert report.gap == 0.0
-
-    def test_noisy_snr_above_the_limit_is_refused_before_any_bin(self, monkeypatch):
-        # at 110 dB the on-off table held NaN rows and reported 0.5 bits, not 1
-        from scipy import special
-
-        def no_cdf(*_, **__):
-            raise AssertionError("bins were built for a refused SNR")
-
-        monkeypatch.setattr(special, "chndtr", no_cdf)
-        monkeypatch.setattr(special, "chdtr", no_cdf)
-        inputs = [constant(0.0), constant(1.0)]
-        with pytest.raises(ValueError, match="above 1e\\+10"):
-            chain_bound_check(inputs, noise=NoiseSpec(snr=channel.MC_SQUARE_LAW_MAX_SNR * 10))
-
-    def test_noisy_table_above_the_cap_is_refused_before_any_bin(self):
-        # the bin width follows the prior-weighted power and the range the
-        # amplitude 1: this table would need 4e8 bins, about 3 GiB a row
-        inputs = [constant(0.0), constant(1.0)]
-        tracemalloc.start()
-        try:
-            with pytest.raises(ValueError, match="2 inputs x 4e\\+08 amplitude bins exceed"):
-                chain_bound_check(inputs, prior=[1 - 1e-6, 1e-6], noise=NoiseSpec(snr=1e10))
-            with pytest.raises(ValueError, match="2 inputs x inf amplitude bins exceed"):
-                chain_bound_check(inputs, noise=NoiseSpec(snr=10.0), bin_width_factor=1e-320)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 64 * 1024
-
-    @pytest.mark.parametrize("width", [0.0, -0.1, np.nan])
-    def test_noisy_bins_must_have_a_width(self, width):
-        # 0 divided by zero and -0.1 built a table with no bins
-        with pytest.raises(ValueError, match="bin_width_factor must be positive"):
-            chain_bound_check([constant(0.0), constant(1.0)], noise=NoiseSpec(snr=10.0), bin_width_factor=width)
-
-    def test_fine_bins_where_the_cdf_is_flat_to_rounding(self):
-        # one chndtr difference among these 2261 bins is -1.1e-16, once
-        # refused as a negative probability
-        inputs = [constant(a) for a in (0.0, 0.3, 1.0)]
-        fine = chain_bound_check(inputs, noise=NoiseSpec(snr=100.0), bin_width_factor=0.01)
-        coarse = chain_bound_check(inputs, noise=NoiseSpec(snr=100.0), bin_width_factor=0.02)
-        assert fine.gap == 0.0
-        assert abs(fine.mi_coherent - coarse.mi_coherent) < 1e-3
-
-    def test_noisy_requires_m1(self, rng):
-        with pytest.raises(DensityUnavailableError):
-            chain_bound_check(qpsk_waveforms(2), noise=NoiseSpec(snr=10.0))
-
-    def test_discretization_insensitive_to_bin_halving(self):
-        inputs = [constant(a) for a in (0.4, 1.0, 1.6)]
-        coarse = chain_bound_check(inputs, noise=NoiseSpec(snr=8.0), bin_width_factor=0.25)
-        fine = chain_bound_check(inputs, noise=NoiseSpec(snr=8.0), bin_width_factor=0.125)
-        assert abs(coarse.mi_coherent - fine.mi_coherent) < 0.01
+    def test_nan_prior_is_refused(self):
+        # the NaN entry once dropped out of the entropies: 0.75 and 0.5 bits
+        prior = np.full(16, 1 / 16)
+        prior[0] = np.nan
+        with pytest.raises(ValueError, match="probability vector"):
+            chain_bound_check(qpsk_waveforms(2), prior=prior)
 
     @pytest.mark.parametrize("M", [1, 3, 4])
     def test_on_off_keying_with_the_zero_waveform(self, rng, M):
@@ -670,6 +576,26 @@ class TestMonteCarlo:
             intensity.estimate.bits_per_dof
             < coherent.estimate.bits_per_dof + 3 * coherent.estimate.std_error
         )
+
+    # amplitudes, SNR, bin width (in noise standard deviations) and the
+    # float.hex of the exact MI of the M=1 channel whose output is the bin
+    # of |y| that holds it.  The intensity |y|^2 determines that bin, so by
+    # data processing each pin is a lower bound on the intensity MI.  The
+    # alphabets hold a zero point and two near-equal |x|^2 keys
+    QUANTIZED_M1 = [
+        ((0.0, 1.0), 1e-3, 0.5, "0x1.64bbd2f200000p-21"),
+        ((0.0, 1.0), 1e7, 0.1, "0x1.0000000000000p+0"),
+        ((0.5, 1.0, 1.5), 20.0, 0.25, "0x1.3b1d1389d1ca0p+0"),
+        ((0.0, 0.3, 1.0, 1.0 + 1e-9), 1e5, 0.1, "0x1.80000000000a0p+0"),
+        ((1.0, 2.0, 3.0, 4.0), 8.0, 0.5, "0x1.b5d4a2b8784f0p-1"),
+    ]
+
+    @pytest.mark.parametrize("amps, snr, width, pin", QUANTIZED_M1)
+    def test_intensity_m1_is_above_its_quantized_channel(self, amps, snr, width, pin):
+        est = mc_mi("intensity", np.array(amps, complex), NoiseSpec(snr, seed=0), 20_000, M=1).estimate
+        bits, se = est.bits_per_dof, est.std_error
+        assert float.fromhex(pin) <= bits + 4 * se + 1e-12
+        assert bits <= np.log2(len(amps)) + 4 * se
 
     def test_direct_finite_is_flagged_lower_bound(self):
         noise = NoiseSpec(snr=10_000.0, seed=9)

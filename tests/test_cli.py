@@ -1,7 +1,9 @@
+import ast
 import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -61,8 +63,8 @@ def inputs(tmp_path_factory):
     return path
 
 
-# scipy costs about a third of a second and 23 MiB at every start: only the
-# noisy chain_bound_check imports it, so no command loads it
+# scipy costs about a third of a second and 23 MiB at every start, and only
+# the tests depend on it: no command, and nothing numpy or click import, loads it
 _SCIPY_FREE_RUN = """
 import os
 import sys
@@ -94,6 +96,20 @@ for args in (
 print(chain_bound_check(enumerate_family(random_signal(4, seed=3)).signals).gap)
 print(scipy_loaded())
 """
+
+
+def test_no_module_imports_scipy():
+    found = []
+    for path in sorted(Path(ddcap.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for name in names if name.partition(".")[0] == "scipy"]
+    assert found == []
 
 
 def test_commands_without_scipy_kernels_leave_it_unloaded(tmp_path):

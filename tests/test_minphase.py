@@ -7,7 +7,6 @@ from ddcap import (
     evaluate_field,
     find_zeros,
     intensity_grid,
-    log_magnitude_series,
     min_phase_from_intensity,
     min_phase_member,
     periodic_hilbert,
@@ -51,13 +50,6 @@ class TestPeriodicHilbert:
     def test_odd_length_rejected(self):
         with pytest.raises(ValueError, match="even"):
             periodic_hilbert(np.zeros(15))
-
-    def test_accepts_log_magnitude_series(self, rng):
-        sig = random_coeff_signal(rng, 4)
-        series = log_magnitude_series(intensity_grid(sig, 8))
-        out = periodic_hilbert(series)
-        assert out.shape == series.values.shape
-        assert abs(np.mean(series.values) - np.log(np.exp(series.values).prod() ** (1 / len(out)))) < 1e-10
 
 
 class TestMinPhaseFromIntensity:
