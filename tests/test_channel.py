@@ -156,6 +156,33 @@ class TestDiscreteChannel:
             DiscreteChannel(prior=np.array([0.5, 0.5]),
                             conditional=np.array([[0.5, 0.4], [1.0, 0.0]]), M=1)
 
+    def test_negative_entry_rejected(self):
+        # rows that sum to 1 with a negative entry are not a pmf
+        with pytest.raises(ValueError, match="nonnegative"):
+            DiscreteChannel(prior=np.array([0.5, 0.5]),
+                            conditional=np.array([[1.5, -0.5], [0.0, 1.0]]), M=1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            DiscreteChannel(prior=np.array([1.5, -0.5]), conditional=np.eye(2), M=1)
+
+    @pytest.mark.parametrize("prior, conditional", [
+        (np.full(3, 1 / 3), np.eye(2)),
+        (np.array([[0.5, 0.5]]), np.eye(2)),
+        (np.array([0.5, 0.5]), np.array([0.5, 0.5])),
+    ])
+    def test_inconsistent_shapes_rejected(self, prior, conditional):
+        with pytest.raises(ValueError, match="shapes are inconsistent"):
+            DiscreteChannel(prior=prior, conditional=conditional, M=1)
+
+    def test_dof_count_must_be_positive(self):
+        with pytest.raises(ValueError, match="M must be positive"):
+            DiscreteChannel(prior=np.array([0.5, 0.5]), conditional=np.eye(2), M=0)
+
+    def test_tables_are_float_and_read_only(self):
+        prior, cond = [1, 0], [[1, 0], [0, 1]]
+        ch = DiscreteChannel(prior=prior, conditional=cond, M=1)
+        assert ch.prior.dtype == ch.conditional.dtype == np.float64
+        assert not ch.prior.flags.writeable and not ch.conditional.flags.writeable
+
 
 def qpsk_waveforms(M):
     import itertools
@@ -196,6 +223,24 @@ class TestChainBound:
         prior[0] = np.nan
         with pytest.raises(ValueError, match="probability vector"):
             chain_bound_check(qpsk_waveforms(2), prior=prior)
+
+    @pytest.mark.parametrize("prior", [
+        np.r_[np.inf, np.full(15, 1 / 16)],
+        np.r_[-1 / 16, 3 / 16, np.full(14, 1 / 16)],
+        np.full(16, 1 / 15),
+        np.full(15, 1 / 15),
+    ], ids=["inf", "negative", "unnormalized", "short"])
+    def test_invalid_prior_is_refused(self, prior):
+        with pytest.raises(ValueError, match="probability vector"):
+            chain_bound_check(qpsk_waveforms(2), prior=prior)
+
+    def test_report_repr_is_stable(self):
+        # the counting benchmark ops hash this repr, so every field stays,
+        # noiseless method and phase quotient included
+        assert repr(chain_bound_check(qpsk_waveforms(2))) == (
+            "ChainBoundReport(mi_coherent=1.0, mi_direct=0.75, gap=0.25, bound=0.5, M=2, "
+            "method='exact_noiseless', phase_quotient=True)"
+        )
 
     @pytest.mark.parametrize("M", [1, 3, 4])
     def test_on_off_keying_with_the_zero_waveform(self, rng, M):
@@ -463,6 +508,12 @@ class TestCapacitySearch:
         assert capacity == pytest.approx(2 / 3, abs=1e-9)
         report = chain_bound_check(fam.signals, prior=prior)
         assert capacity - report.bound - 1e-9 <= report.mi_direct <= capacity + 1e-9
+
+    def test_output_independent_of_input_has_zero_capacity(self):
+        cond = np.tile([0.3, 0.7], (3, 1))
+        capacity, prior = capacity_prior_search(cond, M=1)
+        assert capacity == pytest.approx(0.0, abs=1e-12)
+        assert prior.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_noiseless_alphabet_of_eight(self):
         capacity, prior = capacity_prior_search(np.eye(8), M=2)

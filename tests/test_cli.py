@@ -98,17 +98,24 @@ print(scipy_loaded())
 """
 
 
-def test_no_module_imports_scipy():
+_MODULES = sorted(Path(ddcap.__file__).parent.glob("*.py"))
+
+
+def test_package_has_modules_to_check():
+    assert {"channel.py", "cli.py", "minphase.py"} <= {path.name for path in _MODULES}
+
+
+@pytest.mark.parametrize("path", _MODULES, ids=lambda path: path.name)
+def test_no_module_imports_scipy(path):
     found = []
-    for path in sorted(Path(ddcap.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""]
-            else:
-                continue
-            found += [f"{path.name}:{node.lineno}" for name in names if name.partition(".")[0] == "scipy"]
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        found += [f"{path.name}:{node.lineno}" for name in names if name.partition(".")[0] == "scipy"]
     assert found == []
 
 

@@ -15,6 +15,7 @@ from ddcap import (
     signal_from_zeros,
     spectrum_to_samples,
 )
+from ddcap import minphase
 from ddcap.signals import SpectralPoly
 
 from conftest import random_coeff_signal, signal_from_coeffs
@@ -129,6 +130,16 @@ class TestMinPhaseFromIntensity:
         result = min_phase_from_intensity(grid, M=4)
         assert result.regularized
         assert np.isfinite(result.residual)
+
+    def test_grid_stops_doubling_at_the_cap(self, monkeypatch):
+        # the on-circle zero needs 8192 points to meet the leak tolerance
+        zeros = [np.exp(-2j * np.pi * 0.25 / 4), 2.0 + 1.0j, -3.0]
+        grid = intensity_grid(signal_from_zeros(zeros, M=4), 16)
+        assert min_phase_from_intensity(grid, M=4).grid_size == 8192
+        monkeypatch.setattr(minphase, "_MAX_GRID", 1024)
+        result = min_phase_from_intensity(grid, M=4)
+        assert result.grid_size == 1024
+        assert result.projection_residual > 0.1 * result.tolerance
 
     def test_unrealizable_intensity_rejected(self, rng):
         # intensity of an M=16 waveform cannot come from an M=4 waveform
