@@ -39,6 +39,7 @@ from .signals import (
     canonical_rotation,
     canonicalize_phase,
     component_roots,
+    field_intensity,
     intensity_grid,
 )
 
@@ -134,7 +135,7 @@ def detect_coherent(sig: PeriodicSignal) -> np.ndarray:
 
 def detect_intensity_channel(sig: PeriodicSignal) -> np.ndarray:
     """The M intensity samples at rate B only: phase information is gone."""
-    return np.abs(sig.samples) ** 2
+    return field_intensity(sig.samples)
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +188,7 @@ class MIEstimate:
     bits_per_dof: float
     std_error: float
     method: str  # monte_carlo
-    bound_direction: str = "exact"  # exact | lower | upper
+    bound_direction: str = "exact"  # exact | lower
 
 
 # ---------------------------------------------------------------------------

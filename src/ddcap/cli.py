@@ -306,7 +306,7 @@ def cmd_simulate(input_path, output_path, receiver, snr_db, seed, oversample):
         click.echo(f"receiver=coherent samples={out.M}")
         return
     if receiver == "intensity":
-        intensity = SampledIntensity(rate=received.B, values=detect_intensity_channel(received))
+        intensity = SampledIntensity(rate=received.B, values=_guard(detect_intensity_channel, received))
     else:  # direct detection is the grid at oversample 2
         intensity = _guard(intensity_grid, received, 2 if receiver == "direct" else oversample)
     write_intensity_csv(output_path, intensity)

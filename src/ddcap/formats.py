@@ -8,6 +8,7 @@ byte-identical files.
 from __future__ import annotations
 
 import json
+import warnings
 
 import numpy as np
 
@@ -19,15 +20,34 @@ def signal_to_dict(sig: PeriodicSignal) -> dict:
     return {
         "M": sig.M,
         "B": sig.B,
-        "samples": [[float(s.real), float(s.imag)] for s in sig.samples],
+        "samples": np.ascontiguousarray(sig.samples).view(np.float64).reshape(-1, 2).tolist(),
     }
+
+
+def _sample_pairs(samples) -> np.ndarray:
+    """JSON ``samples`` as an (M, 2) float64 array of ``[re, im]`` pairs.
+
+    Numbers only, as ``complex(re, im)`` takes them: ints and bools are
+    accepted, strings, nulls and anything that is not a list of pairs raise
+    TypeError or ValueError, and an int beyond the float range OverflowError.
+    """
+    pairs = np.array(samples)
+    if pairs.dtype == object:  # ints beyond 64 bits, or values that are no numbers
+        numbers = all(isinstance(x, (int, float)) for x in pairs.flat)
+    else:
+        numbers = pairs.dtype.kind in "biuf"
+    if not numbers:
+        raise TypeError("samples must be numbers")
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValueError("samples must be a list of [re, im] pairs")
+    return pairs.astype(np.float64)
 
 
 def signal_from_dict(data: dict) -> PeriodicSignal:
     try:
-        samples = np.array([complex(re, im) for re, im in data["samples"]])
+        samples = _sample_pairs(data["samples"]).view(np.complex128)[:, 0]
         return PeriodicSignal(M=int(data["M"]), B=float(data["B"]), samples=samples)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed signal record: {exc}") from exc
 
 
@@ -71,18 +91,26 @@ def write_intensity_csv(path, intensity: SampledIntensity):
 
 
 def read_intensity_csv(path) -> SampledIntensity:
+    """Intensity CSV: a ``t,intensity`` header, then a time and an intensity
+    per line.
+
+    Lines of whitespace are skipped, and fields after the second are
+    ignored.  numpy's C parser takes the lines one at a time and keeps only
+    the two float64 columns.  A malformed file raises ValueError.
+    """
     with open(path) as fh:
         header = fh.readline().strip()
         if header.split(",")[:2] != ["t", "intensity"]:
             raise ValueError(f"expected header 't,intensity', got {header!r}")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
+        lines = (line for line in fh if not line.isspace())
+        with warnings.catch_warnings():  # an empty body is refused below, not warned about
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            rows = np.loadtxt(lines, delimiter=",", usecols=(0, 1), comments=None, ndmin=2)
     if len(rows) < 2:
         raise ValueError("intensity CSV needs at least two rows")
-    if any(len(r) < 2 for r in rows):
-        raise ValueError("every intensity CSV row needs a time and an intensity")
-    t = np.array([float(r[0]) for r in rows])
-    vals = np.array([float(r[1]) for r in rows])
-    dt = np.diff(t)
+    t, vals = rows[:, 0], rows[:, 1]
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite steps are refused below
+        dt = np.diff(t)
     rate = 1.0 / float(dt[0]) if dt[0] > 0 else 0.0  # a Python float: no warning on overflow
     if not 0.0 < rate < np.inf:
         raise ValueError("intensity grid times must increase by a positive, finite step")

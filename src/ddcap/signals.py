@@ -14,6 +14,7 @@ Energies are period averages, i.e. ``mean |E|^2 = sum |F_k|^2``.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -202,6 +203,15 @@ def field_grid(spec: SpectralPoly, oversample: int) -> np.ndarray:
     return np.fft.fft(padded)
 
 
+def field_intensity(field: np.ndarray) -> np.ndarray:
+    """|field|^2, refused (ValueError) before squaring where it would overflow float64."""
+    magnitude = np.abs(field)
+    peak = float(magnitude.max())
+    if not peak * peak < math.inf:  # Python floats: no overflow warning
+        raise ValueError(f"the field peaks at {peak:.3g}, so its intensity overflows float64")
+    return magnitude**2
+
+
 def intensity_grid(sig: PeriodicSignal, oversample: int) -> SampledIntensity:
     """|E(t)|^2 on the rate-(oversample*B) grid over one period.
 
@@ -217,7 +227,7 @@ def intensity_grid(sig: PeriodicSignal, oversample: int) -> SampledIntensity:
         )
     spec = samples_to_spectrum(sig)
     grid = field_grid(spec, oversample)
-    return SampledIntensity(rate=oversample * sig.B, values=np.abs(grid) ** 2)
+    return SampledIntensity(rate=oversample * sig.B, values=field_intensity(grid))
 
 
 def resample_real_periodic(values, n: int) -> np.ndarray:

@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -419,6 +420,11 @@ class TestMi:
         # minphase reads an intensity CSV: a row without a comma, a repeated time
         pytest.param(["minphase"], "t,intensity\n0\n0.5\n", id="csv-row-without-comma"),
         pytest.param(["minphase"], "t,intensity\n0,1\n0,1\n", id="csv-repeated-time"),
+        # enumerate reads a signal JSON: an int beyond the float range, an M beyond it
+        pytest.param(["enumerate"], '{"M": 2, "B": 1.0, "samples": [[1' + "0" * 400 + ', 0], [1, 0]]}',
+                     id="signal-sample-beyond-float"),
+        pytest.param(["enumerate"], '{"M": 1e400, "B": 1.0, "samples": [[1, 0], [1, 0]]}',
+                     id="signal-M-beyond-float"),
     ])
     def test_malformed_input_exits_with_one_line(self, runner, tmp_path, flags, spec):
         args = ["mi", "--n-samples", "100", *flags]
@@ -426,6 +432,9 @@ class TestMi:
             (tmp_path / "i.csv").write_text(spec)
             args = [*flags, "--input", str(tmp_path / "i.csv"), "--M", "4",
                     "--output", str(tmp_path / "o.json")]
+        elif flags == ["enumerate"]:
+            (tmp_path / "sig.json").write_text(spec)
+            args = [*flags, "--input", str(tmp_path / "sig.json"), "--output", str(tmp_path / "o.json")]
         elif spec is not None:
             fields = {"receiver": "coherent", "input": "qpsk", "snr_db": 10.0, "seed": 1,
                       "n_samples": 100, **spec}
@@ -433,7 +442,7 @@ class TestMi:
             spec_path.write_text(json.dumps(fields))
             args += ["--spec", str(spec_path)]
         result = runner.invoke(main, args, catch_exceptions=False)
-        assert result.exit_code in ((2,) if flags == ["minphase"] else (2, 3))
+        assert result.exit_code in ((2,) if flags in (["minphase"], ["enumerate"]) else (2, 3))
         assert [line.startswith("error:") for line in result.stderr.splitlines()] == [True]
         assert "Traceback" not in result.stderr
         assert "nan" not in result.stdout
@@ -554,12 +563,27 @@ class TestSimulate:
         oversample=st.integers(-(2**64), 64) | st.integers(FIELD_GRID_CAP + 1, 2**200),
     )
     @example("sig5.json", "coherent", -3084.0, 0, 0)  # the noise variance overflows
+    @example("sig5.json", "direct", -3082.0, 0, 0)  # the noisy intensity overflows
     def test_extreme_arguments_exit_cleanly(self, inputs, name, receiver, snr_db, seed, oversample):
         args = ["simulate", "--input", str(inputs / name), "--output", str(inputs / "out"),
                 "--receiver", receiver, "--seed", str(seed), "--oversample", str(oversample)]
         if snr_db is not None:
             args += ["--snr-db", repr(snr_db)]
         assert_clean_exit(CliRunner().invoke(main, args), "receiver=")
+
+    @pytest.mark.parametrize("receiver", ["direct", "intensity", "grid"])
+    def test_overflowing_intensity_exits_3_with_one_line(self, runner, inputs, tmp_path, receiver):
+        # the noise is finite, but its square is not
+        args = ["simulate", "--input", str(inputs / "sig5.json"), "--output", str(tmp_path / "o.csv"),
+                "--receiver", receiver, "--snr-db", "-3082", "--seed", "0"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = runner.invoke(main, args)
+        assert result.exit_code == 3, repr(result.exception)
+        [line] = result.stderr.splitlines()
+        assert line.startswith("error: the field peaks at 1.5")
+        assert line.endswith("e+154, so its intensity overflows float64")
+        assert not (tmp_path / "o.csv").exists()
 
     def test_noise_is_seeded(self, runner, tmp_path):
         sig_path = tmp_path / "in.json"

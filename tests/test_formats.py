@@ -1,5 +1,9 @@
 import hashlib
 import json
+import math
+import re
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from ddcap import (
     EqualIntensityFamily,
     PeriodicSignal,
+    SampledIntensity,
     embed_finite_support,
     enumerate_family,
     intensity_grid,
@@ -54,6 +59,40 @@ def test_malformed_signal_rejected():
         signal_from_dict({"M": 2, "samples": [[0, 0]]})
 
 
+@pytest.mark.parametrize("samples", [
+    [["1", "0"]],
+    [[1, "0"]],
+    [[None, 0]],
+    [[2**70, None]],
+    [[10**30, "1"]],  # an object array: ints beyond 64 bits and a string
+    [[1, 0], [1]],
+    [[1, 0, 2]],
+    [[[1, 0]]],
+    [],
+    {"re": 1, "im": 0},
+    "1,0",
+    [[1e308, 10**400]],  # beyond the float range
+])
+def test_signal_samples_must_be_pairs_of_numbers(samples):
+    with pytest.raises(ValueError, match="malformed signal record"):
+        signal_from_dict({"M": 1, "B": 1.0, "samples": samples})
+
+
+def test_signal_samples_take_ints_and_bools_as_complex_does():
+    samples = [[1, 0], [True, -2**70], [-0.0, 2**64], [0.5, False]]
+    sig = signal_from_dict({"M": 4, "B": 1.0, "samples": samples})
+    expected = np.array([complex(re, im) for re, im in samples])
+    assert sig.samples.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+
+
+def test_signal_to_dict_writes_each_sample_as_two_floats():
+    sig = PeriodicSignal(3, 1.0, [1 + 0j, complex(-0.0, 5e-324), complex(1e308, -0.0)])
+    samples = signal_to_dict(sig)["samples"]
+    assert samples == [[float(s.real), float(s.imag)] for s in sig.samples]
+    assert [type(x) for pair in samples for x in pair] == [float] * 6
+    assert json.dumps(samples) == "[[1.0, 0.0], [-0.0, 5e-324], [1e+308, -0.0]]"
+
+
 def test_intensity_csv_roundtrip_is_bit_exact(tmp_path, rng):
     grid = intensity_grid(random_signal(5, seed=2), oversample=4)
     path = tmp_path / "intensity.csv"
@@ -76,6 +115,138 @@ def test_csv_rows_match_a_row_by_row_writer(tmp_path, rows):
     write_csv(path, "a,b,c", columns)
     expected = "a,b,c\n" + "".join(f"{a:.17g},{b:.17g},{c:.17g}\n" for a, b, c in zip(*columns))
     assert path.read_text() == expected
+
+
+def read_intensity_csv_by_row(path) -> SampledIntensity:
+    """The row-by-row reader that ``read_intensity_csv`` replaced: the oracle
+    for every file both accept."""
+    with open(path) as fh:
+        header = fh.readline().strip()
+        if header.split(",")[:2] != ["t", "intensity"]:
+            raise ValueError(f"expected header 't,intensity', got {header!r}")
+        rows = [line.strip().split(",") for line in fh if line.strip()]
+    if len(rows) < 2:
+        raise ValueError("intensity CSV needs at least two rows")
+    if any(len(r) < 2 for r in rows):
+        raise ValueError("every intensity CSV row needs a time and an intensity")
+    t = np.array([float(r[0]) for r in rows])
+    vals = np.array([float(r[1]) for r in rows])
+    dt = np.diff(t)
+    rate = 1.0 / float(dt[0]) if dt[0] > 0 else 0.0
+    if not 0.0 < rate < np.inf:
+        raise ValueError("intensity grid times must increase by a positive, finite step")
+    if not np.all(np.abs(dt - dt[0]) <= 1e-9 * dt[0]):
+        raise ValueError("intensity grid must be uniform")
+    return SampledIntensity(rate=rate, values=vals)
+
+
+_PADDING = st.sampled_from(["", " ", "\t", " \t ", "\x0b", "\xa0"])
+
+
+@st.composite
+def intensity_csv_texts(draw):
+    """A well-formed intensity CSV, written in the ways a hand-made one may
+    be: any float notation, padding around fields, CRLF, blank and
+    whitespace-only lines, extra columns and trailing commas."""
+    n = draw(st.integers(2, 40))
+    step = math.ldexp(1.0, draw(st.integers(-40, 20)))  # k * step is exact: a uniform grid
+    start = draw(st.sampled_from([0.0, -0.0, step, -3 * step]))
+    values = draw(st.lists(
+        st.floats(0.0, 1e300) | st.floats(0.0, 2.3e-308) | st.sampled_from([0.0, -0.0, 5e-324, 1.7e308]),
+        min_size=n, max_size=n,
+    ))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = ["t,intensity" + draw(st.sampled_from(["", ",extra", ","]))]
+    for k, value in enumerate(values):
+        fields = [
+            draw(st.sampled_from(["%r", "%.17g", "%.17e", "%.17E", "%+.20g"])) % x
+            for x in (start + k * step, value)
+        ]
+        fields += draw(st.lists(st.sampled_from(["", "x", "1e999", "nan", "-", " 7 "]), max_size=2))
+        padded = [draw(_PADDING) + field + draw(_PADDING) for field in fields]
+        lines += draw(st.lists(st.sampled_from(["", " ", "\t", " \t  "]), max_size=2))
+        lines.append(",".join(padded))
+    return newline.join(lines) + draw(st.sampled_from(["", newline, newline + "  " + newline]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=intensity_csv_texts())
+@example(text="t,intensity\n0,1\n0.5,2\n")
+@example(text="t,intensity\r\n\t-0 ,\t-0e0,\r\n\r\n 1E-3, 4.9e-324 \r\n  \r\n2e-3,1.5e+300,7,")
+def test_intensity_csv_reads_as_the_row_by_row_reader(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("csv") / "i.csv"
+    path.write_bytes(text.encode())
+    expected = read_intensity_csv_by_row(path)
+    got = read_intensity_csv(path)
+    assert got.rate == expected.rate
+    assert got.values.dtype == np.float64
+    assert got.values.view(np.uint64).tolist() == expected.values.view(np.uint64).tolist()
+
+
+# name, file text, a part of the message: each raises ValueError and makes
+# ``ddcap minphase`` exit 2 with one line
+MALFORMED_INTENSITY_CSVS = [
+    ("row-without-comma", "t,intensity\n0,1\n0.5\n", "column"),
+    ("empty-field", "t,intensity\n0,1\n0.5,\n", "could not convert string ''"),
+    ("text", "t,intensity\n0,1\n0.5,one\n", "could not convert string 'one'"),
+    ("one-row", "t,intensity\n0,1\n", "at least two rows"),
+    ("nan-value", "t,intensity\n0,1\n0.5,nan\n", "finite"),
+    ("inf-value", "t,intensity\n0,1\n0.5,inf\n", "finite"),
+    ("nan-time", "t,intensity\nnan,1\n0.5,1\n", "positive, finite step"),
+    ("inf-times", "t,intensity\ninf,1\ninf,1\n", "positive, finite step"),
+    ("step-overflows", "t,intensity\n-1e308,1\n1e308,1\n", "positive, finite step"),
+    ("wrong-header", "time,power\n0,1\n0.5,1\n", "header"),
+    ("non-uniform-grid", "t,intensity\n0,1\n0.1,1\n0.3,1\n", "uniform"),
+    ("header-alone", "t,intensity\n", "at least two rows"),
+    ("whitespace-body", "t,intensity\n \n\t\r\n\n", "at least two rows"),
+    ("empty-file", "", "header"),
+    # float() reads 1_0 as 10; no ddcap writer groups digits
+    ("underscore-digits", "t,intensity\n0,1_0\n0.5,1\n", "could not convert string '1_0'"),
+]
+
+
+@pytest.mark.parametrize("text, message", [case[1:] for case in MALFORMED_INTENSITY_CSVS],
+                         ids=[case[0] for case in MALFORMED_INTENSITY_CSVS])
+def test_malformed_intensity_csv_raises_value_error(tmp_path, text, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning on the way to the refusal
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_intensity_csv(path)
+
+
+@pytest.mark.parametrize("text", [case[1] for case in MALFORMED_INTENSITY_CSVS],
+                         ids=[case[0] for case in MALFORMED_INTENSITY_CSVS])
+def test_malformed_intensity_csv_exits_2_with_one_line(tmp_path, text):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    args = ["minphase", "--input", str(path), "--M", "4", "--output", str(tmp_path / "o.json")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = CliRunner().invoke(main, args)
+    assert result.exit_code == 2, repr(result.exception)
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith(f"error: cannot read intensity CSV {path}: ")
+    assert not (tmp_path / "o.json").exists()
+
+
+def test_intensity_csv_is_read_in_bounded_memory(tmp_path):
+    # the row-by-row reader held a list of strings and two lists of floats
+    # per row: 84 MiB here
+    grid = intensity_grid(random_signal(256, seed=1), 1024)
+    path = tmp_path / "i.csv"
+    write_intensity_csv(path, grid)
+    columns_bytes = 2 * grid.values.nbytes  # 4 MiB
+    tracemalloc.start()
+    try:
+        back = read_intensity_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(back.values) == 1 << 18
+    assert np.array_equal(back.values, grid.values)
+    assert peak <= 8 * columns_bytes, f"{peak / 2**20:.1f} MiB"
 
 
 def test_intensity_csv_rejects_nonuniform_grid(tmp_path):

@@ -16,7 +16,7 @@ from ddcap import (
     samples_to_spectrum,
     spectrum_to_samples,
 )
-from ddcap.signals import FIELD_GRID_CAP, SpectralPoly, component_roots, field_grid
+from ddcap.signals import FIELD_GRID_CAP, SpectralPoly, component_roots, field_grid, field_intensity
 
 from conftest import random_coeff_signal, signal_from_coeffs
 
@@ -116,6 +116,13 @@ class TestIntensityGrid:
         fine = intensity_grid(sig, oversample=8)
         recon = resample_real_periodic(coarse.values, 4 * len(coarse.values))
         assert np.max(np.abs(recon - fine.values)) < 1e-10 * fine.values.max()
+
+    def test_field_intensity_refuses_a_value_beyond_the_float_range(self):
+        edge = np.sqrt(np.finfo(np.float64).max)  # its square is finite, the next float's is not
+        field = np.array([edge, -1j * edge, 0.5 + 0.5j, 0.0])
+        assert field_intensity(field).tolist() == (np.abs(field) ** 2).tolist()
+        with pytest.raises(ValueError, match="intensity overflows float64"):
+            field_intensity(np.array([0.0, np.nextafter(edge, np.inf) * 1j]))
 
     def test_intensity_band_limited_to_2B(self, rng):
         # harmonics of the rate-4B intensity grid outside -M..M are numerical noise
