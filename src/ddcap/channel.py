@@ -115,9 +115,12 @@ def _inband_noise(M, total_variance, rng, out, work):
 
 def apply_noise(sig: PeriodicSignal, noise: NoiseSpec) -> PeriodicSignal:
     """Add white in-band noise scaled to the signal's own power."""
-    power = sig.power()
+    with np.errstate(over="ignore"):  # an overflow is refused below, without a warning
+        power = sig.power()
     if power == 0.0:
         raise ValueError("signal power is zero, SNR scaling is undefined")
+    if not power < math.inf:
+        raise ValueError("the signal power, the mean of |sample|^2, overflows float64")
     if np.isinf(noise.snr):
         return sig
     variance = power / noise.snr
@@ -204,19 +207,29 @@ def _sort_axis(width: int) -> np.ndarray:
     return u
 
 
-def _candidate_pairs(points, radius: float, block: int):
-    """Every pair of rows of a real (n, width) array whose projections on
-    ``_sort_axis(width)`` lie at most ``radius`` apart, as index arrays (i, j)
-    with i < j, at most ``block`` pairs at a time.
+def _sorted_keys(points):
+    """The projections of the rows of a real (n, width) array on
+    ``_sort_axis(width)``, sorted, and the stable order that sorts them.
 
-    The rows are sorted on their projection, and each row's partners are the
-    run after it within ``radius``.  The pairs are numbered row by row in that
-    order, and each block expands one range of those numbers, so memory stays
-    O(n + block) even when every row shares one key.
+    Each key is one row's own sum, so bit-identical rows get equal keys; a
+    BLAS matrix-vector product need not give them, since it may round its
+    last rows in another order than the rest.
     """
-    key = points @ _sort_axis(points.shape[1])
-    order = np.argsort(key)
-    key = key[order]
+    key = np.sum(points * _sort_axis(points.shape[1]), axis=1)
+    order = np.argsort(key, kind="stable")
+    return key[order], order
+
+
+def _sweep(key, order, radius: float, block: int):
+    """Every pair of rows ``order[p], order[q]`` (p < q) whose sorted keys
+    lie at most ``radius`` apart, as index arrays (i, j) with i < j, at most
+    ``block`` pairs at a time.
+
+    Each row's partners are the run after it within ``radius``.  The pairs are
+    numbered row by row in key order, and each block expands one range of
+    those numbers, so memory stays O(n + block) even when every row shares
+    one key.
+    """
     count = np.searchsorted(key, key + radius, side="right") - np.arange(1, len(key) + 1)
     first = np.cumsum(count) - count  # the number of each sorted row's first pair
     total = int(count.sum())
@@ -227,54 +240,73 @@ def _candidate_pairs(points, radius: float, block: int):
         yield np.minimum(a, b), np.maximum(a, b)
 
 
+def _candidate_pairs(points, radius: float, block: int):
+    """Every pair of rows of a real (n, width) array whose projections on
+    ``_sort_axis(width)`` lie at most ``radius`` apart: :func:`_sweep` over
+    all the rows."""
+    return _sweep(*_sorted_keys(points), radius, block)
+
+
 def _cluster(vectors, tol: float) -> np.ndarray:
     """Group the rows of an (n, d) array whose rms distance is <= tol.
 
     Returns one label per row, numbered in order of first appearance.  Raises
     :class:`ClusteringAmbiguityError` when two rows from different groups are
     closer than 10 * tol: outputs that close but not identical make entropy
-    counting unreliable.
+    counting unreliable.  The error names the smallest such pair of rows.
+
+    One stable sort of the rows on their projection serves two passes.  The
+    first finds exact copies among neighbours with equal keys; the second
+    sweeps the remaining rows for pairs within the guard band.
     """
     flat = np.array(vectors, dtype=np.complex128, order="C").reshape(len(vectors), -1)
-    # exact duplicates share a label: only the first copy of each row enters
-    # the pair search, so repeats cost no pairs.  Kept rows stay in input
-    # order, so numbering by first appearance and the smallest offending pair
-    # come out as over all rows
-    _, first_copy, copy_of = np.unique(
-        flat.view(np.dtype((np.void, flat.itemsize * flat.shape[1])))[:, 0],
-        return_index=True,
-        return_inverse=True,
-    )
-    kept = np.sort(first_copy)
-    flat = flat[kept]
     n, dim = flat.shape
-    # candidate pairs within the guard band come from a sweep along one fixed
-    # direction (a projection lengthens no difference, so it loses no pair;
-    # the radius is padded against rounding).  Their exact distances decide,
-    # a bounded block of candidates at a time, and only pairs inside the
-    # guard band are kept.  Exact differences, because the Gram-matrix
+    real = flat.view(np.float64)
+    key, order = _sorted_keys(real)
+    # a row bit-identical to its predecessor in key order is a copy of it,
+    # and only neighbours with equal keys have their bits compared.  A run of
+    # copies is kept as its first row, which is its lowest (the sort is
+    # stable), and the rest enter no pair, so repeats cost no pairs.  Copies
+    # split by another row with the same key are each kept, and join as a
+    # pair at distance 0
+    (p,) = np.nonzero(key[1:] == key[:-1])
+    bits = real.view(np.uint64)
+    p = p[np.all(bits[order[p]] == bits[order[p + 1]], axis=1)]
+    kept = np.ones(n, dtype=bool)
+    kept[p + 1] = False
+    first_of_run = np.empty(n, dtype=np.intp)
+    first_of_run[order] = order[np.maximum.accumulate(np.where(kept, np.arange(n), 0))]
+    # candidate pairs within the guard band come from a sweep of the kept rows
+    # along the sort axis (a projection lengthens no difference, so it loses
+    # no pair; the radius is padded against rounding).  Their exact distances
+    # decide, a bounded block of candidates at a time, and only pairs inside
+    # the guard band are kept.  Exact differences, because the Gram-matrix
     # shortcut would lose sqrt(eps) of precision to cancellation, which is
     # exactly the scale the guard band watches
     none = np.empty(0, dtype=np.intp)
     found = [(none, none, np.empty(0))]
     radius, block = 10.1 * tol * np.sqrt(dim), max(1, (1 << 16) // dim)
-    for a, b in _candidate_pairs(flat.view(np.float64), radius, block):
+    for a, b in _sweep(key[kept], order[kept], radius, block):
         d = np.sqrt(np.sum(np.abs(flat[a] - flat[b]) ** 2, axis=1) / dim)
         close = d <= 10.0 * tol
         found.append((a[close], b[close], d[close]))
     i, j, dist = map(np.concatenate, zip(*found))
     near = dist <= tol
-    # a component's lowest row is its first: numbering roots in order numbers
-    # labels by first appearance
-    _, labels = np.unique(component_roots(n, i[near], j[near]), return_inverse=True)
+    # a component's root is its lowest row and a copy takes the root of its
+    # run's first row, so the rows that are their own roots are the first
+    # appearances: counting them numbers the labels
+    root = component_roots(n, i[near], j[near])[first_of_run]
+    labels = (np.cumsum(root == np.arange(n)) - 1)[root]
     (bad,) = np.nonzero((labels[i] != labels[j]) & (dist < 10.0 * tol))
     if len(bad):
+        # the lowest row of each set of exact copies is kept, so the smallest
+        # pair among kept rows is the smallest over all rows
         k = bad[np.lexsort((j[bad], i[bad]))[0]]
         raise ClusteringAmbiguityError(
-            f"outputs {kept[i[k]]} and {kept[j[k]]} are {dist[k]:.3e} apart, inside the "
+            f"outputs {i[k]} and {j[k]} are {dist[k]:.3e} apart, inside the "
             f"guard band (tol {tol:.3e})"
         )
-    return labels[np.searchsorted(kept, first_copy)[copy_of]]
+    return labels
 
 
 def _noiseless_labels(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -291,6 +323,25 @@ def _noiseless_labels(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     labels_field = _cluster(samples * rotation, CLUSTER_TOL * scale)
     labels_int = _cluster(intensities, CLUSTER_TOL * scale**2)
     return labels_field, labels_int
+
+
+def _representatives(labels_field: np.ndarray, labels_int: np.ndarray) -> np.ndarray:
+    """The first row of each field cluster, in label order.
+
+    Labels are numbered by first appearance, so label k first appears where
+    the running maximum of the labels reaches k.  Raises ``ValueError`` unless
+    Y is a function of Y' (the rows of one field cluster share one intensity
+    cluster); then the first rows' intensity labels are numbered by first
+    appearance too.
+    """
+    running = np.maximum.accumulate(labels_field)
+    first = running.searchsorted(np.arange(running[-1] + 1))
+    if np.any(labels_int != labels_int[first][labels_field]):
+        raise ValueError(
+            "discretization makes Y ambiguous given Y' (distinct "
+            "intensity clusters inside one field cluster)"
+        )
+    return first
 
 
 def _noiseless_mi(prior: np.ndarray, labels: np.ndarray, M: int) -> float:
@@ -334,14 +385,7 @@ def chain_bound_check(inputs, prior=None) -> ChainBoundReport:
         raise ValueError("prior must be a probability vector with one entry per input")
 
     labels_field, labels_int = _noiseless_labels(np.stack([s.samples for s in inputs]))
-    # Y must be a function of Y': members of one field cluster must share
-    # an intensity cluster.
-    _, first = np.unique(labels_field, return_index=True)
-    if np.any(labels_int != labels_int[first][labels_field]):
-        raise ValueError(
-            "discretization makes Y ambiguous given Y' (distinct "
-            "intensity clusters inside one field cluster)"
-        )
+    _representatives(labels_field, labels_int)  # raises unless Y is a function of Y'
     mi_c = _noiseless_mi(prior, labels_field, M)
     mi_d = _noiseless_mi(prior, labels_int, M)
     gap = mi_c - mi_d
@@ -421,12 +465,11 @@ def counting_entropy(constellation, M: int) -> CountingReport:
     samples = points[np.indices((len(points),) * M).reshape(M, -1).T]
     labels_field, labels_int = _noiseless_labels(samples)
 
-    # uniform prior over distinct canonical inputs: one representative each,
-    # fibers counted in order of first appearance
-    _, first = np.unique(labels_field, return_index=True)
-    n_distinct = len(first)
-    _, fiber_first, fiber_counts = np.unique(labels_int[first], return_index=True, return_counts=True)
-    fiber_counts = fiber_counts[np.argsort(fiber_first)]
+    # uniform prior over distinct canonical inputs: one representative each.
+    # Their fibers are numbered in order of first appearance, the order in
+    # which h_direct sums them
+    fiber_counts = np.bincount(labels_int[_representatives(labels_field, labels_int)])
+    n_distinct = int(fiber_counts.sum())
     h_coherent = float(np.log2(n_distinct))
     h_direct = _entropy(fiber_counts / n_distinct)
     gap = h_coherent - h_direct

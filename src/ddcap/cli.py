@@ -158,8 +158,11 @@ def cmd_figure2(input_path, output_path, bandwidth, seed):
     # oversample is a power of two: dividing by it first changes no bit, and
     # oversample * B could overflow
     times = np.arange(points) / oversample / sig.B
-    fields = np.fft.fft(np.fft.ifft(fam.samples, axis=1), n=points, axis=1)  # zero-padded spectra
-    intensities = np.abs(fields) ** 2
+    with np.errstate(over="ignore", invalid="ignore"):  # a grid beyond float64 is refused below
+        fields = np.fft.fft(np.fft.ifft(fam.samples, axis=1), n=points, axis=1)  # zero-padded spectra
+        intensities = np.abs(fields) ** 2
+    if not np.all(np.isfinite(intensities)):
+        _fail(EXIT_DOMAIN, f"the member intensities on the {points}-point grid overflow float64")
     spread = np.max(np.abs(intensities - intensities[0])) / np.max(intensities[0])
     if spread > 1e-8:
         _fail(EXIT_NUMERICAL, f"member intensities disagree by {spread:.3e} relative")

@@ -9,6 +9,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ddcap import channel
 from ddcap import (
@@ -489,6 +490,75 @@ class TestCluster:
             tracemalloc.stop()
         assert report.mi_coherent == report.mi_direct == 0.0
         assert peak < 64 * 2**20
+
+
+    # coordinates that put rows at distance 0 (signed zeros), inside tol,
+    # inside the guard band or beyond it
+    _COORDINATES = [0.0, -0.0, 1.0, -1.0, 0.4e-6, 3e-6, 1.0 + 0.3e-6, 1.0 + 4e-6, 2e-5]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        dim=st.integers(1, 3),
+        distinct=st.lists(st.lists(st.sampled_from(_COORDINATES), min_size=6, max_size=6), min_size=1, max_size=6),
+        picks=st.lists(st.integers(0, 5), min_size=1, max_size=40),
+        shared_key=st.booleans(),
+    )
+    def test_sweep_matches_dense_reference(self, dim, distinct, picks, shared_key):
+        # rows repeat in runs of exact copies; with the real part of the first
+        # entry as the key, copies are split by other rows with the same key
+        rows = np.array(distinct)[:, : 2 * dim].copy().view(complex)
+        points = rows[[k % len(rows) for k in picks]]
+        reference, bad = _reference_cluster(points, self.TOL)
+        with pytest.MonkeyPatch.context() as patch:
+            if shared_key:
+                patch.setattr(channel, "_sort_axis", lambda width: np.eye(width)[0])
+            if not bad:
+                assert list(channel._cluster(points, self.TOL)) == list(reference)
+                return
+            a, b = bad[0]
+            dist = np.sqrt(np.sum(np.abs(points[a] - points[b]) ** 2) / dim)
+            with pytest.raises(ClusteringAmbiguityError) as err:
+                channel._cluster(points, self.TOL)
+        assert str(err.value) == (
+            f"outputs {a} and {b} are {dist:.3e} apart, inside the guard band (tol {self.TOL:.3e})"
+        )
+
+    def test_guard_band_names_the_first_exact_copy(self, rng):
+        points = rng.standard_normal((1000, 4))
+        points[700] = points[123] + 3.0 * self.TOL
+        points[950] = points[400] - 2.0 * self.TOL
+        points[50] = points[123]
+        assert _reference_cluster(points.astype(complex), self.TOL)[1][:2] == [(50, 700), (123, 700)]
+        dist = np.sqrt(np.sum((points[123] - points[700]) ** 2) / 4)
+        with pytest.raises(ClusteringAmbiguityError) as err:
+            channel._cluster(points, self.TOL)
+        assert str(err.value) == (
+            f"outputs 50 and 700 are {dist:.3e} apart, inside the guard band (tol {self.TOL:.3e})"
+        )
+
+    def test_bit_identical_rows_are_one_label_without_pairs(self, monkeypatch):
+        # 16384 copies of one row: the copies are found as key-order
+        # neighbours, so the sweep sees one row, where n(n-1)/2 = 134 million
+        # pairs would be candidates if each copy entered it
+        n = 16384
+        points = np.tile(np.random.default_rng(3).standard_normal(14).view(complex), (n, 1))
+        swept = []
+        sweep = channel._sweep
+
+        def counted(key, order, radius, block):
+            swept.append(len(key))
+            yield from sweep(key, order, radius, block)
+
+        monkeypatch.setattr(channel, "_sweep", counted)
+        tracemalloc.start()
+        try:
+            labels = channel._cluster(points, self.TOL)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert swept == [1]
+        assert not labels.any() and len(labels) == n
+        assert peak < 8 * points.nbytes  # the rows take 1.75 MiB
 
 
 class TestCapacitySearch:

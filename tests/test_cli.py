@@ -29,6 +29,11 @@ from ddcap.formats import read_intensity_csv, read_signal_json, write_intensity_
 from ddcap.signals import FIELD_GRID_CAP
 
 
+# an M=4 signal whose samples are near the float64 limit: it enumerates, but
+# its power and its fields on a finer grid overflow
+HUGE_SAMPLES = [[1e308, 1e308], [1e308, -1e308], [-1e308, 0.5e308], [0.3e308, 0]]
+
+
 @pytest.fixture
 def runner():
     return CliRunner()
@@ -334,6 +339,17 @@ class TestFigure2:
         args = ["figure2", "--output", str(inputs / "out"), "--B", repr(bandwidth), "--seed", str(seed)]
         assert_clean_exit(CliRunner().invoke(main, args), "members=")
 
+    def test_grid_beyond_float64_exits_3_with_one_line(self, runner, tmp_path):
+        # the family enumerates, but its fields on the 512-point grid overflow
+        sig_path, out = tmp_path / "sig.json", tmp_path / "o.csv"
+        sig_path.write_text(json.dumps({"M": 4, "B": 1.0, "samples": HUGE_SAMPLES}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = runner.invoke(main, ["figure2", "--input", str(sig_path), "--output", str(out)])
+        assert result.exit_code == 3, repr(result.exception)
+        assert result.stderr.splitlines() == ["error: the member intensities on the 512-point grid overflow float64"]
+        assert not out.exists()
+
     def test_wrong_m_exits_3(self, runner, tmp_path):
         sig_path = tmp_path / "sig.json"
         write_signal_json(sig_path, random_signal(6, seed=1))
@@ -584,6 +600,21 @@ class TestSimulate:
         assert line.startswith("error: the field peaks at 1.5")
         assert line.endswith("e+154, so its intensity overflows float64")
         assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("snr_db", [None, "10"])
+    @pytest.mark.parametrize("receiver", ["coherent", "direct", "intensity", "grid"])
+    def test_overflowing_signal_power_exits_3_with_one_line(self, runner, tmp_path, receiver, snr_db):
+        sig_path, out = tmp_path / "sig.json", tmp_path / "o"
+        sig_path.write_text(json.dumps({"M": 4, "B": 1.0, "samples": HUGE_SAMPLES}))
+        args = ["simulate", "--input", str(sig_path), "--output", str(out), "--receiver", receiver]
+        if snr_db is not None:
+            args += ["--snr-db", snr_db]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = runner.invoke(main, args)
+        assert result.exit_code == 3, repr(result.exception)
+        assert result.stderr.splitlines() == ["error: the signal power, the mean of |sample|^2, overflows float64"]
+        assert not out.exists()
 
     def test_noise_is_seeded(self, runner, tmp_path):
         sig_path = tmp_path / "in.json"
