@@ -211,11 +211,12 @@ def _sorted_keys(points):
     """The projections of the rows of a real (n, width) array on
     ``_sort_axis(width)``, sorted, and the stable order that sorts them.
 
-    Each key is one row's own sum, so bit-identical rows get equal keys; a
-    BLAS matrix-vector product need not give them, since it may round its
-    last rows in another order than the rest.
+    einsum forms every key by the same loop over its own row, so
+    bit-identical rows get equal keys; a BLAS matrix-vector product need not
+    give them, since it may round its last rows in another order than the
+    rest.
     """
-    key = np.sum(points * _sort_axis(points.shape[1]), axis=1)
+    key = np.einsum("ij,j->i", points, _sort_axis(points.shape[1]))
     order = np.argsort(key, kind="stable")
     return key[order], order
 
@@ -264,18 +265,19 @@ def _cluster(vectors, tol: float) -> np.ndarray:
     real = flat.view(np.float64)
     key, order = _sorted_keys(real)
     # a row bit-identical to its predecessor in key order is a copy of it,
-    # and only neighbours with equal keys have their bits compared.  A run of
+    # and only neighbours with equal keys have their bytes compared.  A run of
     # copies is kept as its first row, which is its lowest (the sort is
     # stable), and the rest enter no pair, so repeats cost no pairs.  Copies
     # split by another row with the same key are each kept, and join as a
     # pair at distance 0
     (p,) = np.nonzero(key[1:] == key[:-1])
-    bits = real.view(np.uint64)
-    p = p[np.all(bits[order[p]] == bits[order[p + 1]], axis=1)]
+    rows = flat.view(np.dtype((np.void, flat.itemsize * dim)))[:, 0]
+    p = p[rows[order[p]] == rows[order[p + 1]]]
     kept = np.ones(n, dtype=bool)
     kept[p + 1] = False
+    heads = order[kept]  # the first row of each run, in key order
     first_of_run = np.empty(n, dtype=np.intp)
-    first_of_run[order] = order[np.maximum.accumulate(np.where(kept, np.arange(n), 0))]
+    first_of_run[order] = heads[np.cumsum(kept) - 1]
     # candidate pairs within the guard band come from a sweep of the kept rows
     # along the sort axis (a projection lengthens no difference, so it loses
     # no pair; the radius is padded against rounding).  Their exact distances
@@ -286,7 +288,7 @@ def _cluster(vectors, tol: float) -> np.ndarray:
     none = np.empty(0, dtype=np.intp)
     found = [(none, none, np.empty(0))]
     radius, block = 10.1 * tol * np.sqrt(dim), max(1, (1 << 16) // dim)
-    for a, b in _sweep(key[kept], order[kept], radius, block):
+    for a, b in _sweep(key[kept], heads, radius, block):
         d = np.sqrt(np.sum(np.abs(flat[a] - flat[b]) ** 2, axis=1) / dim)
         close = d <= 10.0 * tol
         found.append((a[close], b[close], d[close]))

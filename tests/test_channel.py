@@ -491,10 +491,9 @@ class TestCluster:
         assert report.mi_coherent == report.mi_direct == 0.0
         assert peak < 64 * 2**20
 
-
     # coordinates that put rows at distance 0 (signed zeros), inside tol,
     # inside the guard band or beyond it
-    _COORDINATES = [0.0, -0.0, 1.0, -1.0, 0.4e-6, 3e-6, 1.0 + 0.3e-6, 1.0 + 4e-6, 2e-5]
+    _COORDINATES = [0.0, -0.0, 1.0, -1.0, 0.4 * TOL, 3.0 * TOL, 1.0 + 0.3 * TOL, 1.0 + 4.0 * TOL, 20.0 * TOL]
 
     @settings(max_examples=300, deadline=None)
     @given(
