@@ -265,14 +265,14 @@ def _cluster(vectors, tol: float) -> np.ndarray:
     real = flat.view(np.float64)
     key, order = _sorted_keys(real)
     # a row bit-identical to its predecessor in key order is a copy of it,
-    # and only neighbours with equal keys have their bytes compared.  A run of
-    # copies is kept as its first row, which is its lowest (the sort is
-    # stable), and the rest enter no pair, so repeats cost no pairs.  Copies
-    # split by another row with the same key are each kept, and join as a
-    # pair at distance 0
+    # and only neighbours with equal keys have their bits compared, as
+    # uint64.  A run of copies is kept as its first row, which is its lowest
+    # (the sort is stable), and the rest enter no pair, so repeats cost no
+    # pairs.  Copies split by another row with the same key are each kept,
+    # and join as a pair at distance 0
     (p,) = np.nonzero(key[1:] == key[:-1])
-    rows = flat.view(np.dtype((np.void, flat.itemsize * dim)))[:, 0]
-    p = p[rows[order[p]] == rows[order[p + 1]]]
+    bits = real.view(np.uint64)
+    p = p[np.all(bits[order[p]] == bits[order[p + 1]], axis=1)]
     kept = np.ones(n, dtype=bool)
     kept[p + 1] = False
     heads = order[kept]  # the first row of each run, in key order
