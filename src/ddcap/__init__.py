@@ -51,8 +51,6 @@ from .channel import (
     capacity_prior_search,
     chain_bound_check,
     counting_entropy,
-    detect_coherent,
-    detect_intensity_channel,
     inband_noise_coefficients,
     mc_mi,
     named_constellation,

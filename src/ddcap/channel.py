@@ -6,6 +6,11 @@ Three receptions of the same band-limited waveform are modelled:
 * direct    -- the 2M intensity samples at rate 2B (square-law detection),
 * intensity -- the M intensity samples at rate B (the legacy lossy channel).
 
+Each is one ``_RECEIVERS`` entry, which :func:`mc_mi` estimates.  A single
+waveform's outputs come from the signal layer: the coherent output is the
+signal's own samples, the direct one ``signals.intensity_grid(sig, 2)`` and
+the intensity one ``signals.field_intensity(sig.samples)``.
+
 Noise is circular complex Gaussian, white across the M in-band Fourier
 coefficients (the ideal square band-pass filter is implicit in generating
 only in-band noise).  SNR is the ratio of average signal power to the total
@@ -39,7 +44,6 @@ from .signals import (
     canonical_rotation,
     canonicalize_phase,
     component_roots,
-    field_intensity,
     intensity_grid,
 )
 
@@ -83,6 +87,8 @@ class NoiseSpec:
     def __post_init__(self):
         if not (self.snr > 0):
             raise ValueError(f"snr must be positive (use math.inf for noiseless), got {self.snr}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 def inband_noise_coefficients(M: int, total_variance: float, rng, size=None) -> np.ndarray:
@@ -131,23 +137,13 @@ def apply_noise(sig: PeriodicSignal, noise: NoiseSpec) -> PeriodicSignal:
     return PeriodicSignal(M=sig.M, B=sig.B, samples=np.fft.fft(coeffs))
 
 
-def detect_coherent(sig: PeriodicSignal) -> np.ndarray:
-    """The M complex rate-B samples: a lossless representation of the field."""
-    return sig.samples.copy()
-
-
-def detect_intensity_channel(sig: PeriodicSignal) -> np.ndarray:
-    """The M intensity samples at rate B only: phase information is gone."""
-    return field_intensity(sig.samples)
-
-
 # ---------------------------------------------------------------------------
 # exact discrete channels
 
 
 def _entropy(p: np.ndarray) -> float:
     p = p[p > 0]
-    return float(-np.sum(p * np.log2(p)))
+    return float(-np.sum(p * np.log2(p))) + 0.0  # a point mass gives 0.0, not -0.0
 
 
 @dataclass(frozen=True)
@@ -249,7 +245,7 @@ def _candidate_pairs(points, radius: float, block: int):
 
 
 def _cluster(vectors, tol: float) -> np.ndarray:
-    """Group the rows of an (n, d) array whose rms distance is <= tol.
+    """Group the rows of a real or complex (n, d) array whose rms distance is <= tol.
 
     Returns one label per row, numbered in order of first appearance.  Raises
     :class:`ClusteringAmbiguityError` when two rows from different groups are
@@ -260,7 +256,8 @@ def _cluster(vectors, tol: float) -> np.ndarray:
     first finds exact copies among neighbours with equal keys; the second
     sweeps the remaining rows for pairs within the guard band.
     """
-    flat = np.array(vectors, dtype=np.complex128, order="C").reshape(len(vectors), -1)
+    dtype = np.complex128 if np.iscomplexobj(vectors) else np.float64
+    flat = np.array(vectors, dtype=dtype, order="C").reshape(len(vectors), -1)
     n, dim = flat.shape
     real = flat.view(np.float64)
     key, order = _sorted_keys(real)
@@ -348,7 +345,7 @@ def _representatives(labels_field: np.ndarray, labels_int: np.ndarray) -> np.nda
 
 def _noiseless_mi(prior: np.ndarray, labels: np.ndarray, M: int) -> float:
     """I(X;Y) = H(Y) bits, per dof, of the deterministic channel x -> labels[x]."""
-    return _entropy(np.bincount(labels, weights=prior)) / M + 0.0
+    return _entropy(np.bincount(labels, weights=prior)) / M
 
 
 @dataclass(frozen=True)
@@ -360,7 +357,6 @@ class ChainBoundReport:
     gap: float
     bound: float
     M: int
-    method: str
     phase_quotient: bool = True
 
 
@@ -394,9 +390,7 @@ def chain_bound_check(inputs, prior=None) -> ChainBoundReport:
     bound = (M - 1) / M
     if gap < -1e-9 or gap > bound + 1e-9:
         raise InvariantViolation(f"chain-rule sandwich violated: gap {gap} outside [0, {bound}]")
-    return ChainBoundReport(
-        mi_coherent=mi_c, mi_direct=mi_d, gap=gap, bound=bound, M=M, method="exact_noiseless"
-    )
+    return ChainBoundReport(mi_coherent=mi_c, mi_direct=mi_d, gap=gap, bound=bound, M=M)
 
 
 # ---------------------------------------------------------------------------
@@ -1079,5 +1073,5 @@ def mc_mi(
         seed=noise.seed,
         n_samples=n_samples,
         M=M,
-        closed_form_bits_per_dof=np.log2(1.0 + snr) if gaussian and receiver == "coherent" else None,
+        closed_form_bits_per_dof=float(np.log2(1.0 + snr)) if gaussian and receiver == "coherent" else None,
     )

@@ -26,8 +26,6 @@ from .channel import (
     NoiseSpec,
     apply_noise,
     counting_entropy,
-    detect_coherent,
-    detect_intensity_channel,
     mc_mi,
     named_constellation,
 )
@@ -41,16 +39,23 @@ from .formats import (
     write_report_json,
     write_signal_json,
 )
-from .minphase import IntensityNotRealizableError, min_phase_from_intensity
+from .minphase import DEFAULT_TOL, IntensityNotRealizableError, min_phase_from_intensity
 from .signals import (  # field_grid and samples_to_spectrum: call sites perfbench/spans.py wraps
     PeriodicSignal,
     SampledIntensity,
     field_grid,
+    field_intensity,
     intensity_grid,
     random_signal,
     samples_to_spectrum,
 )
-from .zeros import EnumerationCapError, OnCircleFlipError, RootConvergenceError, enumerate_family
+from .zeros import (
+    DEFAULT_FLIP_CAP,
+    EnumerationCapError,
+    OnCircleFlipError,
+    RootConvergenceError,
+    enumerate_family,
+)
 
 EXIT_INPUT = 2
 EXIT_DOMAIN = 3
@@ -115,7 +120,7 @@ def main():
 @main.command("enumerate")
 @click.option("--input", "input_path", required=True, type=click.Path(), help="signal JSON")
 @click.option("--output", "output_path", required=True, type=click.Path(), help="family JSON")
-@click.option("--max-flips", default=20, show_default=True, help="cap on independent flips")
+@click.option("--max-flips", default=DEFAULT_FLIP_CAP, show_default=True, help="cap on independent flips")
 def cmd_enumerate(input_path, output_path, max_flips):
     """Enumerate all band-limited waveforms sharing the input's intensity."""
     sig = _load_signal(input_path)
@@ -176,7 +181,7 @@ def cmd_figure2(input_path, output_path, bandwidth, seed):
 @click.option("--input", "input_path", required=True, type=click.Path(), help="intensity CSV")
 @click.option("--output", "output_path", required=True, type=click.Path(), help="signal JSON")
 @click.option("--M", "m_dof", required=True, type=int)
-@click.option("--tol", default=1e-6, show_default=True)
+@click.option("--tol", default=DEFAULT_TOL, show_default=True)
 def cmd_minphase(input_path, output_path, m_dof, tol):
     """Reconstruct the minimum-phase waveform from an intensity profile."""
     intensity = _load_intensity(input_path)
@@ -304,12 +309,11 @@ def cmd_simulate(input_path, output_path, receiver, snr_db, seed, oversample):
     noise = _guard(NoiseSpec, snr=_snr(snr_db), seed=seed)
     received = _guard(apply_noise, sig, noise)
     if receiver == "coherent":
-        out = PeriodicSignal(M=received.M, B=received.B, samples=detect_coherent(received))
-        write_signal_json(output_path, out)
-        click.echo(f"receiver=coherent samples={out.M}")
+        write_signal_json(output_path, received)
+        click.echo(f"receiver=coherent samples={received.M}")
         return
     if receiver == "intensity":
-        intensity = SampledIntensity(rate=received.B, values=_guard(detect_intensity_channel, received))
+        intensity = SampledIntensity(rate=received.B, values=_guard(field_intensity, received.samples))
     else:  # direct detection is the grid at oversample 2
         intensity = _guard(intensity_grid, received, 2 if receiver == "direct" else oversample)
     write_intensity_csv(output_path, intensity)

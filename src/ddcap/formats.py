@@ -51,11 +51,11 @@ def signal_from_dict(data: dict) -> PeriodicSignal:
         raise ValueError(f"malformed signal record: {exc}") from exc
 
 
-def _write_json(path, obj, default=None):
+def _write_json(path, obj):
     """One JSON document and a newline.  ``json.dumps`` runs the C encoder,
     which ``json.dump`` to a file handle does not; the text is the same."""
     with open(path, "w") as fh:
-        fh.write(json.dumps(obj, sort_keys=True, default=default) + "\n")
+        fh.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
 def write_signal_json(path, sig: PeriodicSignal):
@@ -159,7 +159,7 @@ def write_family_json(path, fam: EqualIntensityFamily):
 
 
 def write_report_json(path, report: dict):
-    _write_json(path, report, default=_json_default)
+    _write_json(path, report)
 
 
 def read_experiment_json(path) -> dict:
@@ -172,11 +172,3 @@ def read_experiment_json(path) -> dict:
     if missing:
         raise ValueError(f"experiment spec missing fields: {sorted(missing)}")
     return data
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")

@@ -216,14 +216,14 @@ def intensity_grid(sig: PeriodicSignal, oversample: int) -> SampledIntensity:
     """|E(t)|^2 on the rate-(oversample*B) grid over one period.
 
     ``oversample`` must be at least 2: the intensity occupies a two-sided
-    bandwidth of 2B, so any slower grid cannot represent it.  Sub-Nyquist
-    intensity sampling is only available through the dedicated rate-B
-    intensity-channel detector, where the information loss is explicit.
+    bandwidth of 2B, so any slower grid cannot represent it.  The rate-B
+    intensity samples, where the information loss is explicit, are
+    ``field_intensity(sig.samples)`` (``ddcap simulate --receiver intensity``).
     """
     if oversample < 2:
         raise ValueError(
             "oversample must be >= 2: the intensity waveform occupies a two-sided "
-            "bandwidth of 2B; use the intensity-channel detector for rate-B sampling"
+            "bandwidth of 2B; use --receiver intensity (field_intensity) for rate-B sampling"
         )
     spec = samples_to_spectrum(sig)
     grid = field_grid(spec, oversample)
@@ -342,6 +342,8 @@ def canonical_rotation(coeffs: np.ndarray) -> np.ndarray:
 def random_signal(M: int, B: float = 1.0, seed=None, dc_free: bool = False) -> PeriodicSignal:
     """Random waveform with iid circular-Gaussian Fourier coefficients, unit
     expected power.  ``dc_free`` zeroes the k=0 coefficient."""
+    if isinstance(seed, int) and seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     coeffs = (rng.standard_normal(M) + 1j * rng.standard_normal(M)) / np.sqrt(2.0 * M)
     if dc_free:

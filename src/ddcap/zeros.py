@@ -91,10 +91,6 @@ class ZeroSet:
     def n_off_circle(self) -> int:
         return int(len(self.zeros) - self.on_circle.sum())
 
-    @property
-    def outside(self) -> np.ndarray:
-        return ~(self.on_circle | self.inside)
-
 
 def _aberth_ehrlich(coeffs: np.ndarray) -> np.ndarray:
     """Simultaneous root iteration for an ascending coefficient vector.
@@ -260,9 +256,8 @@ class EqualIntensityFamily:
     group j is reflected.  ``masks[r]`` is the same pattern as a bitset over
     the zeros of ``zeroset`` (bits of jointly-flipped groups appear
     together), so rows run in binary counting order of the flip pattern.
-    Every member is phase-canonical.  ``members`` (``(mask, signal)`` pairs)
-    and ``signals`` wrap the rows as :class:`PeriodicSignal` objects, built
-    on first access.
+    Every member is phase-canonical.  ``signals`` wraps the rows as
+    :class:`PeriodicSignal` objects, built on first access.
     """
 
     base: PeriodicSignal
@@ -276,10 +271,6 @@ class EqualIntensityFamily:
     @cached_property
     def signals(self) -> tuple[PeriodicSignal, ...]:
         return tuple(PeriodicSignal(M=self.base.M, B=self.base.B, samples=row) for row in self.samples)
-
-    @cached_property
-    def members(self) -> tuple:
-        return tuple(zip(self.masks, self.signals))
 
 
 def _convolve_rows(rows: np.ndarray, factor: np.ndarray) -> np.ndarray:

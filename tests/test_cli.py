@@ -248,11 +248,18 @@ class TestRefusals:
         (["minphase", "--M", "4", "--tol", "inf"], "tol must be finite and positive"),
         (["minphase", "--M", "4", "--tol", "0"], "tol must be finite and positive"),
         (["minphase", "--M", "4", "--tol", "-1"], "tol must be finite and positive"),
+        # numpy's own refusal does not name the flag
+        (["mi", "--seed", "-1"], "seed must be non-negative, got -1"),
+        (["figure2", "--seed", "-1"], "seed must be non-negative, got -1"),
+        (["simulate", "--snr-db", "3", "--seed", "-1"], "seed must be non-negative, got -1"),
+        (["simulate", "--seed", "-1"], "seed must be non-negative, got -1"),
     ])
     def test_out_of_range_argument_exits_3_with_one_line(self, runner, tmp_path, monkeypatch, args, message):
-        if args[0] == "enumerate":
+        if args[0] in ("enumerate", "simulate"):
             write_signal_json(tmp_path / "sig.json", random_signal(4, seed=1))
             args = args + ["--input", str(tmp_path / "sig.json"), "--output", str(tmp_path / "o.json")]
+        if args[0] == "figure2":
+            args = args + ["--output", str(tmp_path / "o.csv")]
         if args[0] == "minphase":
             write_intensity_csv(tmp_path / "i.csv", intensity_grid(random_signal(4, seed=1), 8))
             args = args + ["--input", str(tmp_path / "i.csv"), "--output", str(tmp_path / "o.json")]
@@ -302,7 +309,7 @@ class TestFigure2:
         d = len(zs.zeros)
         min_mask = sum(1 << i for i in range(d) if zs.inside[i])
         max_mask = sum(1 << i for i in range(d) if not zs.inside[i] and not zs.on_circle[i])
-        masks = [m for m, _ in fam.members]
+        masks = list(fam.masks)
         col_min, col_max = masks.index(min_mask), masks.index(max_mask)
 
         u = 0.5 * np.log(intensity)
@@ -528,6 +535,17 @@ class TestCounting:
         result = runner.invoke(main, ["counting", "--constellation", "8psk", "--M", "5"])
         assert result.exit_code == 3
         assert result.stderr.splitlines() == ["error: 32768 waveforms exceed the enumeration cap 16384"]
+
+    @pytest.mark.parametrize("name", ["bpsk", "qpsk", "8psk"])
+    def test_single_fiber_entropy_is_positive_zero(self, runner, tmp_path, name):
+        # one waveform after the phase quotient: H(Y) is 0.0, printed and written without a sign
+        out = tmp_path / "counting.json"
+        result = run_ok(runner, ["counting", "--constellation", name, "--M", "1", "--output", str(out)])
+        assert result.stdout == (
+            "n_distinct=1 h_coherent=0.000000 h_direct=0.000000 gap_bits=0.000000 max_fiber=1\n"
+        )
+        data = json.loads(out.read_text())
+        assert math.copysign(1.0, data["h_direct_bits"]) == 1.0
 
 
 class TestSimulate:

@@ -30,7 +30,6 @@ from ddcap.formats import (
     write_csv,
     write_family_json,
     write_intensity_csv,
-    write_report_json,
     write_signal_json,
 )
 
@@ -348,6 +347,29 @@ def test_enumerate_output_is_pinned(tmp_path, M, size, digest):
     assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
 
 
+# SHA-256 of ``ddcap mi`` and ``ddcap counting`` reports, fixed as the
+# enumerate output is; the coherent Gaussian report carries the closed form
+@pytest.mark.parametrize(
+    "args, size, digest",
+    [
+        (["mi", "--receiver", "coherent", "--input-model", "gaussian", "--M", "1"],
+         321, "a9c2aece6961d6878316b5451627ca7d117d75c3d2509f5f88eed74745d146ab"),
+        (["mi", "--receiver", "direct", "--input-model", "qpsk", "--M", "2"],
+         312, "23d625422a7149a1e27291e3663b3c8baf3bfb46eaa647b0f0478fc17f26de9e"),
+        (["counting", "--constellation", "qpsk", "--M", "3"],
+         235, "a28ea8da0beabdcfdcc773e375035a230f36774419601e3b5b721b5bd8a844a4"),
+    ],
+    ids=["mi-coherent-gaussian", "mi-direct-qpsk", "counting-qpsk"],
+)
+def test_report_output_is_pinned(tmp_path, args, size, digest):
+    if args[0] == "mi":
+        args = args + ["--n-samples", "2000", "--seed", "5", "--snr-db", "10"]
+    result = CliRunner().invoke(main, args + ["--output", str(tmp_path / "report.json")], catch_exceptions=False)
+    assert result.exit_code == 0, result.output
+    data = (tmp_path / "report.json").read_bytes()
+    assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
+
+
 def test_writers_are_deterministic(tmp_path):
     sig = random_signal(4, seed=9)
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -362,10 +384,20 @@ def test_writers_are_deterministic(tmp_path):
     assert c1.read_bytes() == c2.read_bytes()
 
 
-def test_report_json_handles_numpy_scalars(tmp_path):
-    path = tmp_path / "report.json"
-    write_report_json(path, {"value": np.float64(1.5), "count": np.int64(3)})
-    assert json.loads(path.read_text()) == {"value": 1.5, "count": 3}
+@pytest.mark.parametrize("args", [
+    ["mi", "--n-samples", "100"],
+    ["mi", "--receiver", "direct", "--input-model", "qpsk", "--M", "2", "--n-samples", "100"],
+    ["counting", "--M", "3"],
+    ["counting", "--M", "1"],
+])
+def test_reports_hold_plain_python_values(monkeypatch, args):
+    # the report writer has no fallback for numpy scalars: the commands hand it none
+    payloads = []
+    monkeypatch.setattr("ddcap.cli.write_report_json", lambda path, report: payloads.append(report))
+    result = CliRunner().invoke(main, args + ["--output", "unused.json"], catch_exceptions=False)
+    assert result.exit_code == 0, result.output
+    [payload] = payloads
+    assert {type(value) for value in payload.values()} <= {bool, int, float, str, type(None)}
 
 
 def test_experiment_spec_validation(tmp_path):
