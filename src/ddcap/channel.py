@@ -119,6 +119,16 @@ def _inband_noise(M, total_variance, rng, out, work):
     return np.multiply(np.sqrt(total_variance / (2.0 * M)), _circular_normal(rng, out, work), out=out)
 
 
+def _noise_variance(power, snr):
+    """power / snr, the noise variance at ``snr`` for a signal of mean power
+    ``power``; refused when it overflows float64."""
+    with np.errstate(over="ignore"):  # an overflow is refused below, without a warning
+        variance = power / snr
+    if not np.isfinite(variance):
+        raise ValueError(f"snr {snr:.3g} is so small that the noise variance overflows")
+    return variance
+
+
 def apply_noise(sig: PeriodicSignal, noise: NoiseSpec) -> PeriodicSignal:
     """Add white in-band noise scaled to the signal's own power."""
     with np.errstate(over="ignore"):  # an overflow is refused below, without a warning
@@ -129,9 +139,7 @@ def apply_noise(sig: PeriodicSignal, noise: NoiseSpec) -> PeriodicSignal:
         raise ValueError("the signal power, the mean of |sample|^2, overflows float64")
     if np.isinf(noise.snr):
         return sig
-    variance = power / noise.snr
-    if not np.isfinite(variance):
-        raise ValueError(f"snr {noise.snr:.3g} is so small that the noise variance overflows")
+    variance = _noise_variance(power, noise.snr)
     rng = np.random.default_rng(noise.seed)
     coeffs = np.fft.ifft(sig.samples) + inband_noise_coefficients(sig.M, variance, rng)
     return PeriodicSignal(M=sig.M, B=sig.B, samples=np.fft.fft(coeffs))
@@ -656,8 +664,10 @@ def _i0e(z, out, work):
     z and out are C-contiguous.  work is a float array of five rows of at
     least z.size entries: three Clenshaw rows, the far branch's argument and
     a branch's part.  A table in one branch is evaluated whole; a mixed one
-    is gathered into its two branches and scattered back, by index: boolean
-    masks cost several times more here.  Nothing the table's size is
+    is gathered into its two branches by ``np.take`` on their indices
+    (boolean masks cost several times more here), and each branch is
+    written back by indexed assignment, which takes under half the time of
+    ``np.put`` for the same bits.  Nothing the table's size is
     allocated but its branch mask and indices, so a caller that evaluates a
     wide table in pieces through one reused ``work`` keeps its memory to the
     piece's size: scratch freed and allocated on every call has its pages
@@ -674,7 +684,7 @@ def _i0e(z, out, work):
         for index, branch in ((np.flatnonzero(near), _i0e_near), (np.flatnonzero(~near), _i0e_far)):
             # mode="clip": with out=, take's default mode buffers a copy of out
             part = np.take(flat_z, index, out=work[4, : len(index)], mode="clip")
-            np.put(flat_out, index, branch(part, part, work[:4, : len(index)]), mode="clip")
+            flat_out[index] = branch(part, part, work[:4, : len(index)])
     return out
 
 
@@ -881,10 +891,11 @@ def mc_mi(
     blocks, and at most two blocks per thread are handed to the pool at
     once, so memory is bounded whatever ``n_samples`` is.  More than
     ``MC_MAX_SAMPLES`` waveforms, a waveform of more than
-    ``MC_BLOCK_ELEMENTS`` density terms, or an SNR above
-    ``MC_SQUARE_LAW_MAX_SNR`` at a square-law receiver raise ``ValueError``
-    before anything is drawn, and an SNR so extreme that the float64
-    densities overflow raises ``FloatingPointError``.
+    ``MC_BLOCK_ELEMENTS`` density terms, an SNR above
+    ``MC_SQUARE_LAW_MAX_SNR`` at a square-law receiver, or one so small that
+    the noise variance overflows raise ``ValueError`` before anything is
+    drawn, and an SNR so extreme that the float64 densities overflow raises
+    ``FloatingPointError``.
 
     The direct receiver's metric treats its correlated outputs as
     independent, so it reports the auxiliary-channel lower bound of Arnold,
@@ -938,10 +949,10 @@ def mc_mi(
 
     symbols = M // length  # per waveform
     if gaussian:
-        v = 1.0 / snr
+        v = _noise_variance(1.0, snr)
     else:
         samples = np.array(list(itertools.product(points, repeat=length)))
-        v = float(np.mean(np.abs(samples) ** 2)) / snr
+        v = _noise_variance(float(np.mean(np.abs(samples) ** 2)), snr)
         # each output's noiseless field over the alphabet, outputs-major as
         # a block reads it
         columns = np.ascontiguousarray(_fields(np.fft.ifft(samples, axis=1), rx.oversample).T)

@@ -7,15 +7,19 @@ outputs, so a run is fixed by its flags alone; identical flags and seed
 produce byte-identical output files.
 
 Exit codes: 0 success, 2 input error, 3 domain error, 4 numerical failure.
+Each failure prints one ``error:`` line on stderr; a usage error (an unknown
+or abbreviated option, a missing one, a value of the wrong type) exits 2.
+The parser is built once, at import.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
+import os
 import sys
 
-import click
 import numpy as np
 
 from . import __version__
@@ -83,7 +87,7 @@ def _snr(snr_db: float | None) -> float:
 
 
 def _fail(code: int, message: str):
-    click.echo(f"error: {message}", err=True)
+    print(f"error: {message}", file=sys.stderr)
     sys.exit(code)
 
 
@@ -111,31 +115,108 @@ def _guard(fn, *args, **kwargs):
         _fail(EXIT_DOMAIN, str(exc))
 
 
-@click.group()
-@click.version_option(__version__)
-def main():
-    """Equal-intensity waveform families and direct-detection information."""
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors print one ``error:`` line and exit 2."""
+
+    def error(self, message):
+        _fail(EXIT_INPUT, message)
 
 
-@main.command("enumerate")
-@click.option("--input", "input_path", required=True, type=click.Path(), help="signal JSON")
-@click.option("--output", "output_path", required=True, type=click.Path(), help="family JSON")
-@click.option("--max-flips", default=DEFAULT_FLIP_CAP, show_default=True, help="cap on independent flips")
+_PARSER = _Parser(prog="ddcap", description="Equal-intensity waveform families and direct-detection information.",
+                  add_help=False, allow_abbrev=False)
+_PARSER.add_argument("--help", action="help", help="show this message and exit")
+_PARSER.add_argument("--version", action="version", version=f"ddcap, version {__version__}")
+_COMMANDS = _PARSER.add_subparsers(dest="command", metavar="COMMAND", required=True)
+_VALUE_OPTIONS: dict[str, frozenset[str]] = {}  # per command: its options, each of which takes a value
+_DEFAULT = " (default: %(default)s)"
+
+
+def _command(name: str, *options):
+    """Register the decorated function as subcommand ``name``.
+
+    Each option is a ``(flag, settings)`` pair for ``add_argument``; the
+    function is called with the parsed options as keyword arguments.
+    """
+
+    def register(fn):
+        sub = _COMMANDS.add_parser(name, help=fn.__doc__.splitlines()[0], description=fn.__doc__,
+                                   add_help=False, allow_abbrev=False)
+        sub.add_argument("--help", action="help", help="show this message and exit")
+        for flag, settings in options:
+            sub.add_argument(flag, **settings)
+        sub.set_defaults(run=fn)
+        _VALUE_OPTIONS[name] = frozenset(flag for flag, _ in options)
+        return fn
+
+    return register
+
+
+def _fused(args: list[str]) -> list[str]:
+    """``args`` with each option of the command and the token after it fused
+    into one ``--option=value``.
+
+    Every option takes a value, and the token after it is that value even
+    when it starts with ``-``: argparse would take ``-1e+300``, ``-inf`` or
+    ``--input`` for an option name.
+    """
+    options = _VALUE_OPTIONS.get(args[0]) if args else None
+    if not options:
+        return args
+    fused, tokens = [args[0]], iter(args[1:])
+    for token in tokens:
+        if token in options:
+            value = next(tokens, None)
+            if value is not None:  # else argparse reports the missing value
+                token = f"{token}={value}"
+        fused.append(token)
+    return fused
+
+
+def main(args=None, prog_name=None):
+    """Run one ``ddcap`` command line, ``sys.argv[1:]`` when ``args`` is None.
+
+    A command that succeeds returns None.  ``--help`` and ``--version``
+    raise ``SystemExit(0)``, and every failure, a usage error included,
+    raises ``SystemExit`` with its exit code after one ``error:`` line.
+    ``prog_name`` is accepted for callers that pass one and ignored: the
+    program is ``ddcap``.
+    """
+    options = vars(_PARSER.parse_args(_fused(sys.argv[1:] if args is None else list(args))))
+    del options["command"]
+    try:
+        options.pop("run")(**options)
+        # a pipe holds the summary line in its buffer: flush it here, so that
+        # a reader that has gone is met below and not at exit
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout's reader has gone: exit 1 without a traceback, and send what
+        # is still buffered to devnull, so that the flush at exit cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+
+
+@_command(
+    "enumerate",
+    ("--input", dict(dest="input_path", required=True, help="signal JSON")),
+    ("--output", dict(dest="output_path", required=True, help="family JSON")),
+    ("--max-flips", dict(type=int, default=DEFAULT_FLIP_CAP, help="cap on independent flips" + _DEFAULT)),
+)
 def cmd_enumerate(input_path, output_path, max_flips):
     """Enumerate all band-limited waveforms sharing the input's intensity."""
     sig = _load_signal(input_path)
     fam = _guard(enumerate_family, sig, max_flips=max_flips)
     write_family_json(output_path, fam)
     n_on = int(fam.zeroset.on_circle.sum())
-    click.echo(f"members={len(fam)} zeros_on_circle={n_on}")
+    print(f"members={len(fam)} zeros_on_circle={n_on}")
 
 
-@main.command("figure2")
-@click.option("--input", "input_path", type=click.Path(), default=None,
-              help="signal JSON (M=4); generated from --seed when omitted")
-@click.option("--output", "output_path", required=True, type=click.Path())
-@click.option("--B", "bandwidth", default=1.0, show_default=True)
-@click.option("--seed", default=0, show_default=True)
+@_command(
+    "figure2",
+    ("--input", dict(dest="input_path", help="signal JSON (M=4); generated from --seed when omitted")),
+    ("--output", dict(dest="output_path", required=True, help="figure CSV")),
+    ("--B", dict(dest="bandwidth", type=float, default=1.0, help="bandwidth" + _DEFAULT)),
+    ("--seed", dict(type=int, default=0, help="seed of the generated signal" + _DEFAULT)),
+)
 def cmd_figure2(input_path, output_path, bandwidth, seed):
     """Dense grid of one shared intensity and the 8 member phases (M=4).
 
@@ -174,37 +255,40 @@ def cmd_figure2(input_path, output_path, bandwidth, seed):
     phases = np.unwrap(np.angle(fields), axis=1)
     write_csv(output_path, "t,intensity," + ",".join(f"phase_{j}" for j in range(8)),
               [times, intensities[0], *phases])
-    click.echo(f"members=8 points={points} intensity_spread={spread:.3e}")
+    print(f"members=8 points={points} intensity_spread={spread:.3e}")
 
 
-@main.command("minphase")
-@click.option("--input", "input_path", required=True, type=click.Path(), help="intensity CSV")
-@click.option("--output", "output_path", required=True, type=click.Path(), help="signal JSON")
-@click.option("--M", "m_dof", required=True, type=int)
-@click.option("--tol", default=DEFAULT_TOL, show_default=True)
+@_command(
+    "minphase",
+    ("--input", dict(dest="input_path", required=True, help="intensity CSV")),
+    ("--output", dict(dest="output_path", required=True, help="signal JSON")),
+    ("--M", dict(dest="m_dof", required=True, type=int, help="degrees of freedom")),
+    ("--tol", dict(type=float, default=DEFAULT_TOL, help="reconstruction tolerance" + _DEFAULT)),
+)
 def cmd_minphase(input_path, output_path, m_dof, tol):
     """Reconstruct the minimum-phase waveform from an intensity profile."""
     intensity = _load_intensity(input_path)
     result = _guard(min_phase_from_intensity, intensity, m_dof, tol=tol)
     write_signal_json(output_path, result.signal)
-    click.echo(
+    print(
         f"residual={result.residual:.6e} "
         f"projection_residual={result.projection_residual:.6e} "
         f"regularized={str(result.regularized).lower()} grid={result.grid_size}"
     )
 
 
-@main.command("mi")
-@click.option("--spec", "spec_path", type=click.Path(), default=None,
-              help="experiment JSON overriding the flags")
-@click.option("--receiver", type=click.Choice(MI_RECEIVERS), default="coherent", show_default=True)
-@click.option("--input-model", default="gaussian", show_default=True,
-              help="gaussian or a constellation name (bpsk/qpsk/8psk)")
-@click.option("--snr-db", default=10.0, show_default=True)
-@click.option("--seed", default=0, show_default=True)
-@click.option("--n-samples", default=100_000, show_default=True)
-@click.option("--M", "m_dof", default=1, show_default=True)
-@click.option("--output", "output_path", type=click.Path(), default=None, help="report JSON")
+@_command(
+    "mi",
+    ("--spec", dict(dest="spec_path", help="experiment JSON overriding the flags")),
+    ("--receiver", dict(choices=MI_RECEIVERS, default="coherent", help="receiver" + _DEFAULT)),
+    ("--input-model", dict(default="gaussian",
+                           help="gaussian or a constellation name (bpsk/qpsk/8psk)" + _DEFAULT)),
+    ("--snr-db", dict(type=float, default=10.0, help="SNR in dB" + _DEFAULT)),
+    ("--seed", dict(type=int, default=0, help="seed of the draws" + _DEFAULT)),
+    ("--n-samples", dict(type=int, default=100_000, help="waveforms drawn" + _DEFAULT)),
+    ("--M", dict(dest="m_dof", type=int, default=1, help="degrees of freedom" + _DEFAULT)),
+    ("--output", dict(dest="output_path", help="report JSON")),
+)
 def cmd_mi(spec_path, receiver, input_model, snr_db, seed, n_samples, m_dof, output_path):
     """Monte-Carlo mutual information for one receiver and input model."""
     if spec_path is not None:
@@ -245,7 +329,7 @@ def cmd_mi(spec_path, receiver, input_model, snr_db, seed, n_samples, m_dof, out
     }
     if output_path:
         write_report_json(output_path, payload)
-    click.echo(
+    print(
         f"bits_per_dof={est.bits_per_dof:.6f} std_error={est.std_error:.6f} "
         f"method={est.method} bound_direction={est.bound_direction}"
     )
@@ -259,10 +343,12 @@ def _spec_value(key: str, value, kind):
     return value
 
 
-@main.command("counting")
-@click.option("--constellation", default="qpsk", show_default=True)
-@click.option("--M", "m_dof", default=2, show_default=True)
-@click.option("--output", "output_path", type=click.Path(), default=None, help="report JSON")
+@_command(
+    "counting",
+    ("--constellation", dict(default="qpsk", help="bpsk, qpsk or 8psk" + _DEFAULT)),
+    ("--M", dict(dest="m_dof", type=int, default=2, help="degrees of freedom" + _DEFAULT)),
+    ("--output", dict(dest="output_path", help="report JSON")),
+)
 def cmd_counting(constellation, m_dof, output_path):
     """Noiseless entropy counting over a constellation^M waveform alphabet."""
     points = _guard(named_constellation, constellation)
@@ -283,22 +369,24 @@ def cmd_counting(constellation, m_dof, output_path):
     }
     if output_path:
         write_report_json(output_path, payload)
-    click.echo(
+    print(
         f"n_distinct={report.n_distinct} h_coherent={report.h_coherent:.6f} "
         f"h_direct={report.h_direct:.6f} gap_bits={report.gap_bits:.6f} "
         f"max_fiber={report.max_fiber}"
     )
 
 
-@main.command("simulate")
-@click.option("--input", "input_path", required=True, type=click.Path(), help="signal JSON")
-@click.option("--output", "output_path", required=True, type=click.Path())
-@click.option("--receiver", type=click.Choice(["coherent", "direct", "intensity", "grid"]),
-              default="coherent", show_default=True)
-@click.option("--snr-db", type=float, default=None, help="omit for a noiseless run")
-@click.option("--seed", default=0, show_default=True)
-@click.option("--oversample", default=8, show_default=True,
-              help="grid receiver only: intensity samples per 1/B")
+@_command(
+    "simulate",
+    ("--input", dict(dest="input_path", required=True, help="signal JSON")),
+    ("--output", dict(dest="output_path", required=True, help="signal JSON or intensity CSV")),
+    ("--receiver", dict(choices=("coherent", "direct", "intensity", "grid"), default="coherent",
+                        help="receiver" + _DEFAULT)),
+    ("--snr-db", dict(type=float, help="SNR in dB; omit for a noiseless run")),
+    ("--seed", dict(type=int, default=0, help="seed of the noise" + _DEFAULT)),
+    ("--oversample", dict(type=int, default=8,
+                          help="grid receiver only: intensity samples per 1/B" + _DEFAULT)),
+)
 def cmd_simulate(input_path, output_path, receiver, snr_db, seed, oversample):
     """Push a waveform through the noisy channel and one receiver.
 
@@ -310,14 +398,14 @@ def cmd_simulate(input_path, output_path, receiver, snr_db, seed, oversample):
     received = _guard(apply_noise, sig, noise)
     if receiver == "coherent":
         write_signal_json(output_path, received)
-        click.echo(f"receiver=coherent samples={received.M}")
+        print(f"receiver=coherent samples={received.M}")
         return
     if receiver == "intensity":
         intensity = SampledIntensity(rate=received.B, values=_guard(field_intensity, received.samples))
     else:  # direct detection is the grid at oversample 2
         intensity = _guard(intensity_grid, received, 2 if receiver == "direct" else oversample)
     write_intensity_csv(output_path, intensity)
-    click.echo(f"receiver={receiver} rows={len(intensity.values)} rate={intensity.rate:.17g}")
+    print(f"receiver={receiver} rows={len(intensity.values)} rate={intensity.rate:.17g}")
 
 
 if __name__ == "__main__":

@@ -734,6 +734,14 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match="input model"):
             mc_mi("coherent", "laplace", NoiseSpec(snr=1.0, seed=0), 100)
 
+    @pytest.mark.parametrize("receiver, model, M", [
+        ("coherent", "gaussian", 1), ("intensity", "gaussian", 1), ("direct", psk(4), 2), ("coherent", psk(2), 3),
+    ])
+    def test_overflowing_noise_variance_names_the_snr(self, receiver, model, M):
+        # 1/snr, or mean|x|^2 / snr, is beyond the float range
+        with pytest.raises(ValueError, match=r"^snr 1e-310 is so small that the noise variance overflows$"):
+            mc_mi(receiver, model, NoiseSpec(snr=1e-310, seed=0), 300, M=M)
+
     # float.hex of (bits_per_dof, std_error): seed 7, SNR 10, n 3001, M 2.
     # Re-pinned once when each block got its own random stream; every row
     # lies within 2 combined standard errors of the one before.

@@ -1,6 +1,7 @@
 import ast
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -8,7 +9,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
 
 import ddcap.cli
@@ -24,9 +24,10 @@ from ddcap import (
     samples_to_spectrum,
     signal_from_zeros,
 )
-from ddcap.cli import main
 from ddcap.formats import read_intensity_csv, read_signal_json, write_intensity_csv, write_signal_json
 from ddcap.signals import FIELD_GRID_CAP
+
+from conftest import invoke
 
 
 # an M=4 signal whose samples are near the float64 limit: it enumerates, but
@@ -34,20 +35,15 @@ from ddcap.signals import FIELD_GRID_CAP
 HUGE_SAMPLES = [[1e308, 1e308], [1e308, -1e308], [-1e308, 0.5e308], [0.3e308, 0]]
 
 
-@pytest.fixture
-def runner():
-    return CliRunner()
-
-
-def run_ok(runner, args):
-    result = runner.invoke(main, args, catch_exceptions=False)
+def run_ok(args):
+    result = invoke(args)
     assert result.exit_code == 0, result.output
     return result
 
 
 def assert_clean_exit(result, summary):
     """Exit 0 with the summary line, or 2, 3 or 4 with one ``error:`` line."""
-    assert result.exit_code in (0, 2, 3, 4), repr(result.exception)
+    assert result.exit_code in (0, 2, 3, 4), result.output
     assert "Traceback" not in result.output
     if result.exit_code:
         assert [line.startswith("error:") for line in result.stderr.splitlines()] == [True]
@@ -70,7 +66,7 @@ def inputs(tmp_path_factory):
 
 
 # scipy costs about a third of a second and 23 MiB at every start, and only
-# the tests depend on it: no command, and nothing numpy or click import, loads it
+# the tests depend on it: no command, and nothing numpy imports, loads it
 _SCIPY_FREE_RUN = """
 import os
 import sys
@@ -98,7 +94,7 @@ for args in (
     ["counting", "--constellation", "qpsk", "--M", "4"],
     ["counting", "--constellation", "bpsk", "--M", "9"],
 ):
-    ddcap.cli.main(args, standalone_mode=False)
+    ddcap.cli.main(args)
 print(chain_bound_check(enumerate_family(random_signal(4, seed=3)).signals).gap)
 print(scipy_loaded())
 """
@@ -111,6 +107,7 @@ def test_package_has_modules_to_check():
     assert {"channel.py", "cli.py", "minphase.py"} <= {path.name for path in _MODULES}
 
 
+# the runtime needs numpy alone: neither scipy nor click may be imported
 @pytest.mark.parametrize("path", _MODULES, ids=lambda path: path.name)
 def test_no_module_imports_scipy(path):
     found = []
@@ -121,8 +118,14 @@ def test_no_module_imports_scipy(path):
             names = [node.module or ""]
         else:
             continue
-        found += [f"{path.name}:{node.lineno}" for name in names if name.partition(".")[0] == "scipy"]
+        found += [f"{path.name}:{node.lineno}" for name in names if name.partition(".")[0] in ("scipy", "click")]
     assert found == []
+
+
+def test_cli_import_loads_neither_click_nor_scipy():
+    code = "import sys, ddcap.cli; print(sorted({name.partition('.')[0] for name in sys.modules} & {'click', 'scipy'}))"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert result.stdout == "[]\n"
 
 
 def test_commands_without_scipy_kernels_leave_it_unloaded(tmp_path):
@@ -135,55 +138,51 @@ def test_commands_without_scipy_kernels_leave_it_unloaded(tmp_path):
 
 
 class TestEnumerate:
-    def test_happy_path_summary_and_file(self, runner, tmp_path):
+    def test_happy_path_summary_and_file(self, tmp_path):
         sig_path, fam_path = tmp_path / "sig.json", tmp_path / "family.json"
         write_signal_json(sig_path, random_signal(4, seed=3))
-        result = run_ok(runner, ["enumerate", "--input", str(sig_path), "--output", str(fam_path)])
+        result = run_ok(["enumerate", "--input", str(sig_path), "--output", str(fam_path)])
         assert result.output.strip() == "members=8 zeros_on_circle=0"
         data = json.loads(fam_path.read_text())
         assert len(data["members"]) == 8
 
-    def test_m1_single_member(self, runner, tmp_path):
+    def test_m1_single_member(self, tmp_path):
         sig_path, fam_path = tmp_path / "sig.json", tmp_path / "family.json"
         write_signal_json(sig_path, random_signal(1, seed=1))
-        result = run_ok(runner, ["enumerate", "--input", str(sig_path), "--output", str(fam_path)])
+        result = run_ok(["enumerate", "--input", str(sig_path), "--output", str(fam_path)])
         assert result.output.strip() == "members=1 zeros_on_circle=0"
 
-    def test_forced_on_circle_zero(self, runner, tmp_path):
+    def test_forced_on_circle_zero(self, tmp_path):
         sig_path, fam_path = tmp_path / "sig.json", tmp_path / "family.json"
         sig = signal_from_zeros([np.exp(0.7j), 0.5 - 0.2j, 1.9 + 0.4j], M=4)
         write_signal_json(sig_path, sig)
-        result = run_ok(runner, ["enumerate", "--input", str(sig_path), "--output", str(fam_path)])
+        result = run_ok(["enumerate", "--input", str(sig_path), "--output", str(fam_path)])
         assert result.output.strip() == "members=4 zeros_on_circle=1"
 
-    def test_parse_failure_exits_2(self, runner, tmp_path):
+    def test_parse_failure_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
-        result = runner.invoke(main, ["enumerate", "--input", str(bad), "--output", str(tmp_path / "o.json")])
+        result = invoke(["enumerate", "--input", str(bad), "--output", str(tmp_path / "o.json")])
         assert result.exit_code == 2
 
-    def test_missing_file_exits_2(self, runner, tmp_path):
-        result = runner.invoke(
-            main, ["enumerate", "--input", str(tmp_path / "nope.json"), "--output", str(tmp_path / "o.json")]
-        )
+    def test_missing_file_exits_2(self, tmp_path):
+        result = invoke(["enumerate", "--input", str(tmp_path / "nope.json"), "--output", str(tmp_path / "o.json")])
         assert result.exit_code == 2
 
-    def test_cap_exits_3(self, runner, tmp_path):
+    def test_cap_exits_3(self, tmp_path):
         sig_path = tmp_path / "sig.json"
         write_signal_json(sig_path, random_signal(10, seed=2))
-        result = runner.invoke(
-            main,
-            ["enumerate", "--input", str(sig_path), "--output", str(tmp_path / "o.json"), "--max-flips", "3"],
-        )
+        result = invoke(["enumerate", "--input", str(sig_path), "--output", str(tmp_path / "o.json"),
+                         "--max-flips", "3"])
         assert result.exit_code == 3
 
 
     @pytest.mark.parametrize("bandwidth", [math.inf, -math.inf, math.nan])
-    def test_nonfinite_bandwidth_exits_2(self, runner, tmp_path, bandwidth):
+    def test_nonfinite_bandwidth_exits_2(self, tmp_path, bandwidth):
         # json writes these as Infinity and NaN, which its reader accepts
         sig_path = tmp_path / "sig.json"
         sig_path.write_text(json.dumps({"M": 2, "B": bandwidth, "samples": [[1.0, 0.0], [0.5, 0.25]]}))
-        result = runner.invoke(main, ["enumerate", "--input", str(sig_path), "--output", str(tmp_path / "o.json")])
+        result = invoke(["enumerate", "--input", str(sig_path), "--output", str(tmp_path / "o.json")])
         assert result.exit_code == 2
         assert result.stderr.splitlines() == [
             f"error: cannot read signal JSON {sig_path}: malformed signal record: B must be finite and positive"
@@ -210,21 +209,21 @@ class TestEnumerate:
         sig_path = inputs / "enumerate.json"
         sig_path.write_text(json.dumps({"M": len(samples), "B": bandwidth, "samples": samples}))
         args = ["enumerate", "--input", str(sig_path), "--output", str(inputs / "out"), "--max-flips", str(max_flips)]
-        assert_clean_exit(CliRunner().invoke(main, args), "members=")
+        assert_clean_exit(invoke(args), "members=")
 
-    def test_subnormal_samples_exit_3_naming_their_scale(self, runner, tmp_path):
+    def test_subnormal_samples_exit_3_naming_their_scale(self, tmp_path):
         sig_path = tmp_path / "sig.json"
         sig_path.write_text(json.dumps({"M": 3, "B": 1.0, "samples": [[5e-324, 0], [0, -5e-324], [5e-324, 5e-324]]}))
-        result = runner.invoke(main, ["enumerate", "--input", str(sig_path), "--output", str(tmp_path / "o.json")])
+        result = invoke(["enumerate", "--input", str(sig_path), "--output", str(tmp_path / "o.json")])
         assert result.exit_code == 3
         assert result.stderr.startswith("error: samples peak at 4.94e-324, below the smallest normal float64")
 
-    def test_huge_samples_enumerate_with_their_intensity(self, runner, tmp_path):
+    def test_huge_samples_enumerate_with_their_intensity(self, tmp_path):
         # their spectrum overflowed before the samples were scaled to about 1
         sig_path, fam_path = tmp_path / "sig.json", tmp_path / "family.json"
         samples = [[1e308, -1e308], [1e308, 1e308], [-1e308, 0.0]]
         sig_path.write_text(json.dumps({"M": 3, "B": 1.0, "samples": samples}))
-        run_ok(runner, ["enumerate", "--input", str(sig_path), "--output", str(fam_path)])
+        run_ok(["enumerate", "--input", str(sig_path), "--output", str(fam_path)])
         members = [m["signal"]["samples"] for m in json.loads(fam_path.read_text())["members"]]
         moduli = np.hypot(*np.moveaxis(np.array(members), -1, 0))
         assert len(members) == 4
@@ -253,8 +252,20 @@ class TestRefusals:
         (["figure2", "--seed", "-1"], "seed must be non-negative, got -1"),
         (["simulate", "--snr-db", "3", "--seed", "-1"], "seed must be non-negative, got -1"),
         (["simulate", "--seed", "-1"], "seed must be non-negative, got -1"),
+        # 1/snr, or mean|x|^2 / snr, overflows: refused before any draw
+        (["mi", "--receiver", "coherent", "--input-model", "gaussian", "--snr-db", "-3100", "--n-samples", "300",
+          "--M", "2"], "snr 1e-310 is so small that the noise variance overflows"),
+        (["mi", "--receiver", "intensity", "--input-model", "gaussian", "--snr-db", "-3100", "--n-samples", "300"],
+         "snr 1e-310 is so small that the noise variance overflows"),
+        (["mi", "--receiver", "direct", "--input-model", "qpsk", "--M", "2", "--snr-db", "-3100",
+          "--n-samples", "300"], "snr 1e-310 is so small that the noise variance overflows"),
+        # values that start with "-" are values, not option names
+        (["mi", "--snr-db", "-inf"], "snr must be positive"),
+        (["mi", "--snr-db", "-1e+300"], "snr must be positive"),
+        (["mi", "--input-model", "--M"], "unknown constellation '--M'"),
+        (["simulate", "--snr-db", "-3100.5"], "so small that the noise variance overflows"),
     ])
-    def test_out_of_range_argument_exits_3_with_one_line(self, runner, tmp_path, monkeypatch, args, message):
+    def test_out_of_range_argument_exits_3_with_one_line(self, tmp_path, monkeypatch, args, message):
         if args[0] in ("enumerate", "simulate"):
             write_signal_json(tmp_path / "sig.json", random_signal(4, seed=1))
             args = args + ["--input", str(tmp_path / "sig.json"), "--output", str(tmp_path / "o.json")]
@@ -268,26 +279,74 @@ class TestRefusals:
             raise AssertionError("random draws were made for a refused request")
 
         monkeypatch.setattr(np.random, "default_rng", no_draws)
-        result = runner.invoke(main, args, catch_exceptions=False)
+        result = invoke(args)
         assert result.exit_code == 3
         assert [line.startswith("error:") for line in result.stderr.splitlines()] == [True]
         assert message in result.stderr
         assert "Traceback" not in result.stderr
 
 
+class TestUsage:
+    @pytest.mark.parametrize("args", [
+        pytest.param(["counting", "--colour", "red"], id="unknown-option"),
+        pytest.param(["counting", "--M", "2.5"], id="non-integer-M"),
+        pytest.param(["enumerate", "--input", "sig.json"], id="missing-output"),
+        pytest.param(["mi", "--receiver", "homodyne"], id="bad-receiver"),
+        pytest.param([], id="no-subcommand"),
+        pytest.param(["mi", "--out", "r.json"], id="abbreviated-option"),
+        pytest.param(["minphase", "--input", "i.csv", "--output", "m.json", "--M"], id="missing-value"),
+        pytest.param(["mi", "--n-samples", "100", "extra"], id="extra-argument"),
+    ])
+    def test_usage_error_exits_2_with_one_line(self, args):
+        result = invoke(args)
+        assert result.exit_code == 2
+        assert [line.startswith("error: ") for line in result.stderr.splitlines()] == [True]
+        assert result.stdout == ""
+
+    def test_version(self):
+        result = invoke(["--version"])
+        assert (result.exit_code, result.stdout) == (0, "ddcap, version 0.1.0\n")
+
+    @pytest.mark.parametrize("args", [[], ["mi"], ["simulate"]])
+    def test_help_exits_0(self, args):
+        result = invoke([*args, "--help"])
+        assert result.exit_code == 0 and result.stdout.startswith("usage: ddcap") and result.stderr == ""
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_closed_stdout_exits_1_without_a_traceback(self, unbuffered):
+        # a buffered stdout meets the closed pipe only when it is flushed,
+        # an unbuffered one at the print itself
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run([sys.executable, "-m", "ddcap.cli", "counting", "--M", "1"],
+                                    stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+                                    env=env)
+        finally:
+            os.close(write_end)
+        assert (result.returncode, result.stderr) == (1, "")
+
+    def test_later_value_of_a_repeated_option_wins(self):
+        result = invoke(["counting", "--M", "3", "--M=1", "--constellation", "8psk", "--constellation", "bpsk"])
+        assert result.stdout == "n_distinct=1 h_coherent=0.000000 h_direct=0.000000 gap_bits=0.000000 max_fiber=1\n"
+
+
 class TestFigure2:
-    def test_seeded_run_shape_and_determinism(self, runner, tmp_path):
+    def test_seeded_run_shape_and_determinism(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        run_ok(runner, ["figure2", "--seed", "7", "--output", str(out1)])
-        run_ok(runner, ["figure2", "--seed", "7", "--output", str(out2)])
+        run_ok(["figure2", "--seed", "7", "--output", str(out1)])
+        run_ok(["figure2", "--seed", "7", "--output", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
         lines = out1.read_text().splitlines()
         assert lines[0] == "t,intensity," + ",".join(f"phase_{j}" for j in range(8))
         assert len(lines) == 1 + 512
 
-    def test_phase_columns_are_distinct_and_intensity_shared(self, runner, tmp_path):
+    def test_phase_columns_are_distinct_and_intensity_shared(self, tmp_path):
         out = tmp_path / "fig.csv"
-        run_ok(runner, ["figure2", "--seed", "7", "--output", str(out)])
+        run_ok(["figure2", "--seed", "7", "--output", str(out)])
         rows = np.loadtxt(out, delimiter=",", skiprows=1)
         phases = rows[:, 2:]
         for i in range(8):
@@ -295,11 +354,11 @@ class TestFigure2:
                 spread = np.ptp(phases[:, i] - phases[:, j])
                 assert spread > 1e-3  # differ by more than a constant
 
-    def test_min_vs_max_phase_matches_hilbert_relation(self, runner, tmp_path):
+    def test_min_vs_max_phase_matches_hilbert_relation(self, tmp_path):
         # phi_min(t) - phi_max(t) + 2 H[log sqrt I](t) - d*Omega*t must be a
         # constant; identify the min/max-phase columns from the recomputed family
         out = tmp_path / "fig.csv"
-        run_ok(runner, ["figure2", "--seed", "7", "--output", str(out)])
+        run_ok(["figure2", "--seed", "7", "--output", str(out)])
         rows = np.loadtxt(out, delimiter=",", skiprows=1)
         t, intensity, phases = rows[:, 0], rows[:, 1], rows[:, 2:]
 
@@ -317,19 +376,17 @@ class TestFigure2:
         combo = phases[:, col_min] - phases[:, col_max] + 2 * periodic_hilbert(u) - d * omega * t
         assert np.max(np.abs(combo - combo.mean())) < 1e-6
 
-    def test_degenerate_input_exits_3(self, runner, tmp_path):
+    def test_degenerate_input_exits_3(self, tmp_path):
         sig_path = tmp_path / "sig.json"
         write_signal_json(sig_path, signal_from_zeros([np.exp(0.3j), 0.5, 2.0], M=4))
-        result = runner.invoke(
-            main, ["figure2", "--input", str(sig_path), "--output", str(tmp_path / "o.csv")]
-        )
+        result = invoke(["figure2", "--input", str(sig_path), "--output", str(tmp_path / "o.csv")])
         assert result.exit_code == 3
         assert "re-seed" in result.output or "reseed" in result.output
 
-    def test_time_column_at_the_largest_bandwidths(self, runner, tmp_path):
+    def test_time_column_at_the_largest_bandwidths(self, tmp_path):
         # 128 * B overflows at B=1e308: the times divide by 128, then by B
         out = tmp_path / "fig.csv"
-        run_ok(runner, ["figure2", "--B", "1e308", "--output", str(out)])
+        run_ok(["figure2", "--B", "1e308", "--output", str(out)])
         t = np.loadtxt(out, delimiter=",", skiprows=1)[:, 0]
         assert np.all(np.isfinite(t)) and np.all(np.diff(t) > 0)
         assert t[-1] == 511 / 128 / 1e308
@@ -344,30 +401,28 @@ class TestFigure2:
     @example(1.0, -1)
     def test_extreme_arguments_exit_cleanly(self, inputs, bandwidth, seed):
         args = ["figure2", "--output", str(inputs / "out"), "--B", repr(bandwidth), "--seed", str(seed)]
-        assert_clean_exit(CliRunner().invoke(main, args), "members=")
+        assert_clean_exit(invoke(args), "members=")
 
-    def test_grid_beyond_float64_exits_3_with_one_line(self, runner, tmp_path):
+    def test_grid_beyond_float64_exits_3_with_one_line(self, tmp_path):
         # the family enumerates, but its fields on the 512-point grid overflow
         sig_path, out = tmp_path / "sig.json", tmp_path / "o.csv"
         sig_path.write_text(json.dumps({"M": 4, "B": 1.0, "samples": HUGE_SAMPLES}))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            result = runner.invoke(main, ["figure2", "--input", str(sig_path), "--output", str(out)])
-        assert result.exit_code == 3, repr(result.exception)
+            result = invoke(["figure2", "--input", str(sig_path), "--output", str(out)])
+        assert result.exit_code == 3, result.output
         assert result.stderr.splitlines() == ["error: the member intensities on the 512-point grid overflow float64"]
         assert not out.exists()
 
-    def test_wrong_m_exits_3(self, runner, tmp_path):
+    def test_wrong_m_exits_3(self, tmp_path):
         sig_path = tmp_path / "sig.json"
         write_signal_json(sig_path, random_signal(6, seed=1))
-        result = runner.invoke(
-            main, ["figure2", "--input", str(sig_path), "--output", str(tmp_path / "o.csv")]
-        )
+        result = invoke(["figure2", "--input", str(sig_path), "--output", str(tmp_path / "o.csv")])
         assert result.exit_code == 3
 
 
 class TestMinphase:
-    def test_roundtrip_on_all_outside_signal(self, runner, tmp_path):
+    def test_roundtrip_on_all_outside_signal(self, tmp_path):
         rng = np.random.default_rng(4)
         zeros = rng.uniform(1.5, 3.0, 5) * np.exp(2j * np.pi * rng.uniform(size=5))
         sig = signal_from_zeros(zeros, M=6)
@@ -375,9 +430,9 @@ class TestMinphase:
         csv_path = tmp_path / "intensity.csv"
         out_path = tmp_path / "recon.json"
         write_signal_json(sig_path, sig)
-        run_ok(runner, ["simulate", "--input", str(sig_path), "--receiver", "grid",
+        run_ok(["simulate", "--input", str(sig_path), "--receiver", "grid",
                         "--oversample", "8", "--output", str(csv_path)])
-        result = run_ok(runner, ["minphase", "--input", str(csv_path), "--M", "6",
+        result = run_ok(["minphase", "--input", str(csv_path), "--M", "6",
                                  "--output", str(out_path)])
         assert "residual=" in result.output and "regularized=false" in result.output
         recon = read_signal_json(out_path)
@@ -392,30 +447,28 @@ class TestMinphase:
     def test_extreme_arguments_exit_cleanly(self, inputs, name, m_dof, tol):
         args = ["minphase", "--input", str(inputs / name), "--output", str(inputs / "out"),
                 "--M", str(m_dof), "--tol", repr(tol)]
-        assert_clean_exit(CliRunner().invoke(main, args), "residual=")
+        assert_clean_exit(invoke(args), "residual=")
 
-    def test_bad_csv_exits_2(self, runner, tmp_path):
+    def test_bad_csv_exits_2(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("wrong,header\n1,2\n")
-        result = runner.invoke(
-            main, ["minphase", "--input", str(bad), "--M", "4", "--output", str(tmp_path / "o.json")]
-        )
+        result = invoke(["minphase", "--input", str(bad), "--M", "4", "--output", str(tmp_path / "o.json")])
         assert result.exit_code == 2
 
 
 class TestMi:
-    def test_report_fields_and_determinism(self, runner, tmp_path):
+    def test_report_fields_and_determinism(self, tmp_path):
         r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
         args = ["mi", "--receiver", "coherent", "--input-model", "gaussian",
                 "--snr-db", "10", "--seed", "5", "--n-samples", "2000"]
-        run_ok(runner, args + ["--output", str(r1)])
-        run_ok(runner, args + ["--output", str(r2)])
+        run_ok(args + ["--output", str(r1)])
+        run_ok(args + ["--output", str(r2)])
         assert r1.read_bytes() == r2.read_bytes()
         data = json.loads(r1.read_text())
         assert {"bits_per_dof", "std_error", "method", "bound_direction", "version"} <= set(data)
         assert data["method"] == "monte_carlo"
 
-    def test_experiment_spec_file(self, runner, tmp_path):
+    def test_experiment_spec_file(self, tmp_path):
         spec_path = tmp_path / "exp.json"
         spec_path.write_text(
             json.dumps(
@@ -428,7 +481,7 @@ class TestMi:
                 }
             )
         )
-        result = run_ok(runner, ["mi", "--spec", str(spec_path)])
+        result = run_ok(["mi", "--spec", str(spec_path)])
         assert "bits_per_dof=" in result.output
 
     @pytest.mark.parametrize("flags, spec", [
@@ -449,7 +502,7 @@ class TestMi:
         pytest.param(["enumerate"], '{"M": 1e400, "B": 1.0, "samples": [[1, 0], [1, 0]]}',
                      id="signal-M-beyond-float"),
     ])
-    def test_malformed_input_exits_with_one_line(self, runner, tmp_path, flags, spec):
+    def test_malformed_input_exits_with_one_line(self, tmp_path, flags, spec):
         args = ["mi", "--n-samples", "100", *flags]
         if flags == ["minphase"]:
             (tmp_path / "i.csv").write_text(spec)
@@ -464,7 +517,7 @@ class TestMi:
             spec_path = tmp_path / "exp.json"
             spec_path.write_text(json.dumps(fields))
             args += ["--spec", str(spec_path)]
-        result = runner.invoke(main, args, catch_exceptions=False)
+        result = invoke(args)
         assert result.exit_code in ((2,) if flags in (["minphase"], ["enumerate"]) else (2, 3))
         assert [line.startswith("error:") for line in result.stderr.splitlines()] == [True]
         assert "Traceback" not in result.stderr
@@ -489,34 +542,32 @@ class TestMi:
     def test_extreme_arguments_exit_cleanly(self, receiver, model, m_dof, n_samples, snr_db, seed):
         args = ["mi", "--receiver", receiver, "--input-model", model, "--M", str(m_dof),
                 "--n-samples", str(n_samples), "--snr-db", repr(snr_db), "--seed", str(seed)]
-        assert_clean_exit(CliRunner().invoke(main, args), "bits_per_dof=")
+        assert_clean_exit(invoke(args), "bits_per_dof=")
 
-    def test_direct_gaussian_exits_3(self, runner):
-        result = CliRunner().invoke(
-            main, ["mi", "--receiver", "direct", "--input-model", "gaussian", "--n-samples", "100"]
-        )
+    def test_direct_gaussian_exits_3(self):
+        result = invoke(["mi", "--receiver", "direct", "--input-model", "gaussian", "--n-samples", "100"])
         assert result.exit_code == 3
 
 
 class TestCounting:
-    def test_qpsk_m2(self, runner, tmp_path):
+    def test_qpsk_m2(self, tmp_path):
         out = tmp_path / "counting.json"
-        result = run_ok(runner, ["counting", "--constellation", "qpsk", "--M", "2",
+        result = run_ok(["counting", "--constellation", "qpsk", "--M", "2",
                                  "--output", str(out)])
         assert "max_fiber=2" in result.output
         data = json.loads(out.read_text())
         assert data["gap_bits"] <= data["gap_bound_bits"]
 
-    def test_unknown_constellation_exits_3(self, runner):
-        result = CliRunner().invoke(main, ["counting", "--constellation", "512apsk"])
+    def test_unknown_constellation_exits_3(self):
+        result = invoke(["counting", "--constellation", "512apsk"])
         assert result.exit_code == 3
 
-    def test_invariant_violation_exits_4_with_one_line(self, runner, monkeypatch):
+    def test_invariant_violation_exits_4_with_one_line(self, monkeypatch):
         def violated(*_, **__):
             raise InvariantViolation("counting bound violated: gap 3.5 > 1 bits")
 
         monkeypatch.setattr(ddcap.cli, "counting_entropy", violated)
-        result = runner.invoke(main, ["counting", "--M", "2"], catch_exceptions=False)
+        result = invoke(["counting", "--M", "2"])
         assert result.exit_code == 4
         assert result.stderr.splitlines() == ["error: counting bound violated: gap 3.5 > 1 bits"]
         assert "Traceback" not in result.output
@@ -529,18 +580,18 @@ class TestCounting:
     )
     def test_extreme_arguments_exit_cleanly(self, constellation, m_dof):
         args = ["counting", "--constellation", constellation, "--M", str(m_dof)]
-        assert_clean_exit(CliRunner().invoke(main, args), "n_distinct=")
+        assert_clean_exit(invoke(args), "n_distinct=")
 
-    def test_alphabet_above_the_cap_exits_3(self, runner):
-        result = runner.invoke(main, ["counting", "--constellation", "8psk", "--M", "5"])
+    def test_alphabet_above_the_cap_exits_3(self):
+        result = invoke(["counting", "--constellation", "8psk", "--M", "5"])
         assert result.exit_code == 3
         assert result.stderr.splitlines() == ["error: 32768 waveforms exceed the enumeration cap 16384"]
 
     @pytest.mark.parametrize("name", ["bpsk", "qpsk", "8psk"])
-    def test_single_fiber_entropy_is_positive_zero(self, runner, tmp_path, name):
+    def test_single_fiber_entropy_is_positive_zero(self, tmp_path, name):
         # one waveform after the phase quotient: H(Y) is 0.0, printed and written without a sign
         out = tmp_path / "counting.json"
-        result = run_ok(runner, ["counting", "--constellation", name, "--M", "1", "--output", str(out)])
+        result = run_ok(["counting", "--constellation", name, "--M", "1", "--output", str(out)])
         assert result.stdout == (
             "n_distinct=1 h_coherent=0.000000 h_direct=0.000000 gap_bits=0.000000 max_fiber=1\n"
         )
@@ -549,40 +600,40 @@ class TestCounting:
 
 
 class TestSimulate:
-    def test_coherent_roundtrips_signal_json(self, runner, tmp_path):
+    def test_coherent_roundtrips_signal_json(self, tmp_path):
         sig = random_signal(5, seed=11)
         sig_path, out_path = tmp_path / "in.json", tmp_path / "out.json"
         write_signal_json(sig_path, sig)
-        run_ok(runner, ["simulate", "--input", str(sig_path), "--receiver", "coherent",
+        run_ok(["simulate", "--input", str(sig_path), "--receiver", "coherent",
                         "--output", str(out_path)])
         noiseless = read_signal_json(out_path)
         assert np.array_equal(noiseless.samples, sig.samples)  # no --snr-db: noiseless
 
-    def test_direct_and_intensity_rates(self, runner, tmp_path):
+    def test_direct_and_intensity_rates(self, tmp_path):
         sig = random_signal(5, seed=11)
         sig_path = tmp_path / "in.json"
         write_signal_json(sig_path, sig)
         direct_path = tmp_path / "direct.csv"
-        run_ok(runner, ["simulate", "--input", str(sig_path), "--receiver", "direct",
+        run_ok(["simulate", "--input", str(sig_path), "--receiver", "direct",
                         "--snr-db", "15", "--seed", "2", "--output", str(direct_path)])
         direct = read_intensity_csv(direct_path)
         assert len(direct.values) == 10 and direct.rate == pytest.approx(2.0)
         int_path = tmp_path / "int.csv"
-        run_ok(runner, ["simulate", "--input", str(sig_path), "--receiver", "intensity",
+        run_ok(["simulate", "--input", str(sig_path), "--receiver", "intensity",
                         "--snr-db", "15", "--seed", "2", "--output", str(int_path)])
         chan = read_intensity_csv(int_path)
         assert len(chan.values) == 5 and chan.rate == pytest.approx(1.0)
         # intensity channel output is the even half of the direct output
         assert np.allclose(chan.values, direct.values[::2], atol=1e-12)
 
-    def test_direct_is_the_grid_at_oversample_2(self, runner, tmp_path):
+    def test_direct_is_the_grid_at_oversample_2(self, tmp_path):
         sig_path = tmp_path / "in.json"
         write_signal_json(sig_path, random_signal(6, seed=4))
         outs = []
         for name, flags in (("direct.csv", ["--receiver", "direct"]),
                             ("grid.csv", ["--receiver", "grid", "--oversample", "2"])):
             out = tmp_path / name
-            run_ok(runner, ["simulate", "--input", str(sig_path), *flags, "--snr-db", "12",
+            run_ok(["simulate", "--input", str(sig_path), *flags, "--snr-db", "12",
                             "--seed", "3", "--output", str(out)])
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
@@ -603,17 +654,17 @@ class TestSimulate:
                 "--receiver", receiver, "--seed", str(seed), "--oversample", str(oversample)]
         if snr_db is not None:
             args += ["--snr-db", repr(snr_db)]
-        assert_clean_exit(CliRunner().invoke(main, args), "receiver=")
+        assert_clean_exit(invoke(args), "receiver=")
 
     @pytest.mark.parametrize("receiver", ["direct", "intensity", "grid"])
-    def test_overflowing_intensity_exits_3_with_one_line(self, runner, inputs, tmp_path, receiver):
+    def test_overflowing_intensity_exits_3_with_one_line(self, inputs, tmp_path, receiver):
         # the noise is finite, but its square is not
         args = ["simulate", "--input", str(inputs / "sig5.json"), "--output", str(tmp_path / "o.csv"),
                 "--receiver", receiver, "--snr-db", "-3082", "--seed", "0"]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            result = runner.invoke(main, args)
-        assert result.exit_code == 3, repr(result.exception)
+            result = invoke(args)
+        assert result.exit_code == 3, result.output
         [line] = result.stderr.splitlines()
         assert line.startswith("error: the field peaks at 1.5")
         assert line.endswith("e+154, so its intensity overflows float64")
@@ -621,7 +672,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize("snr_db", [None, "10"])
     @pytest.mark.parametrize("receiver", ["coherent", "direct", "intensity", "grid"])
-    def test_overflowing_signal_power_exits_3_with_one_line(self, runner, tmp_path, receiver, snr_db):
+    def test_overflowing_signal_power_exits_3_with_one_line(self, tmp_path, receiver, snr_db):
         sig_path, out = tmp_path / "sig.json", tmp_path / "o"
         sig_path.write_text(json.dumps({"M": 4, "B": 1.0, "samples": HUGE_SAMPLES}))
         args = ["simulate", "--input", str(sig_path), "--output", str(out), "--receiver", receiver]
@@ -629,18 +680,18 @@ class TestSimulate:
             args += ["--snr-db", snr_db]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            result = runner.invoke(main, args)
-        assert result.exit_code == 3, repr(result.exception)
+            result = invoke(args)
+        assert result.exit_code == 3, result.output
         assert result.stderr.splitlines() == ["error: the signal power, the mean of |sample|^2, overflows float64"]
         assert not out.exists()
 
-    def test_noise_is_seeded(self, runner, tmp_path):
+    def test_noise_is_seeded(self, tmp_path):
         sig_path = tmp_path / "in.json"
         write_signal_json(sig_path, random_signal(4, seed=0))
         outs = []
         for name in ("a.json", "b.json"):
             out = tmp_path / name
-            run_ok(runner, ["simulate", "--input", str(sig_path), "--receiver", "coherent",
+            run_ok(["simulate", "--input", str(sig_path), "--receiver", "coherent",
                             "--snr-db", "10", "--seed", "9", "--output", str(out)])
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]

@@ -7,7 +7,6 @@ import warnings
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
 
 from ddcap import (
@@ -20,7 +19,6 @@ from ddcap import (
     random_signal,
 )
 from ddcap import formats
-from ddcap.cli import main
 from ddcap.formats import (
     read_experiment_json,
     read_intensity_csv,
@@ -32,6 +30,8 @@ from ddcap.formats import (
     write_intensity_csv,
     write_signal_json,
 )
+
+from conftest import invoke
 
 
 def test_signal_json_roundtrip_is_bit_exact(tmp_path, rng):
@@ -223,8 +223,8 @@ def test_malformed_intensity_csv_exits_2_with_one_line(tmp_path, text):
     args = ["minphase", "--input", str(path), "--M", "4", "--output", str(tmp_path / "o.json")]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        result = CliRunner().invoke(main, args)
-    assert result.exit_code == 2, repr(result.exception)
+        result = invoke(args)
+    assert result.exit_code == 2, result.output
     assert len(result.stderr.splitlines()) == 1
     assert result.stderr.startswith(f"error: cannot read intensity CSV {path}: ")
     assert not (tmp_path / "o.json").exists()
@@ -341,7 +341,7 @@ def test_family_json_refuses_non_finite_samples(tmp_path):
 def test_enumerate_output_is_pinned(tmp_path, M, size, digest):
     write_signal_json(tmp_path / "sig.json", random_signal(M, seed=5))
     args = ["enumerate", "--input", str(tmp_path / "sig.json"), "--output", str(tmp_path / "family.json")]
-    result = CliRunner().invoke(main, args, catch_exceptions=False)
+    result = invoke(args)
     assert result.exit_code == 0, result.output
     data = (tmp_path / "family.json").read_bytes()
     assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
@@ -364,7 +364,7 @@ def test_enumerate_output_is_pinned(tmp_path, M, size, digest):
 def test_report_output_is_pinned(tmp_path, args, size, digest):
     if args[0] == "mi":
         args = args + ["--n-samples", "2000", "--seed", "5", "--snr-db", "10"]
-    result = CliRunner().invoke(main, args + ["--output", str(tmp_path / "report.json")], catch_exceptions=False)
+    result = invoke(args + ["--output", str(tmp_path / "report.json")])
     assert result.exit_code == 0, result.output
     data = (tmp_path / "report.json").read_bytes()
     assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
@@ -394,7 +394,7 @@ def test_reports_hold_plain_python_values(monkeypatch, args):
     # the report writer has no fallback for numpy scalars: the commands hand it none
     payloads = []
     monkeypatch.setattr("ddcap.cli.write_report_json", lambda path, report: payloads.append(report))
-    result = CliRunner().invoke(main, args + ["--output", "unused.json"], catch_exceptions=False)
+    result = invoke(args + ["--output", "unused.json"])
     assert result.exit_code == 0, result.output
     [payload] = payloads
     assert {type(value) for value in payload.values()} <= {bool, int, float, str, type(None)}
