@@ -536,8 +536,8 @@ def capacity_prior_search(conditional, M: int):
 #: alphabet entry, output), in the evaluation blocks in flight at once: it
 #: caps a block's rows and the threads that evaluate blocks together.  A
 #: waveform with more terms than this is refused.  A block holds far fewer
-#: than its terms: one density per distinct (output, value), its per-symbol
-#: sums, and its thread's fixed scratch.
+#: than its terms: one density per distinct (output, key), one per-symbol
+#: sum per distinct noiseless output, and its thread's fixed scratch.
 MC_BLOCK_ELEMENTS = 1 << 22
 
 #: Threads that evaluate Monte-Carlo blocks: one per CPU this process may run on.
@@ -546,8 +546,8 @@ MC_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") el
 #: Largest number of waveforms the Monte-Carlo estimator draws.  Its memory
 #: does not grow with the count, but its run time does: on two cores 10^10
 #: waveforms take about a quarter of an hour with the cheapest case,
-#: coherent Gaussian input at M=1 (about 80 ns a waveform), and over a day
-#: with direct QPSK at M=4 (about 12 us).
+#: coherent Gaussian input at M=1 (about 80 ns a waveform), and about a day
+#: with direct QPSK at M=4 (about 9 us).
 MC_MAX_SAMPLES = 10**10
 
 #: Largest SNR at which the square-law receivers' Monte-Carlo estimate is
@@ -557,6 +557,13 @@ MC_MAX_SAMPLES = 10**10
 #: at 160 dB.  A higher SNR raises ValueError; the coherent receiver has no
 #: such cancellation.
 MC_SQUARE_LAW_MAX_SNR = 1e10
+
+#: Square-law keys |x|^2 of one output that lie within this fraction of the
+#: output's largest key of each other are one key.  FFT rounding splits
+#: equal values by 1-2 ulps (the merges are the same from 2 ulps to 1e-8),
+#: and a key moved by it moves a log density by about this times sqrt(SNR),
+#: 1e-7 nats at ``MC_SQUARE_LAW_MAX_SNR``.
+MC_KEY_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -791,6 +798,33 @@ def _pieces(rows, width, size):
                 yield r0, r0 + 1, c0, min(c0 + step, width)
 
 
+def _mixture_tables(columns, square_law: bool):
+    """The density table's rows and the mixture's components over an alphabet.
+
+    ``columns[m, a]`` is output m's noiseless field for alphabet entry a.  A
+    density sees an entry only through its key at each output, |x|^2 at a
+    square-law receiver (sorted keys whose gaps are at most ``MC_KEY_RTOL``
+    times the output's largest are joined in runs) and x at the coherent
+    one, so entries with the same keys at every output are one noiseless
+    output.  Returns (keys, col_of, gather, output_of, mass): table row r is
+    the density at output col_of[r] given key keys[r]; component u's row at
+    output m is gather[m, u]; entry a is component output_of[a], which
+    mass[u] entries share.
+    """
+    key = np.abs(columns) ** 2 if square_law else columns
+    keys, rows = [], np.empty(columns.shape, dtype=np.intp)
+    for m, column in enumerate(key):
+        distinct, inverse = np.unique(column, return_inverse=True)
+        if square_law:  # a gap above the tolerance starts a run
+            starts = np.concatenate(([True], np.diff(distinct) > MC_KEY_RTOL * distinct[-1]))
+            distinct, inverse = distinct[starts], (np.cumsum(starts) - 1)[inverse]
+        rows[m] = sum(map(len, keys)) + inverse
+        keys.append(distinct)
+    tuples, output_of, mass = np.unique(rows.T, axis=0, return_inverse=True, return_counts=True)
+    col_of = np.repeat(np.arange(len(keys)), [len(k) for k in keys])
+    return np.concatenate(keys), col_of, np.ascontiguousarray(tuples.T), output_of.reshape(-1), mass
+
+
 @dataclass(frozen=True)
 class _Receiver:
     """One receiver as the Monte-Carlo estimator sees it."""
@@ -828,6 +862,12 @@ _PIECE_ENTRIES = _BLOCK_ENTRIES // 2
 #: raises FloatingPointError instead of warning and returning inf or nan.
 _RAISE_ON_OVERFLOW = np.errstate(divide="raise", over="raise", invalid="raise")
 
+#: A square-law receiver refuses a noise variance v unless this multiple of
+#: M v is finite: the noisy intensities |x + nu|^2 and their products with
+#: the keys then stay in float64 (an output's noise power exceeds 2^10 times
+#: its mean with probability e^-1024).
+_SQUARE_LAW_HEADROOM = 2.0**10
+
 
 @_RAISE_ON_OVERFLOW
 def mc_mi(
@@ -859,32 +899,40 @@ def mc_mi(
     neighbouring samples: there it is the whole waveform, and
     ``DIRECT_ALPHABET_CAP`` on the symbol alphabet is the only limit on
     |constellation|^M.  The mixture's densities depend on a symbol only
-    through one value per output (|x|^2 at a square-law receiver, x at the
-    coherent one), so they are evaluated once per distinct (output, value)
-    and gathered: 212 evaluations per direct QPSK M=4 waveform instead of
-    256 x 8.
+    through one key per output (|x|^2 at a square-law receiver, joined
+    within ``MC_KEY_RTOL``, and x at the coherent one), so they are
+    evaluated once per distinct (output, key), and the mixture runs over the
+    distinct noiseless outputs, the alphabet's distinct key tuples, each
+    weighted by the number of entries it holds (:func:`_mixture_tables`).
+    Per direct QPSK M=4 waveform that is 64 evaluations instead of 256 x 8,
+    and 29 components instead of 256: the alphabet's intensity fibers.  An
+    alphabet of one noiseless output, such as PSK at the intensity
+    receiver, gives exactly 0 bits.
 
     The waveforms are cut into blocks of at most ``_BLOCK_ENTRIES`` mixture
     entries and at most ``MC_BLOCK_ELEMENTS`` density terms, and into at
-    least eight blocks where there are eight waveforms.  Block b draws its
+    least eight blocks where there are eight waveforms.  Both limits count
+    alphabet entries, not noiseless outputs, so the partition and every
+    draw are those of a mixture over the whole alphabet.  Block b draws its
     symbols and noise from its own stream, seeded by
     ``SeedSequence(noise.seed, spawn_key=(b,))``, and returns the count,
     mean and sum of squared deviations of its waveforms' values, which are
     pooled in block order.  So the partition, every draw and the estimate
     depend on the request alone, bit for bit, and not on the number of
-    cores.  A block is laid out outputs-major: each (output, value),
-    alphabet entry and symbol is one vector over the block's waveforms, so
-    the sums over them add whole vectors, and no (waveform, symbol,
+    cores.  A block is laid out outputs-major: each (output, key),
+    noiseless output and symbol is one vector over the block's waveforms,
+    so the sums over them add whole vectors, and no (waveform, symbol,
     alphabet, output) tensor is built.
 
     A block allocates afresh only its density table and its per-symbol
-    sums (and, at the direct receiver, its noise's fields).  Its draws,
-    noise, outputs and every density temporary go through ``out=`` into a
-    scratch that each thread allocates at its first block of the call and
-    reuses for the rest, and the table is evaluated in pieces of at most
-    ``_PIECE_ENTRIES`` entries, so the scratch does not grow with the
-    table's width.  The densities are elementwise, so neither the pieces nor
-    the reuse changes a bit of the estimate.
+    sums, one row per noiseless output (and, at the direct receiver, its
+    noise's fields).  Its draws, noise, outputs and every density temporary
+    go through ``out=`` into a scratch that each thread allocates at its
+    first block of the call and reuses for the rest, and the table is
+    evaluated in pieces of at most ``_PIECE_ENTRIES`` entries, so the
+    scratch does not grow with the table's width.  The densities are
+    elementwise, so neither the pieces nor the reuse changes a bit of the
+    estimate.
 
     Blocks run on a pool of one thread per CPU in the process's affinity
     mask (``MC_WORKERS``), but no more than ``MC_BLOCK_ELEMENTS`` holds
@@ -892,10 +940,11 @@ def mc_mi(
     once, so memory is bounded whatever ``n_samples`` is.  More than
     ``MC_MAX_SAMPLES`` waveforms, a waveform of more than
     ``MC_BLOCK_ELEMENTS`` density terms, an SNR above
-    ``MC_SQUARE_LAW_MAX_SNR`` at a square-law receiver, or one so small that
-    the noise variance overflows raise ``ValueError`` before anything is
-    drawn, and an SNR so extreme that the float64 densities overflow raises
-    ``FloatingPointError``.
+    ``MC_SQUARE_LAW_MAX_SNR`` at a square-law receiver, one so small that
+    the noise variance overflows, or, at a square-law receiver, so small
+    that ``_SQUARE_LAW_HEADROOM`` times M times the variance overflows raise
+    ``ValueError`` before anything is drawn, and an SNR so extreme that the
+    float64 densities overflow raises ``FloatingPointError``.
 
     The direct receiver's metric treats its correlated outputs as
     independent, so it reports the auxiliary-channel lower bound of Arnold,
@@ -956,18 +1005,14 @@ def mc_mi(
         # each output's noiseless field over the alphabet, outputs-major as
         # a block reads it
         columns = np.ascontiguousarray(_fields(np.fft.ifft(samples, axis=1), rx.oversample).T)
-        # the density sees an alphabet entry only through its key, |x|^2 at a
-        # square-law receiver: one table row per distinct (output, key), and
-        # gather[m] maps the alphabet to output m's rows
-        key = np.abs(columns) ** 2 if rx.square_law else columns
-        col_of, keys, gather = [], [], np.empty(columns.shape, dtype=np.intp)
-        for m, column in enumerate(key):
-            _, first, inverse = np.unique(column, return_index=True, return_inverse=True)
-            gather[m] = len(keys) + inverse
-            keys.extend(column[first])
-            col_of.extend([m] * len(first))
-        keys, col_of = np.array(keys), np.array(col_of)
-        log_prior = -np.log(n_alpha)
+        keys, col_of, gather, output_of, mass = _mixture_tables(columns, rx.square_law)
+        n_out = len(mass)
+        log_alpha = np.log(n_alpha)
+        mass = mass.astype(np.float64)[:, None, None]
+    if rx.square_law and not math.isfinite(_SQUARE_LAW_HEADROOM * M * float(v)):
+        raise ValueError(
+            f"snr {snr:.3g} is so small that the {receiver} receiver's noisy intensities overflow float64"
+        )
 
     # the partition depends on the request alone; at least eight blocks, so
     # that a small run still uses several cores
@@ -1049,19 +1094,21 @@ def mc_mi(
                 gathered = _view(buf.gathered, (r1 - r0, c1 - c0))
                 np.take(y[:, c0:c1], col_of[r0:r1], axis=0, out=gathered, mode="clip")
                 rx.log_density(gathered, keys[r0:r1, None], v, table[r0:r1, c0:c1], buf.work)
-            per_symbol = table[gather[0]]
-            for a0, a1, c0, c1 in _pieces(n_alpha, width, piece):
-                part, term = per_symbol[a0:a1, c0:c1], _view(buf.work[0], (a1 - a0, c1 - c0))
+            # each noiseless output's log density per symbol, summed over outputs
+            per_output = table[gather[0]]
+            for u0, u1, c0, c1 in _pieces(n_out, width, piece):
+                part, term = per_output[u0:u1, c0:c1], _view(buf.work[0], (u1 - u0, c1 - c0))
                 for m in range(1, outputs):
-                    part += np.take(table[:, c0:c1], gather[m, a0:a1], axis=0, out=term, mode="clip")
-            per_symbol = per_symbol.reshape(n_alpha, symbols, count)
-            log_q = np.take_along_axis(per_symbol, sent.T[None], axis=0)[0]
-            # logsumexp over the alphabet, in place: per_symbol is not read again
-            peak = per_symbol.max(axis=0)
-            terms = np.subtract(per_symbol, peak, out=per_symbol)
-            terms += log_prior
-            np.exp(terms, out=terms)
-            bits = (log_q - (peak + np.log(terms.sum(axis=0)))) * _LOG2E
+                    part += np.take(table[:, c0:c1], gather[m, u0:u1], axis=0, out=term, mode="clip")
+            per_output = per_output.reshape(n_out, symbols, count)
+            log_q = np.take_along_axis(per_output, output_of[sent].T[None], axis=0)[0]
+            # log p(y) = peak + log(sum_u mass_u exp(row_u - peak) / |X|), in
+            # place: per_output is not read again.  A single output's mass is
+            # |X|, so its two logs cancel exactly
+            peak = per_output.max(axis=0)
+            terms = np.exp(np.subtract(per_output, peak, out=per_output), out=per_output)
+            terms *= mass
+            bits = (log_q - (peak + (np.log(terms.sum(axis=0)) - log_alpha))) * _LOG2E
         values = bits.sum(axis=0) / M
         mean = values.mean()
         return count, mean, np.sum((values - mean) ** 2)

@@ -79,11 +79,21 @@ _NUMERICAL_ERRORS = (RootConvergenceError, FloatingPointError, InvariantViolatio
 
 
 def _snr(snr_db: float | None) -> float:
-    """The linear SNR of an ``--snr-db`` value; no value means noiseless."""
+    """The linear SNR of an ``--snr-db`` value; no value means noiseless.
+
+    A value whose linear SNR is not positive (nan, or below about -3236 dB,
+    where it underflows to 0) exits 3 naming the flag.
+    """
     try:
-        return math.inf if snr_db is None else 10.0 ** (snr_db / 10.0)
+        snr = math.inf if snr_db is None else 10.0 ** (snr_db / 10.0)
     except OverflowError:  # beyond the float range: noiseless
         return math.inf
+    if math.isnan(snr):
+        _fail(EXIT_DOMAIN, f"snr must be positive, but --snr-db {snr_db!r} is not a number")
+    if snr == 0.0:
+        _fail(EXIT_DOMAIN, f"snr must be positive, but --snr-db {snr_db!r} underflows to 0 "
+                           f"(below about -3236 dB)")
+    return snr
 
 
 def _fail(code: int, message: str):

@@ -259,6 +259,18 @@ class TestRefusals:
          "snr 1e-310 is so small that the noise variance overflows"),
         (["mi", "--receiver", "direct", "--input-model", "qpsk", "--M", "2", "--snr-db", "-3100",
           "--n-samples", "300"], "snr 1e-310 is so small that the noise variance overflows"),
+        # the noise variance is finite, but the square-law outputs would overflow
+        (["mi", "--receiver", "intensity", "--input-model", "qpsk", "--snr-db", "-3080", "--n-samples", "300"],
+         "snr 1e-308 is so small that the intensity receiver's noisy intensities overflow float64"),
+        (["mi", "--receiver", "direct", "--input-model", "bpsk", "--M", "3", "--snr-db", "-3075",
+          "--n-samples", "300", "--seed", "2"],
+         "snr 3.16e-308 is so small that the direct receiver's noisy intensities overflow float64"),
+        # the linear SNR is not positive: the message names the flag and its value
+        (["mi", "--snr-db", "-3300"], "snr must be positive, but --snr-db -3300.0 underflows to 0"),
+        (["mi", "--snr-db", "nan"], "snr must be positive, but --snr-db nan is not a number"),
+        (["simulate", "--snr-db", "-1e+300"], "snr must be positive, but --snr-db -1e+300 underflows to 0"),
+        (["simulate", "--snr-db", "-inf"], "snr must be positive, but --snr-db -inf underflows to 0"),
+        (["simulate", "--snr-db", "nan"], "snr must be positive, but --snr-db nan is not a number"),
         # values that start with "-" are values, not option names
         (["mi", "--snr-db", "-inf"], "snr must be positive"),
         (["mi", "--snr-db", "-1e+300"], "snr must be positive"),

@@ -348,14 +348,16 @@ def test_enumerate_output_is_pinned(tmp_path, M, size, digest):
 
 
 # SHA-256 of ``ddcap mi`` and ``ddcap counting`` reports, fixed as the
-# enumerate output is; the coherent Gaussian report carries the closed form
+# enumerate output is; the coherent Gaussian report carries the closed form.
+# The direct QPSK report was re-pinned when the mixture came to run over
+# distinct noiseless outputs: its std_error moved by 1 ulp
 @pytest.mark.parametrize(
     "args, size, digest",
     [
         (["mi", "--receiver", "coherent", "--input-model", "gaussian", "--M", "1"],
          321, "a9c2aece6961d6878316b5451627ca7d117d75c3d2509f5f88eed74745d146ab"),
         (["mi", "--receiver", "direct", "--input-model", "qpsk", "--M", "2"],
-         312, "23d625422a7149a1e27291e3663b3c8baf3bfb46eaa647b0f0478fc17f26de9e"),
+         311, "d335c389f93858c44b664d3516c3462d18b67962fab331c2a74e436bd3861506"),
         (["counting", "--constellation", "qpsk", "--M", "3"],
          235, "a28ea8da0beabdcfdcc773e375035a230f36774419601e3b5b721b5bd8a844a4"),
     ],
