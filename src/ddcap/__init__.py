@@ -10,7 +10,6 @@ from .signals import (
     evaluate_field,
     field_grid,
     half_sample_intensity_oracle,
-    inner_product,
     intensity_grid,
     phase_distance,
     random_signal,
@@ -42,7 +41,6 @@ from .channel import (
     ClusteringAmbiguityError,
     CountingReport,
     DensityUnavailableError,
-    DiscreteChannel,
     InvariantViolation,
     MIEstimate,
     MonteCarloReport,
@@ -51,7 +49,6 @@ from .channel import (
     capacity_prior_search,
     chain_bound_check,
     counting_entropy,
-    inband_noise_coefficients,
     mc_mi,
     named_constellation,
     psk,
@@ -59,4 +56,6 @@ from .channel import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the imports above also bind the submodules channel, minphase, signals and
+# zeros here; only the classes and functions are exported
+__all__ = sorted(name for name, value in globals().items() if not name.startswith("_") and callable(value))

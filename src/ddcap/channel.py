@@ -91,17 +91,6 @@ class NoiseSpec:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
-def inband_noise_coefficients(M: int, total_variance: float, rng, size=None) -> np.ndarray:
-    """Circular Gaussian coefficients, iid across the M in-band harmonics.
-
-    The per-coefficient complex variance is total_variance / M, so the period
-    average of the noise field power equals ``total_variance``.
-    """
-    shape = (M,) if size is None else (size, M)
-    coeffs = np.empty(shape, dtype=np.complex128)
-    return _inband_noise(M, total_variance, rng, coeffs, np.empty((2, coeffs.size)))
-
-
 def _circular_normal(rng, out, work):
     """a + 1j b into the complex array out, where a and then b are drawn as
     standard normals in out's shape into the first two rows of the float
@@ -114,8 +103,13 @@ def _circular_normal(rng, out, work):
 
 
 def _inband_noise(M, total_variance, rng, out, work):
-    """inband_noise_coefficients into the complex array out of shape (..., M),
-    with work as _circular_normal's scratch."""
+    """Circular Gaussian coefficients, iid across the M in-band harmonics, into
+    the complex array out of shape (..., M), with work as _circular_normal's
+    scratch.
+
+    The per-coefficient complex variance is total_variance / M, so the period
+    average of the noise field power equals ``total_variance``.
+    """
     return np.multiply(np.sqrt(total_variance / (2.0 * M)), _circular_normal(rng, out, work), out=out)
 
 
@@ -141,7 +135,8 @@ def apply_noise(sig: PeriodicSignal, noise: NoiseSpec) -> PeriodicSignal:
         return sig
     variance = _noise_variance(power, noise.snr)
     rng = np.random.default_rng(noise.seed)
-    coeffs = np.fft.ifft(sig.samples) + inband_noise_coefficients(sig.M, variance, rng)
+    noise = _inband_noise(sig.M, variance, rng, np.empty(sig.M, dtype=np.complex128), np.empty((2, sig.M)))
+    coeffs = np.fft.ifft(sig.samples) + noise
     return PeriodicSignal(M=sig.M, B=sig.B, samples=np.fft.fft(coeffs))
 
 
@@ -152,40 +147,6 @@ def apply_noise(sig: PeriodicSignal, noise: NoiseSpec) -> PeriodicSignal:
 def _entropy(p: np.ndarray) -> float:
     p = p[p > 0]
     return float(-np.sum(p * np.log2(p))) + 0.0  # a point mass gives 0.0, not -0.0
-
-
-@dataclass(frozen=True)
-class DiscreteChannel:
-    """Finite-alphabet channel: input prior and conditional pmf table.
-
-    ``conditional[i, j] = P(Y = j | X = i)``; ``M`` is the number of complex
-    degrees of freedom used to normalize information to bits per dof.
-    """
-
-    prior: np.ndarray
-    conditional: np.ndarray
-    M: int
-
-    def __post_init__(self):
-        prior = np.asarray(self.prior, dtype=np.float64)
-        cond = np.asarray(self.conditional, dtype=np.float64)
-        if prior.ndim != 1 or cond.ndim != 2 or cond.shape[0] != len(prior):
-            raise ValueError("prior and conditional shapes are inconsistent")
-        if not (np.all(np.isfinite(prior)) and np.all(np.isfinite(cond))):
-            raise ValueError("probabilities must be finite")
-        if np.any(prior < 0) or np.any(cond < 0):
-            raise ValueError("probabilities must be nonnegative")
-        if abs(prior.sum() - 1.0) > 1e-12:
-            raise ValueError(f"prior sums to {prior.sum()}, not 1")
-        rows = cond.sum(axis=1)
-        if np.any(np.abs(rows - 1.0) > 1e-12):
-            raise ValueError("conditional rows must each sum to 1")
-        if self.M < 1:
-            raise ValueError("M must be positive")
-        prior.setflags(write=False)
-        cond.setflags(write=False)
-        object.__setattr__(self, "prior", prior)
-        object.__setattr__(self, "conditional", cond)
 
 
 @dataclass(frozen=True)
@@ -243,13 +204,6 @@ def _sweep(key, order, radius: float, block: int):
         p = np.searchsorted(first, k, side="right") - 1
         a, b = order[p], order[p + 1 + k - first[p]]
         yield np.minimum(a, b), np.maximum(a, b)
-
-
-def _candidate_pairs(points, radius: float, block: int):
-    """Every pair of rows of a real (n, width) array whose projections on
-    ``_sort_axis(width)`` lie at most ``radius`` apart: :func:`_sweep` over
-    all the rows."""
-    return _sweep(*_sorted_keys(points), radius, block)
 
 
 def _cluster(vectors, tol: float) -> np.ndarray:
@@ -510,11 +464,22 @@ def capacity_prior_search(conditional, M: int):
     iterate satisfies I(p) <= C <= max_x D(x), so the loop stops once that
     gap is below ``BA_GAP_BITS``; it raises ``FloatingPointError`` after
     ``BA_MAX_ITER`` iterations.  Returns (capacity_bits_per_dof, prior), the
-    capacity being the lower bound I(p).
+    capacity being the lower bound I(p).  ``conditional[i, j] = P(Y = j | X = i)``
+    must be a finite, nonnegative 2-d table whose rows each sum to 1, and M,
+    the complex degrees of freedom that normalize it, must be at least 1.
     """
-    n_in = np.shape(conditional)[0]
-    prior = np.full(n_in, 1.0 / n_in)
-    cond = DiscreteChannel(prior=prior, conditional=conditional, M=M).conditional
+    cond = np.asarray(conditional, dtype=np.float64)
+    if cond.ndim != 2:
+        raise ValueError(f"the conditional table must be 2-d, got shape {cond.shape}")
+    if not np.all(np.isfinite(cond)):
+        raise ValueError("probabilities must be finite")
+    if np.any(cond < 0):
+        raise ValueError("probabilities must be nonnegative")
+    if np.any(np.abs(cond.sum(axis=1) - 1.0) > 1e-12):
+        raise ValueError("conditional rows must each sum to 1")
+    if M < 1:
+        raise ValueError("M must be positive")
+    prior = np.full(len(cond), 1.0 / len(cond))
     log_w = np.log2(cond, out=np.zeros_like(cond), where=cond > 0)
     for _ in range(BA_MAX_ITER):
         p_y = prior @ cond
@@ -862,11 +827,11 @@ _PIECE_ENTRIES = _BLOCK_ENTRIES // 2
 #: raises FloatingPointError instead of warning and returning inf or nan.
 _RAISE_ON_OVERFLOW = np.errstate(divide="raise", over="raise", invalid="raise")
 
-#: A square-law receiver refuses a noise variance v unless this multiple of
-#: M v is finite: the noisy intensities |x + nu|^2 and their products with
-#: the keys then stay in float64 (an output's noise power exceeds 2^10 times
-#: its mean with probability e^-1024).
-_SQUARE_LAW_HEADROOM = 2.0**10
+#: Every receiver refuses a noise variance v unless this multiple of M v is
+#: finite: the noisy outputs' squares, |x + nu|^2 and |y - x|^2, and their
+#: products with the keys then stay in float64 (an output's noise power
+#: exceeds 2^10 times its mean with probability e^-1024).
+_NOISE_HEADROOM = 2.0**10
 
 
 @_RAISE_ON_OVERFLOW
@@ -941,10 +906,10 @@ def mc_mi(
     ``MC_MAX_SAMPLES`` waveforms, a waveform of more than
     ``MC_BLOCK_ELEMENTS`` density terms, an SNR above
     ``MC_SQUARE_LAW_MAX_SNR`` at a square-law receiver, one so small that
-    the noise variance overflows, or, at a square-law receiver, so small
-    that ``_SQUARE_LAW_HEADROOM`` times M times the variance overflows raise
-    ``ValueError`` before anything is drawn, and an SNR so extreme that the
-    float64 densities overflow raises ``FloatingPointError``.
+    the noise variance overflows, or, at any receiver, coherent included,
+    so small that ``_NOISE_HEADROOM`` times M times the variance overflows
+    raise ``ValueError`` before anything is drawn, and an SNR so extreme
+    that the float64 densities overflow raises ``FloatingPointError``.
 
     The direct receiver's metric treats its correlated outputs as
     independent, so it reports the auxiliary-channel lower bound of Arnold,
@@ -1009,7 +974,7 @@ def mc_mi(
         n_out = len(mass)
         log_alpha = np.log(n_alpha)
         mass = mass.astype(np.float64)[:, None, None]
-    if rx.square_law and not math.isfinite(_SQUARE_LAW_HEADROOM * M * float(v)):
+    if not math.isfinite(_NOISE_HEADROOM * M * float(v)):
         raise ValueError(
             f"snr {snr:.3g} is so small that the {receiver} receiver's noisy intensities overflow float64"
         )

@@ -77,10 +77,6 @@ class PeriodicSignal:
     def period(self) -> float:
         return self.M / self.B
 
-    @property
-    def omega(self) -> float:
-        return 2.0 * np.pi * self.B / self.M
-
     def power(self) -> float:
         """Period-average of |E(t)|^2 (equals the coefficient energy)."""
         return float(np.mean(np.abs(self.samples) ** 2))
@@ -121,9 +117,6 @@ class SpectralPoly:
     def omega(self) -> float:
         return 2.0 * np.pi * self.B / self.M
 
-    def power(self) -> float:
-        return float(np.sum(np.abs(self.coeffs) ** 2))
-
 
 @dataclass(frozen=True)
 class SampledIntensity:
@@ -149,10 +142,6 @@ class SampledIntensity:
         vals = np.maximum(vals, 0.0)
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
-
-    @property
-    def period(self) -> float:
-        return len(self.values) / self.rate
 
 
 def samples_to_spectrum(sig: PeriodicSignal) -> SpectralPoly:
@@ -285,32 +274,22 @@ def half_sample_intensity_oracle(samples, n: int, window: int) -> float:
     return float(np.abs(np.sum(weights * s[j])) ** 2)
 
 
-def _check_same_grid(a: PeriodicSignal, b: PeriodicSignal):
-    if a.M != b.M or a.B != b.B:
-        raise DimensionMismatchError(
-            f"signals live on different grids: (M={a.M}, B={a.B}) vs (M={b.M}, B={b.B})"
-        )
-
-
-def inner_product(a: PeriodicSignal, b: PeriodicSignal) -> complex:
-    """Period-average inner product <a, b>, exact via Parseval."""
-    _check_same_grid(a, b)
-    fa = np.fft.ifft(a.samples)
-    fb = np.fft.ifft(b.samples)
-    return complex(np.sum(fa * np.conj(fb)))
-
-
 def phase_distance(a: PeriodicSignal, b: PeriodicSignal) -> float:
     """min over theta of the period-average energy of a - exp(i theta) b.
 
     The minimiser is theta = arg <a, b>, giving the closed form
     ``|a|^2 + |b|^2 - 2 |<a, b>|``; zero exactly when the two waveforms agree
-    up to a constant phase.
+    up to a constant phase.  The period-average inner product <a, b> is
+    exact via Parseval, as the sum over their Fourier coefficients.
     """
-    _check_same_grid(a, b)
+    if a.M != b.M or a.B != b.B:
+        raise DimensionMismatchError(
+            f"signals live on different grids: (M={a.M}, B={a.B}) vs (M={b.M}, B={b.B})"
+        )
     ea = a.power()
     eb = b.power()
-    d = ea + eb - 2.0 * abs(inner_product(a, b))
+    inner = complex(np.sum(np.fft.ifft(a.samples) * np.conj(np.fft.ifft(b.samples))))
+    d = ea + eb - 2.0 * abs(inner)
     if d < -1e-12 * max(ea + eb, 1.0):
         raise FloatingPointError(f"phase distance lost positivity: {d}")
     return max(d, 0.0)
@@ -339,17 +318,13 @@ def canonical_rotation(coeffs: np.ndarray) -> np.ndarray:
     return np.exp(-1j * np.angle(coeffs[np.arange(len(coeffs)), k]))[:, None]
 
 
-def random_signal(M: int, B: float = 1.0, seed=None, dc_free: bool = False) -> PeriodicSignal:
+def random_signal(M: int, B: float = 1.0, seed=None) -> PeriodicSignal:
     """Random waveform with iid circular-Gaussian Fourier coefficients, unit
-    expected power.  ``dc_free`` zeroes the k=0 coefficient."""
+    expected power."""
     if isinstance(seed, int) and seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     coeffs = (rng.standard_normal(M) + 1j * rng.standard_normal(M)) / np.sqrt(2.0 * M)
-    if dc_free:
-        if M < 2:
-            raise ValueError("dc_free requires M >= 2")
-        coeffs[0] = 0.0
     return spectrum_to_samples(SpectralPoly(coeffs=coeffs, M=M, B=B))
 
 

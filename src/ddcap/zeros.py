@@ -84,8 +84,6 @@ class ZeroSet:
     on_circle: np.ndarray
     inside: np.ndarray
     on_circle_times: np.ndarray
-    M: int
-    B: float
 
     @property
     def n_off_circle(self) -> int:
@@ -173,8 +171,6 @@ def find_zeros(spec: SpectralPoly) -> ZeroSet:
         on_circle=on_circle,
         inside=inside,
         on_circle_times=times,
-        M=spec.M,
-        B=spec.B,
     )
 
 
@@ -188,9 +184,10 @@ def poly_from_zeroset(zeros, leading, M: int, B: float) -> SpectralPoly:
     return SpectralPoly(coeffs=full, M=M, B=B)
 
 
-def signal_from_zeros(zeros, M: int, B: float = 1.0, leading=1.0) -> PeriodicSignal:
-    """Construct the waveform whose field polynomial has the given zeros."""
-    return spectrum_to_samples(poly_from_zeroset(zeros, leading, M, B))
+def signal_from_zeros(zeros, M: int, B: float = 1.0) -> PeriodicSignal:
+    """Construct the waveform whose field polynomial has the given zeros and
+    leading coefficient 1."""
+    return spectrum_to_samples(poly_from_zeroset(zeros, 1.0, M, B))
 
 
 def flip_zeros(spec: SpectralPoly, mask: int, zeroset: ZeroSet | None = None) -> SpectralPoly:

@@ -16,7 +16,6 @@ from ddcap import channel
 from ddcap import (
     ClusteringAmbiguityError,
     DensityUnavailableError,
-    DiscreteChannel,
     NoiseSpec,
     PeriodicSignal,
     apply_noise,
@@ -26,7 +25,6 @@ from ddcap import (
     embed_finite_support,
     enumerate_family,
     half_sample_intensity_oracle,
-    inband_noise_coefficients,
     intensity_grid,
     mc_mi,
     named_constellation,
@@ -91,7 +89,8 @@ class TestNoise:
         # 1e5 independent draws of the in-band noise field
         rng = np.random.default_rng(0)
         m, power, snr = 8, 1.7, 4.0
-        draws = inband_noise_coefficients(m, power / snr, rng, size=100_000)
+        draws = channel._inband_noise(m, power / snr, rng, np.empty((100_000, m), dtype=complex),
+                                      np.empty((2, 100_000 * m)))
         per_draw_power = np.sum(np.abs(draws) ** 2, axis=1)
         assert np.mean(per_draw_power) == pytest.approx(power / snr, rel=0.02)
 
@@ -135,51 +134,6 @@ class TestDetectors:
         outputs = [field_intensity(s.samples) for s in fam.signals]
         for out in outputs[1:]:
             assert np.max(np.abs(out - outputs[0])) < 1e-8 * outputs[0].max()
-
-
-class TestDiscreteChannel:
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_nonfinite_pmf_rejected(self, bad):
-        # a NaN row sums to NaN, which no comparison with 1 rejects
-        with pytest.raises(ValueError, match="finite"):
-            DiscreteChannel(prior=np.array([0.5, 0.5]),
-                            conditional=np.array([[bad, 0.5], [0.5, 0.5]]), M=1)
-        with pytest.raises(ValueError, match="finite"):
-            DiscreteChannel(prior=np.array([bad, 0.5]), conditional=np.eye(2), M=1)
-
-    def test_invalid_pmf_rejected(self):
-        with pytest.raises(ValueError, match="sum"):
-            DiscreteChannel(prior=np.array([0.5, 0.4]), conditional=np.eye(2), M=1)
-        with pytest.raises(ValueError, match="rows"):
-            DiscreteChannel(prior=np.array([0.5, 0.5]),
-                            conditional=np.array([[0.5, 0.4], [1.0, 0.0]]), M=1)
-
-    def test_negative_entry_rejected(self):
-        # rows that sum to 1 with a negative entry are not a pmf
-        with pytest.raises(ValueError, match="nonnegative"):
-            DiscreteChannel(prior=np.array([0.5, 0.5]),
-                            conditional=np.array([[1.5, -0.5], [0.0, 1.0]]), M=1)
-        with pytest.raises(ValueError, match="nonnegative"):
-            DiscreteChannel(prior=np.array([1.5, -0.5]), conditional=np.eye(2), M=1)
-
-    @pytest.mark.parametrize("prior, conditional", [
-        (np.full(3, 1 / 3), np.eye(2)),
-        (np.array([[0.5, 0.5]]), np.eye(2)),
-        (np.array([0.5, 0.5]), np.array([0.5, 0.5])),
-    ])
-    def test_inconsistent_shapes_rejected(self, prior, conditional):
-        with pytest.raises(ValueError, match="shapes are inconsistent"):
-            DiscreteChannel(prior=prior, conditional=conditional, M=1)
-
-    def test_dof_count_must_be_positive(self):
-        with pytest.raises(ValueError, match="M must be positive"):
-            DiscreteChannel(prior=np.array([0.5, 0.5]), conditional=np.eye(2), M=0)
-
-    def test_tables_are_float_and_read_only(self):
-        prior, cond = [1, 0], [[1, 0], [0, 1]]
-        ch = DiscreteChannel(prior=prior, conditional=cond, M=1)
-        assert ch.prior.dtype == ch.conditional.dtype == np.float64
-        assert not ch.prior.flags.writeable and not ch.conditional.flags.writeable
 
 
 def qpsk_waveforms(M):
@@ -439,7 +393,7 @@ class TestCluster:
         dim = flat.shape[1]
         real = flat.view(float)
         radius = 10.1 * tol * np.sqrt(dim)
-        candidates = _pair_set(channel._candidate_pairs(real, radius, 97))
+        candidates = _pair_set(channel._sweep(*channel._sorted_keys(real), radius, 97))
         key = real @ channel._sort_axis(real.shape[1])
         assert candidates == sorted(map(tuple, cKDTree(key[:, None]).query_pairs(radius)))
         guarded = cKDTree(real).query_pairs(10.0 * tol * np.sqrt(dim))
@@ -454,7 +408,7 @@ class TestCluster:
         points = 1j * (np.arange(n) // 2 + np.arange(n) % 2 * 0.5 * self.TOL)[:, None]
         reference, bad = _reference_cluster(points, self.TOL)
         assert bad == [] and reference.max() + 1 == n // 2
-        blocks = list(channel._candidate_pairs(points.view(float), self.TOL, 1 << 16))
+        blocks = list(channel._sweep(*channel._sorted_keys(points.view(float)), self.TOL, 1 << 16))
         assert sum(len(i) for i, _ in blocks) == n * (n - 1) // 2
         del blocks
         tracemalloc.start()
@@ -595,6 +549,36 @@ class TestCapacitySearch:
         capacity, prior = capacity_prior_search(cond, M=1)
         assert capacity == pytest.approx(np.log2(1 + (1 - p) * p ** (p / (1 - p))), abs=1e-9)
         assert prior.sum() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_pmf_rejected(self, bad):
+        # a NaN row sums to NaN, which no comparison with 1 rejects
+        with pytest.raises(ValueError, match="finite"):
+            capacity_prior_search(np.array([[bad, 0.5], [0.5, 0.5]]), M=1)
+
+    def test_invalid_pmf_rejected(self):
+        with pytest.raises(ValueError, match="rows"):
+            capacity_prior_search(np.array([[0.5, 0.4], [1.0, 0.0]]), M=1)
+
+    def test_negative_entry_rejected(self):
+        # rows that sum to 1 with a negative entry are not a pmf
+        with pytest.raises(ValueError, match="nonnegative"):
+            capacity_prior_search(np.array([[1.5, -0.5], [0.0, 1.0]]), M=1)
+
+    @pytest.mark.parametrize("conditional", [np.array([0.5, 0.5]), np.ones((1, 1, 1)), 1.0])
+    def test_table_must_be_2d(self, conditional):
+        with pytest.raises(ValueError, match="the conditional table must be 2-d"):
+            capacity_prior_search(conditional, M=1)
+
+    @pytest.mark.parametrize("M", [0, -1])
+    def test_dof_count_must_be_positive(self, M):
+        with pytest.raises(ValueError, match="M must be positive"):
+            capacity_prior_search(np.eye(2), M=M)
+
+    def test_integer_table_is_read_as_float(self):
+        capacity, prior = capacity_prior_search([[1, 0], [0, 1]], M=1)
+        assert capacity == pytest.approx(1.0, abs=1e-12)
+        assert prior.dtype == np.float64 and np.allclose(prior, 0.5)
 
     def test_iteration_cap_raises(self, monkeypatch):
         monkeypatch.setattr(channel, "BA_MAX_ITER", 3)

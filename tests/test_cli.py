@@ -1,9 +1,11 @@
 import ast
+import inspect
 import json
 import math
 import os
 import subprocess
 import sys
+import types
 import warnings
 from pathlib import Path
 
@@ -105,6 +107,19 @@ _MODULES = sorted(Path(ddcap.__file__).parent.glob("*.py"))
 
 def test_package_has_modules_to_check():
     assert {"channel.py", "cli.py", "minphase.py"} <= {path.name for path in _MODULES}
+
+
+def test_package_exports_only_classes_and_functions():
+    exported = [getattr(ddcap, name) for name in ddcap.__all__]
+    assert exported and all(inspect.isclass(value) or inspect.isfunction(value) for value in exported)
+
+
+def test_star_import_binds_no_module():
+    namespace = {}
+    exec("from ddcap import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(ddcap.__all__)
+    assert [name for name, value in namespace.items() if isinstance(value, types.ModuleType)] == []
 
 
 # the runtime needs numpy alone: neither scipy nor click may be imported
@@ -259,12 +274,18 @@ class TestRefusals:
          "snr 1e-310 is so small that the noise variance overflows"),
         (["mi", "--receiver", "direct", "--input-model", "qpsk", "--M", "2", "--snr-db", "-3100",
           "--n-samples", "300"], "snr 1e-310 is so small that the noise variance overflows"),
-        # the noise variance is finite, but the square-law outputs would overflow
+        # the noise variance is finite, but the squared noisy outputs would overflow
         (["mi", "--receiver", "intensity", "--input-model", "qpsk", "--snr-db", "-3080", "--n-samples", "300"],
          "snr 1e-308 is so small that the intensity receiver's noisy intensities overflow float64"),
         (["mi", "--receiver", "direct", "--input-model", "bpsk", "--M", "3", "--snr-db", "-3075",
           "--n-samples", "300", "--seed", "2"],
          "snr 3.16e-308 is so small that the direct receiver's noisy intensities overflow float64"),
+        # the coherent densities square the noisy fields too
+        (["mi", "--receiver", "coherent", "--input-model", "qpsk", "--snr-db", "-3080", "--n-samples", "300"],
+         "snr 1e-308 is so small that the coherent receiver's noisy intensities overflow float64"),
+        (["mi", "--receiver", "coherent", "--input-model", "gaussian", "--snr-db", "-3080",
+          "--n-samples", "300"],
+         "snr 1e-308 is so small that the coherent receiver's noisy intensities overflow float64"),
         # the linear SNR is not positive: the message names the flag and its value
         (["mi", "--snr-db", "-3300"], "snr must be positive, but --snr-db -3300.0 underflows to 0"),
         (["mi", "--snr-db", "nan"], "snr must be positive, but --snr-db nan is not a number"),

@@ -224,7 +224,7 @@ class TestEnumerateFamily:
         zeros = np.array([a, b, b + 0.5 * tol, a + 1.6 * tol, a + 0.8 * tol, 0.3j])
         assert abs(zeros[3] - zeros[0]) > tol
         zs = ZeroSet(zeros=zeros, leading=1.0, on_circle=np.zeros(6, dtype=bool),
-                     inside=np.abs(zeros) < 1.0, on_circle_times=np.zeros(0), M=7, B=1.0)
+                     inside=np.abs(zeros) < 1.0, on_circle_times=np.zeros(0))
         assert _flip_groups(zs) == [0b011001, 0b000110, 0b100000]
 
     @staticmethod
@@ -281,7 +281,12 @@ class TestEnumerateFamily:
         # F_0 = 0 puts a zero at the origin; its reflection lies at infinity,
         # so the flipped member drops the factor Z and keeps the intensity
         signals = [signal_from_coeffs([0.0, 1.0, 0.5 + 0.2j])]
-        signals += [random_signal(int(M), seed=seed, dc_free=True) for seed, M in enumerate((2, 3, 5, 8))]
+        for seed, M in enumerate((2, 3, 5, 8)):
+            # random_signal's draws, with c0 = 0
+            rng = np.random.default_rng(seed)
+            coeffs = (rng.standard_normal(M) + 1j * rng.standard_normal(M)) / np.sqrt(2.0 * M)
+            coeffs[0] = 0.0
+            signals.append(signal_from_coeffs(coeffs))
         for sig in signals:
             fam = enumerate_family(sig)
             assert len(fam) == 2**fam.zeroset.n_off_circle
