@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import collections
 import functools
-import itertools
 import math
 import os
 import threading
@@ -44,6 +43,7 @@ from .signals import (
     canonical_rotation,
     canonicalize_phase,
     component_roots,
+    field_grid,
     intensity_grid,
 )
 
@@ -274,14 +274,22 @@ def _noiseless_labels(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(y' labels, y labels) for noiseless reception of the (n, M) input rows.
 
     Y' is the phase-canonical field and Y the 2M direct-detection intensities.
+    The labels do not depend on the inputs' scale: the rows are clustered
+    scaled by one power of two to a largest component in [0.5, 1), which is
+    exact, and at that scale no square or distance overflows or underflows.
+    A clustering error names distances at that scale.
     """
-    coeffs = np.fft.ifft(samples, axis=1)
-    rotation = np.ones((len(samples), 1), dtype=np.complex128)
-    live = samples.any(axis=1)  # the zero waveform has no phase to fix
+    field = np.array(samples, dtype=np.complex128, order="C")
+    real = field.view(np.float64)
+    np.ldexp(real, -np.frexp(max(real.max(), -real.min()))[1], out=real)
+    coeffs = np.fft.ifft(field, axis=1)
+    rotation = np.ones((len(field), 1), dtype=np.complex128)
+    live = field.any(axis=1)  # the zero waveform has no phase to fix
     rotation[live] = canonical_rotation(coeffs[live])
-    scale = np.sqrt(max(np.mean(np.abs(samples) ** 2, axis=1).max(), 1e-300))
-    intensities = np.abs(np.fft.fft(coeffs, n=2 * samples.shape[1], axis=1)) ** 2
-    labels_field = _cluster(samples * rotation, CLUSTER_TOL * scale)
+    scale = np.sqrt(max(np.mean(np.abs(field) ** 2, axis=1).max(), 1e-300))
+    intensities = np.abs(field_grid(coeffs, 2)) ** 2
+    field *= rotation
+    labels_field = _cluster(field, CLUSTER_TOL * scale)
     labels_int = _cluster(intensities, CLUSTER_TOL * scale**2)
     return labels_field, labels_int
 
@@ -382,6 +390,18 @@ def named_constellation(name: str) -> np.ndarray:
         ) from None
 
 
+def _alphabet(points: np.ndarray, length: int, cap: int, refusal: str) -> np.ndarray:
+    """The tuples of ``itertools.product(points, repeat=length)``, in that
+    order, as rows.  More than ``cap`` of them raise ValueError with
+    ``refusal.format(count=..., cap=cap)`` before anything is built; above 64
+    samples, where no index array exists, the count is named as a power.
+    """
+    k = len(points)
+    if length > 64 or k**length > cap:
+        raise ValueError(refusal.format(count=k**length if length <= 64 else f"{k}^{length}", cap=cap))
+    return points[np.indices((k,) * length).reshape(length, -1).T]
+
+
 @dataclass(frozen=True)
 class CountingReport:
     """Noiseless entropy accounting over a constellation^M waveform alphabet."""
@@ -414,13 +434,8 @@ def counting_entropy(constellation, M: int) -> CountingReport:
     """
     if M < 1:
         raise ValueError(f"M must be at least 1, got {M}")
-    points = np.asarray(constellation, dtype=np.complex128)
-    # beyond 64 axes no index array exists, and |X|^M would be a huge integer
-    n_wave = len(points) ** M if M <= 64 else np.inf
-    if n_wave > COUNTING_CAP:
-        raise ValueError(f"{n_wave} waveforms exceed the enumeration cap {COUNTING_CAP}")
-    # row r is the r-th tuple of itertools.product(points, repeat=M)
-    samples = points[np.indices((len(points),) * M).reshape(M, -1).T]
+    samples = _alphabet(np.asarray(constellation, dtype=np.complex128), M, COUNTING_CAP,
+                        "{count} waveforms exceed the enumeration cap {cap}")
     labels_field, labels_int = _noiseless_labels(samples)
 
     # uniform prior over distinct canonical inputs: one representative each.
@@ -437,7 +452,7 @@ def counting_entropy(constellation, M: int) -> CountingReport:
     if max_fiber > 2 ** (M - 1):
         raise InvariantViolation(f"fiber multiplicity {max_fiber} exceeds 2^(M-1) = {2 ** (M - 1)}")
     return CountingReport(
-        n_waveforms=n_wave,
+        n_waveforms=len(samples),
         n_distinct=n_distinct,
         h_coherent=h_coherent,
         h_direct=h_direct,
@@ -469,8 +484,8 @@ def capacity_prior_search(conditional, M: int):
     the complex degrees of freedom that normalize it, must be at least 1.
     """
     cond = np.asarray(conditional, dtype=np.float64)
-    if cond.ndim != 2:
-        raise ValueError(f"the conditional table must be 2-d, got shape {cond.shape}")
+    if cond.ndim != 2 or not len(cond):
+        raise ValueError(f"the conditional table must be 2-d with at least one row, got shape {cond.shape}")
     if not np.all(np.isfinite(cond)):
         raise ValueError("probabilities must be finite")
     if np.any(cond < 0):
@@ -736,13 +751,6 @@ def _bounded_map(pool, fn, n, ahead):
         yield pending.popleft().result()
 
 
-def _fields(coeffs, oversample):
-    """Rows of L Fourier coefficients -> the field at oversample * L points per period."""
-    if oversample == 1:  # receivers at rate B see one-sample symbols: the coefficient is the sample
-        return coeffs
-    return np.fft.fft(coeffs, n=oversample * coeffs.shape[-1], axis=-1)
-
-
 def _view(buffer, shape):
     """The first entries of a 1-d buffer, as a C-contiguous view of the given shape."""
     return buffer[: math.prod(shape)].reshape(shape)
@@ -945,14 +953,10 @@ def mc_mi(
     length = M if rx.oversample > 1 else 1  # rate-B samples per symbol
     n_alpha = 1
     if not gaussian:
-        points = np.asarray(input_model)
-        # beyond 64 samples |X|^length would be a huge integer
-        n_alpha = len(points) ** length if length <= 64 else np.inf
-        if n_alpha > DIRECT_ALPHABET_CAP:
-            raise ValueError(
-                f"the estimator enumerates the symbol alphabet; {n_alpha} symbols "
-                f"exceed the cap {DIRECT_ALPHABET_CAP}"
-            )
+        samples = _alphabet(np.asarray(input_model), length, DIRECT_ALPHABET_CAP,
+                            "the estimator enumerates the symbol alphabet; "
+                            "{count} symbols exceed the cap {cap}")
+        n_alpha = len(samples)
     row_width = M * rx.oversample * n_alpha  # a waveform's density terms
     if n_samples > MC_MAX_SAMPLES or row_width > MC_BLOCK_ELEMENTS:
         raise ValueError(
@@ -965,11 +969,10 @@ def mc_mi(
     if gaussian:
         v = _noise_variance(1.0, snr)
     else:
-        samples = np.array(list(itertools.product(points, repeat=length)))
         v = _noise_variance(float(np.mean(np.abs(samples) ** 2)), snr)
         # each output's noiseless field over the alphabet, outputs-major as
         # a block reads it
-        columns = np.ascontiguousarray(_fields(np.fft.ifft(samples, axis=1), rx.oversample).T)
+        columns = np.ascontiguousarray(field_grid(np.fft.ifft(samples, axis=1), rx.oversample).T)
         keys, col_of, gather, output_of, mass = _mixture_tables(columns, rx.square_law)
         n_out = len(mass)
         log_alpha = np.log(n_alpha)
@@ -1027,7 +1030,9 @@ def mc_mi(
         else:
             sent = rng.integers(0, n_alpha, size=(count, symbols))
         coeffs = _inband_noise(length, v, rng, _view(buf.noise, (count * symbols, length)), buf.draws)
-        fields = _fields(coeffs, rx.oversample).reshape(shape)
+        # a one-sample symbol's coefficient is its sample: no FFT, which would
+        # allocate in every block
+        fields = (coeffs if rx.oversample == 1 else field_grid(coeffs, rx.oversample)).reshape(shape)
         if gaussian:
             y = np.add(x, fields, out=fields)
             if rx.square_law:

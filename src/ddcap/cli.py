@@ -44,7 +44,7 @@ from .formats import (
     write_signal_json,
 )
 from .minphase import DEFAULT_TOL, IntensityNotRealizableError, min_phase_from_intensity
-from .signals import (  # field_grid and samples_to_spectrum: call sites perfbench/spans.py wraps
+from .signals import (  # samples_to_spectrum: a call site perfbench/spans.py wraps
     PeriodicSignal,
     SampledIntensity,
     field_grid,
@@ -255,7 +255,7 @@ def cmd_figure2(input_path, output_path, bandwidth, seed):
     # oversample * B could overflow
     times = np.arange(points) / oversample / sig.B
     with np.errstate(over="ignore", invalid="ignore"):  # a grid beyond float64 is refused below
-        fields = np.fft.fft(np.fft.ifft(fam.samples, axis=1), n=points, axis=1)  # zero-padded spectra
+        fields = field_grid(np.fft.ifft(fam.samples, axis=1), oversample)
         intensities = np.abs(fields) ** 2
     if not np.all(np.isfinite(intensities)):
         _fail(EXIT_DOMAIN, f"the member intensities on the {points}-point grid overflow float64")

@@ -142,7 +142,7 @@ def min_phase_from_intensity(
     signal = canonicalize_phase(spectrum_to_samples(spec))
 
     oversample = len(vals) // M
-    recon = np.abs(field_grid(samples_to_spectrum(signal), oversample)) ** 2
+    recon = np.abs(field_grid(samples_to_spectrum(signal).coeffs, oversample)) ** 2
     residual = float(np.max(np.abs(recon - vals)) / max_i)
 
     if leak > 100.0 * tol and not regularized:

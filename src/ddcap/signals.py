@@ -175,21 +175,21 @@ def horner(coeffs, z):
     return acc
 
 
-def field_grid(spec: SpectralPoly, oversample: int) -> np.ndarray:
-    """E(t) on the uniform grid t_j = j / (oversample * B), one period.
+def field_grid(coeffs, oversample: int) -> np.ndarray:
+    """E(t) on the uniform grid t_j = j / (oversample * B), one period, for
+    each row of M Fourier coefficients on the last axis of ``coeffs``.
 
     Computed by zero-padding the coefficients, so it agrees with
     :func:`evaluate_field` to machine precision.
     """
     if oversample < 1:
         raise ValueError("oversample must be >= 1")
-    n = oversample * spec.M
+    M = coeffs.shape[-1]
+    n = oversample * M
     if n > FIELD_GRID_CAP:
-        raise ValueError(f"a grid of {n} points (oversample {oversample} x M={spec.M}) is above "
+        raise ValueError(f"a grid of {n} points (oversample {oversample} x M={M}) is above "
                          f"the cap of {FIELD_GRID_CAP} points")
-    padded = np.zeros(n, dtype=np.complex128)
-    padded[: spec.M] = spec.coeffs
-    return np.fft.fft(padded)
+    return np.fft.fft(coeffs, n=n, axis=-1)
 
 
 def field_intensity(field: np.ndarray) -> np.ndarray:
@@ -214,8 +214,7 @@ def intensity_grid(sig: PeriodicSignal, oversample: int) -> SampledIntensity:
             "oversample must be >= 2: the intensity waveform occupies a two-sided "
             "bandwidth of 2B; use --receiver intensity (field_intensity) for rate-B sampling"
         )
-    spec = samples_to_spectrum(sig)
-    grid = field_grid(spec, oversample)
+    grid = field_grid(np.fft.ifft(sig.samples), oversample)
     return SampledIntensity(rate=oversample * sig.B, values=field_intensity(grid))
 
 

@@ -3,6 +3,7 @@ import functools
 import itertools
 import math
 import os
+import re
 import sys
 import threading
 import tracemalloc
@@ -29,10 +30,16 @@ from ddcap import (
     mc_mi,
     named_constellation,
     psk,
+    random_signal,
 )
 from ddcap.signals import field_intensity
 
 from conftest import random_coeff_signal
+
+
+#: Input scales at which float64 squares and distances of the raw inputs
+#: overflow or underflow; the noiseless accounting must not see them.
+EXTREME_SCALES = [1e-300, 1e-170, 1e-160, 1e90, 1e150, 1e154, 1e200, 1e290]
 
 
 def constant(c, B=1.0):
@@ -185,6 +192,13 @@ class TestChainBound:
         with pytest.raises(ValueError, match="probability vector"):
             chain_bound_check(qpsk_waveforms(2), prior=prior)
 
+    @pytest.mark.parametrize("scale", EXTREME_SCALES)
+    @pytest.mark.parametrize("M", [3, 4, 5])
+    def test_report_does_not_depend_on_scale(self, M, scale):
+        fam = enumerate_family(random_signal(M, seed=3)).signals
+        scaled = [PeriodicSignal(M=s.M, B=s.B, samples=s.samples * scale) for s in fam]
+        assert chain_bound_check(scaled) == chain_bound_check(fam)
+
     def test_report_repr_is_stable(self):
         # the counting benchmark ops hash this repr and compare the digests
         # between the passes of one run; the phase-quotient flag is every
@@ -247,21 +261,33 @@ class TestCounting:
         with pytest.raises(ClusteringAmbiguityError):
             counting_entropy(points, M=1)
 
-    def test_enumeration_cap(self, monkeypatch):
-        # 8^5 = 32768 waveforms: refused before any tuple or array is built
-        def no_product(*_, **__):
+    # 8^5 = 32768 waveforms, and beyond 64 samples a count named as a power:
+    # refused before any tuple or array is built
+    @pytest.mark.parametrize("points, M, count", [
+        (psk(8), 5, "32768"),
+        (np.array([1.0, -1.0]), 65, "2^65"),
+        (np.array([1.0, -1.0]), 10**6, "2^1000000"),
+    ])
+    def test_enumeration_cap(self, monkeypatch, points, M, count):
+        def no_indices(*_, **__):
             raise AssertionError("the alphabet was enumerated before the cap check")
 
-        monkeypatch.setattr(itertools, "product", no_product)
-        points = psk(8)
+        monkeypatch.setattr(np, "indices", no_indices)
+        message = f"{count} waveforms exceed the enumeration cap 16384"
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match="32768 waveforms exceed the enumeration cap 16384"):
-                counting_entropy(points, M=5)
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                counting_entropy(points, M)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 64 * 1024
+
+    @pytest.mark.parametrize("scale", EXTREME_SCALES)
+    @pytest.mark.parametrize("name, M", [("bpsk", 5), ("qpsk", 3), ("8psk", 2)])
+    def test_report_does_not_depend_on_scale(self, name, M, scale):
+        points = named_constellation(name)
+        assert counting_entropy(points * scale, M) == counting_entropy(points, M)
 
     @pytest.mark.parametrize("points, M, n_distinct", [(psk(4), 7, 4096), (np.array([1.0, -1.0]), 12, 2048)])
     def test_alphabets_beyond_the_old_clustering_cap(self, points, M, n_distinct):
@@ -565,9 +591,12 @@ class TestCapacitySearch:
         with pytest.raises(ValueError, match="nonnegative"):
             capacity_prior_search(np.array([[1.5, -0.5], [0.0, 1.0]]), M=1)
 
-    @pytest.mark.parametrize("conditional", [np.array([0.5, 0.5]), np.ones((1, 1, 1)), 1.0])
+    @pytest.mark.parametrize("conditional", [np.array([0.5, 0.5]), np.ones((1, 1, 1)), 1.0,
+                                             np.zeros((0, 3)), np.zeros((0, 0))])
     def test_table_must_be_2d(self, conditional):
-        with pytest.raises(ValueError, match="the conditional table must be 2-d"):
+        message = ("the conditional table must be 2-d with at least one row, "
+                   f"got shape {np.shape(conditional)}")
+        with pytest.raises(ValueError, match=re.escape(message)):
             capacity_prior_search(conditional, M=1)
 
     @pytest.mark.parametrize("M", [0, -1])
@@ -959,9 +988,18 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match=match):
             mc_mi("coherent", psk(4), **args)
 
-    def test_direct_alphabet_cap(self):
-        with pytest.raises(ValueError, match="cap"):
-            mc_mi("direct", psk(8), NoiseSpec(snr=10.0), 100, M=5)
+    @pytest.mark.parametrize("points, M, count", [
+        (psk(8), 5, "32768"), (psk(4), 7, "16384"), (np.array([1.0, -1.0]), 65, "2^65"),
+    ])
+    def test_direct_alphabet_cap(self, monkeypatch, points, M, count):
+        # refused before the alphabet is enumerated
+        def no_indices(*_, **__):
+            raise AssertionError("the alphabet was enumerated before the cap check")
+
+        monkeypatch.setattr(np, "indices", no_indices)
+        message = f"the estimator enumerates the symbol alphabet; {count} symbols exceed the cap 4096"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            mc_mi("direct", points, NoiseSpec(snr=10.0), 100, M=M)
 
     def test_named_constellations(self):
         assert len(named_constellation("qpsk")) == 4

@@ -249,7 +249,13 @@ class TestRefusals:
     @pytest.mark.parametrize("args, message", [
         (["counting", "--M", "-2"], "M must be at least 1"),
         (["counting", "--M", "0"], "M must be at least 1"),
-        (["counting", "--M", "100000"], "waveforms exceed the enumeration cap 16384"),
+        (["counting", "--M", "100000"], "error: 4^100000 waveforms exceed the enumeration cap 16384\n"),
+        (["counting", "--constellation", "bpsk", "--M", "65"],
+         "error: 2^65 waveforms exceed the enumeration cap 16384\n"),
+        (["mi", "--receiver", "direct", "--input-model", "bpsk", "--M", "65"],
+         "error: the estimator enumerates the symbol alphabet; 2^65 symbols exceed the cap 4096\n"),
+        (["mi", "--receiver", "direct", "--input-model", "qpsk", "--M", "7"],
+         "error: the estimator enumerates the symbol alphabet; 16384 symbols exceed the cap 4096\n"),
         (["enumerate", "--max-flips", "-1"], "max_flips must be at least 0"),
         (["mi", "--n-samples", "100000000000"], "n_samples=100000000000"),
         # the square-law densities cancel catastrophically above 100 dB

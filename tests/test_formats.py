@@ -372,6 +372,30 @@ def test_report_output_is_pinned(tmp_path, args, size, digest):
     assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
 
 
+# SHA-256 of the CSVs ``ddcap figure2`` and ``ddcap simulate`` write, whose
+# dense grids all come from signals.field_grid
+@pytest.mark.parametrize(
+    "args, size, digest",
+    [
+        (["figure2", "--seed", "7"],
+         96486, "bd487e5619456b72921782c569bfa00a16e5e199698b04ece8a5d9bcc61a36ee"),
+        (["simulate", "--receiver", "grid", "--snr-db", "20", "--seed", "3"],
+         1205, "8e4bfb33bc8b7dd4ed1c3ed402655f124cc3ff9dbad69a43a2a0b9b81e11c812"),
+        (["simulate", "--receiver", "direct", "--snr-db", "20", "--seed", "3"],
+         287, "20178a6e513f13f79e26b0d46858046caf6e3b8e733d5d8cd0816a1dadd27e0e"),
+    ],
+    ids=["figure2", "simulate-grid", "simulate-direct"],
+)
+def test_grid_csv_output_is_pinned(tmp_path, args, size, digest):
+    if args[0] == "simulate":
+        write_signal_json(tmp_path / "sig.json", random_signal(6, seed=1))
+        args = args + ["--input", str(tmp_path / "sig.json")]
+    result = invoke(args + ["--output", str(tmp_path / "out.csv")])
+    assert result.exit_code == 0, result.output
+    data = (tmp_path / "out.csv").read_bytes()
+    assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
+
+
 def test_writers_are_deterministic(tmp_path):
     sig = random_signal(4, seed=9)
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"

@@ -269,12 +269,24 @@ class TestComponentRoots:
 
 
 def test_field_grid_above_the_cap_is_refused_before_allocation(monkeypatch):
-    spec = samples_to_spectrum(random_signal(4, seed=1))
-    assert len(field_grid(spec, FIELD_GRID_CAP // 4)) == FIELD_GRID_CAP
+    coeffs = samples_to_spectrum(random_signal(4, seed=1)).coeffs
+    assert len(field_grid(coeffs, FIELD_GRID_CAP // 4)) == FIELD_GRID_CAP
 
-    def no_alloc(*_, **__):
-        raise AssertionError("a refused grid was allocated")
+    def no_fft(*_, **__):
+        raise AssertionError("a refused grid was transformed")
 
-    monkeypatch.setattr(np, "zeros", no_alloc)
+    monkeypatch.setattr(np.fft, "fft", no_fft)
     with pytest.raises(ValueError, match="cap"):
-        field_grid(spec, FIELD_GRID_CAP // 4 + 1)
+        field_grid(coeffs, FIELD_GRID_CAP // 4 + 1)
+
+
+@pytest.mark.parametrize("M, oversample", [(1, 1), (1, 8), (3, 2), (4, 128), (7, 5)])
+def test_field_grid_rows_match_single_rows_and_horner(rng, M, oversample):
+    coeffs = (rng.standard_normal((6, M)) + 1j * rng.standard_normal((6, M))) / np.sqrt(2 * M)
+    grid = field_grid(coeffs, oversample)
+    assert grid.shape == (6, oversample * M)
+    t = np.arange(oversample * M) / oversample
+    for row, c in zip(grid, coeffs):
+        np.testing.assert_array_equal(row, field_grid(c, oversample))
+        reference = evaluate_field(SpectralPoly(coeffs=c, M=M, B=1.0), t)
+        assert np.max(np.abs(row - reference)) <= 1e-12 * np.max(np.abs(reference))
