@@ -394,9 +394,12 @@ def _alphabet(points: np.ndarray, length: int, cap: int, refusal: str) -> np.nda
     """The tuples of ``itertools.product(points, repeat=length)``, in that
     order, as rows.  More than ``cap`` of them raise ValueError with
     ``refusal.format(count=..., cap=cap)`` before anything is built; above 64
-    samples, where no index array exists, the count is named as a power.
+    samples, where no index array exists, the count is named as a power.  One
+    point makes one tuple at any length, which is never refused.
     """
     k = len(points)
+    if k == 1:
+        return points[np.zeros((1, length), dtype=np.intp)]
     if length > 64 or k**length > cap:
         raise ValueError(refusal.format(count=k**length if length <= 64 else f"{k}^{length}", cap=cap))
     return points[np.indices((k,) * length).reshape(length, -1).T]
@@ -527,7 +530,8 @@ MC_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") el
 #: does not grow with the count, but its run time does: on two cores 10^10
 #: waveforms take about a quarter of an hour with the cheapest case,
 #: coherent Gaussian input at M=1 (about 80 ns a waveform), and about a day
-#: with direct QPSK at M=4 (about 9 us).
+#: with direct QPSK at M=4 (about 9 us).  An alphabet of one noiseless
+#: output is answered without drawing, at any count up to this one.
 MC_MAX_SAMPLES = 10**10
 
 #: Largest SNR at which the square-law receivers' Monte-Carlo estimate is
@@ -879,8 +883,11 @@ def mc_mi(
     weighted by the number of entries it holds (:func:`_mixture_tables`).
     Per direct QPSK M=4 waveform that is 64 evaluations instead of 256 x 8,
     and 29 components instead of 256: the alphabet's intensity fibers.  An
-    alphabet of one noiseless output, such as PSK at the intensity
-    receiver, gives exactly 0 bits.
+    alphabet of one noiseless output, such as PSK at the intensity receiver
+    or BPSK at M=2 at the direct one, gives exactly 0 bits, and 0 standard
+    error: every draw's value would be 0, so none is made, and any
+    ``n_samples`` up to ``MC_MAX_SAMPLES`` is answered at once, after the
+    refusals below.
 
     The waveforms are cut into blocks of at most ``_BLOCK_ENTRIES`` mixture
     entries and at most ``MC_BLOCK_ELEMENTS`` density terms, and into at
@@ -1083,9 +1090,14 @@ def mc_mi(
         mean = values.mean()
         return count, mean, np.sum((values - mean) ** 2)
 
-    blocks = -(-n_samples // rows)
-    with ThreadPoolExecutor(threads) as pool:
-        count, mean, squares = functools.reduce(_pooled, _bounded_map(pool, evaluate, blocks, 2 * threads))
+    if not gaussian and n_out == 1:
+        # every draw's log q(y|x) is its log p(y), so every value is exactly 0:
+        # pool that without drawing it
+        count, mean, squares = n_samples, 0.0, 0.0
+    else:
+        blocks = -(-n_samples // rows)
+        with ThreadPoolExecutor(threads) as pool:
+            count, mean, squares = functools.reduce(_pooled, _bounded_map(pool, evaluate, blocks, 2 * threads))
 
     estimate = MIEstimate(
         bits_per_dof=float(mean),

@@ -1006,3 +1006,84 @@ class TestMonteCarlo:
         assert len(named_constellation("BPSK")) == 2
         with pytest.raises(ValueError, match="unknown"):
             named_constellation("512apsk")
+
+
+class TestSingleOutputAlphabets:
+    """Alphabets whose entries all give the receiver one noiseless output.
+
+    Every draw's log q(y|x) is its log p(y), so the estimate is exactly 0 and
+    is made without drawing; every refusal still comes first.
+    """
+
+    # (receiver, points, M, density terms per waveform)
+    CASES = [
+        *(("intensity", psk(q), M, q * M) for q in (4, 8, 16) for M in (1, 2, 3)),
+        ("direct", psk(2), 2, 16),
+        *(("coherent", np.array([1 + 0j]), M, M) for M in (1, 2, 3)),
+    ]
+    IDS = [f"{rx}-{len(points)}pt-M{M}" for rx, points, M, _ in CASES]
+
+    @staticmethod
+    def forbid_draws(monkeypatch):
+        def fail(*_, **__):
+            raise AssertionError("a single-output alphabet was drawn")
+
+        monkeypatch.setattr(channel.np.random, "default_rng", fail)
+        monkeypatch.setattr(channel, "_circular_normal", fail)
+        monkeypatch.setattr(channel, "ThreadPoolExecutor", fail)
+
+    @pytest.mark.parametrize("receiver, points, M, width", CASES, ids=IDS)
+    def test_exact_zero_without_drawing(self, monkeypatch, receiver, points, M, width):
+        self.forbid_draws(monkeypatch)
+        threads = threading.active_count()
+        report = mc_mi(receiver, points, NoiseSpec(snr=10.0, seed=3), channel.MC_MAX_SAMPLES, M=M)
+        est = report.estimate
+        assert (est.bits_per_dof, est.std_error) == (0.0, 0.0)
+        # == cannot tell 0.0 from -0.0
+        assert math.copysign(1.0, est.bits_per_dof) == math.copysign(1.0, est.std_error) == 1.0
+        assert est.method == "monte_carlo"
+        assert est.bound_direction == ("lower" if receiver == "direct" else "exact")
+        assert (report.input_model, report.n_samples, report.M) == ("constellation", channel.MC_MAX_SAMPLES, M)
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("receiver, points, M, width", CASES, ids=IDS)
+    def test_refusals_come_first(self, monkeypatch, receiver, points, M, width):
+        self.forbid_draws(monkeypatch)
+        beyond = channel.MC_MAX_SAMPLES + 1
+        refusals = [
+            (NoiseSpec(snr=10.0), 1, "n_samples must be at least 2"),
+            (NoiseSpec(snr=10.0), beyond,
+             f"n_samples={beyond} waveforms of {width} density terms each are beyond the estimator's "
+             f"limits of 1e+10 waveforms and {channel.MC_BLOCK_ELEMENTS} terms per waveform"),
+            (NoiseSpec(snr=1e-310), 300, "snr 1e-310 is so small that the noise variance overflows"),
+            # the noise variance is finite, but the squared noisy outputs would overflow
+            (NoiseSpec(snr=1e-308), 300,
+             f"snr 1e-308 is so small that the {receiver} receiver's noisy intensities overflow float64"),
+        ]
+        if receiver != "coherent":
+            refusals.append((NoiseSpec(snr=1e11), 300,
+                             f"snr 1e+11 is above 1e+10 (100 dB), where the {receiver} receiver's "
+                             "float64 densities no longer hold"))
+        for noise, n_samples, message in refusals:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                mc_mi(receiver, points, noise, n_samples, M=M)
+
+    def test_row_width_refusal_comes_first(self, monkeypatch):
+        # 262145 x 16 density terms is beyond the row-width limit of 2^22
+        self.forbid_draws(monkeypatch)
+        message = ("n_samples=2 waveforms of 4194320 density terms each are beyond the estimator's "
+                   "limits of 1e+10 waveforms and 4194304 terms per waveform")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            mc_mi("intensity", psk(16), NoiseSpec(snr=10.0), 2, M=262_145)
+
+    @pytest.mark.parametrize("M", [1, 64, 65, 200])
+    def test_one_point_constellation_at_any_length(self, monkeypatch, M):
+        # one tuple, which needs no index array and exceeds no cap
+        point = np.array([1 + 0j])
+        report = counting_entropy(point, M)
+        assert (report.n_waveforms, report.n_distinct, report.max_fiber) == (1, 1, 1)
+        assert (report.h_coherent, report.h_direct, report.gap_bits) == (0.0, 0.0, 0.0)
+        self.forbid_draws(monkeypatch)
+        for receiver in ("coherent", "intensity", "direct"):
+            est = mc_mi(receiver, point, NoiseSpec(snr=10.0), 100, M=M).estimate
+            assert (est.bits_per_dof, est.std_error) == (0.0, 0.0)

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import re
+import threading
 import tracemalloc
 import warnings
 
@@ -368,6 +369,33 @@ def test_report_output_is_pinned(tmp_path, args, size, digest):
         args = args + ["--n-samples", "2000", "--seed", "5", "--snr-db", "10"]
     result = invoke(args + ["--output", str(tmp_path / "report.json")])
     assert result.exit_code == 0, result.output
+    data = (tmp_path / "report.json").read_bytes()
+    assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
+
+
+# SHA-256 of ``ddcap mi`` reports over alphabets of one noiseless output,
+# pinned while they were still drawn: answered without drawing, they keep
+# every byte.  The first two are the benchmark's mc requests at mix seed 1
+@pytest.mark.parametrize(
+    "args, size, digest",
+    [
+        (["--receiver", "intensity", "--input-model", "qpsk", "--M", "2", "--n-samples", "100000",
+          "--snr-db", "10.0", "--seed", "648359026"],
+         293, "62ab6f22457556e8ec4b91cdbf4ef41934c753fe2f0dca1225cc8a4d8067e6bf"),
+        (["--receiver", "direct", "--input-model", "bpsk", "--M", "2", "--n-samples", "50000",
+          "--snr-db", "20.0", "--seed", "1962133766"],
+         290, "1ec1464a41859005b54cf662b0befd722280e7a9baacaec1b445a45ec8e67bd7"),
+        (["--receiver", "intensity", "--input-model", "8psk", "--M", "3", "--n-samples", "20000",
+          "--snr-db", "10", "--seed", "5"],
+         284, "98ee096f79376b4c28e05fd8e542f8b8a823674a6084545376fb2f3d9d7b0412"),
+    ],
+    ids=["mi-intensity-qpsk", "mi-direct-bpsk", "mi-intensity-8psk"],
+)
+def test_single_output_report_is_pinned(tmp_path, args, size, digest):
+    threads = threading.active_count()
+    result = invoke(["mi", *args, "--output", str(tmp_path / "report.json")])
+    assert result.exit_code == 0, result.output
+    assert threading.active_count() == threads
     data = (tmp_path / "report.json").read_bytes()
     assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
 
