@@ -2,17 +2,22 @@
 
 The field polynomial ``A(Z) = sum_k F_k Z^k`` satisfies ``E(t) = A(e^{-i Omega t})``,
 so its modulus on the unit circle is the square root of the intensity.
-Replacing a zero ``Z_k`` by its reflection ``1/conj(Z_k)`` (with a compensating
-rescale of the leading coefficient) preserves that modulus and the polynomial
-degree, hence produces a different band-limited waveform with the same
-intensity.  Zeros sitting on the circle reflect onto themselves and create no
-new waveform.  Enumerating all reflection patterns of the off-circle zeros
-yields every band-limited waveform sharing the intensity, 2^N0 of them.
+Replacing a zero ``Z`` by its reflection ``1/conj(Z)`` (with a compensating
+rescale by |Z|) preserves that modulus and the polynomial degree, hence
+produces a different band-limited waveform with the same intensity.  Zeros
+sitting on the circle reflect onto themselves and create no new waveform.
+Enumerating all reflection patterns of the off-circle zeros yields every
+band-limited waveform sharing the intensity, 2^N0 of them.
+
+The reflection multiplies the field at every point ``w`` of the circle by the
+all-pass factor ``b_Z(w) = |Z| (w - 1/conj(Z)) / (w - Z)``, of modulus 1
+there.  Members are therefore built as the base samples times the factors at
+the sample points ``w_n = exp(-2 pi i n / M)``; no polynomial is expanded
+from its zeros, which is ill-conditioned at high degree.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -72,15 +77,12 @@ class EnumerationCapError(ValueError):
 class ZeroSet:
     """Classified zeros of the field polynomial.
 
-    ``zeros`` has length eff_degree and ``leading`` is the coefficient of the
-    highest retained power, so ``leading * prod(Z - zeros)`` reproduces the
-    polynomial.  ``on_circle`` / ``inside`` are boolean masks (outside =
-    neither); ``on_circle_times`` are the in-period times at which the field
-    vanishes, one per on-circle zero.
+    ``zeros`` has length eff_degree.  ``on_circle`` / ``inside`` are boolean
+    masks (outside = neither); ``on_circle_times`` are the in-period times at
+    which the field vanishes, one per on-circle zero.
     """
 
     zeros: np.ndarray
-    leading: complex
     on_circle: np.ndarray
     inside: np.ndarray
     on_circle_times: np.ndarray
@@ -167,38 +169,48 @@ def find_zeros(spec: SpectralPoly) -> ZeroSet:
     times = np.mod(-np.angle(zeros[on_circle]), 2.0 * np.pi) / spec.omega
     return ZeroSet(
         zeros=zeros,
-        leading=complex(coeffs[-1]),
         on_circle=on_circle,
         inside=inside,
         on_circle_times=times,
     )
 
 
-def poly_from_zeroset(zeros, leading, M: int, B: float) -> SpectralPoly:
-    """Rebuild the length-M coefficient vector from zeros and leading coefficient."""
-    coeffs = npoly.polyfromroots(np.asarray(zeros, dtype=np.complex128)) * leading
-    if len(coeffs) > M:
-        raise ValueError(f"degree {len(coeffs) - 1} does not fit in M={M} coefficients")
-    full = np.zeros(M, dtype=np.complex128)
-    full[: len(coeffs)] = coeffs
-    return SpectralPoly(coeffs=full, M=M, B=B)
-
-
 def signal_from_zeros(zeros, M: int, B: float = 1.0) -> PeriodicSignal:
     """Construct the waveform whose field polynomial has the given zeros and
     leading coefficient 1."""
-    return spectrum_to_samples(poly_from_zeroset(zeros, 1.0, M, B))
+    coeffs = npoly.polyfromroots(np.asarray(zeros, dtype=np.complex128))
+    if len(coeffs) > M:
+        raise ValueError(f"degree {len(coeffs) - 1} does not fit in M={M} coefficients")
+    return spectrum_to_samples(SpectralPoly(coeffs=np.pad(coeffs, (0, M - len(coeffs))), M=M, B=B))
+
+
+def _allpass(zeros: np.ndarray, M: int) -> np.ndarray:
+    """The product over ``zeros`` of the reflection factors ``b_Z`` at the M
+    sample points ``w_n = exp(-2 pi i n / M)``.
+
+    ``b_Z(w) = |Z| (w - 1/conj(Z)) / (w - Z)`` has modulus 1 on the circle.
+    A zero within ``ORIGIN_EPS`` of the origin reflects to infinity, so its
+    reflected factor is 1: it contributes ``1 / (w - Z)`` and the degree
+    drops by one.
+    """
+    w = np.exp(-2j * np.pi * np.arange(M) / M)
+    factor = np.ones(M, dtype=np.complex128)
+    for z in zeros:
+        r = abs(z)
+        factor *= (r * (w - 1.0 / np.conj(z)) if r >= ORIGIN_EPS else 1.0) / (w - z)
+    return factor
 
 
 def flip_zeros(spec: SpectralPoly, mask: int, zeroset: ZeroSet | None = None) -> SpectralPoly:
     """Reflect the masked zeros across the unit circle.
 
     Bit i of ``mask`` addresses ``zeroset.zeros[i]``.  Each masked zero Z is
-    replaced by ``1/conj(Z)`` and the leading coefficient is rescaled by |Z|,
-    which preserves the modulus of the polynomial on the unit circle exactly
-    in exact arithmetic and makes the flip an exact involution.  (Any other
-    modulus-|Z| rescale differs only by a constant phase, which the phase
-    canonicalization quotients out anyway.)
+    replaced by ``1/conj(Z)`` with a rescale by |Z|: the samples are
+    multiplied by the all-pass factors ``b_Z``, which preserves the modulus
+    of the polynomial on the unit circle exactly in exact arithmetic and
+    makes the flip an exact involution.  (Any other modulus-|Z| rescale
+    differs only by a constant phase, which the phase canonicalization
+    quotients out anyway.)
 
     A zero at the origin reflects to infinity: (Z - 1/conj(z)) |z| tends to
     the constant phase -z/|z| as z -> 0, so its flipped factor is 1 and the
@@ -218,12 +230,8 @@ def flip_zeros(spec: SpectralPoly, mask: int, zeroset: ZeroSet | None = None) ->
             "mask addresses an on-circle zero; its reflection is a constant "
             "phase and does not produce a new waveform"
         )
-    at_origin = flip & (np.abs(zs.zeros) < ORIGIN_EPS)
-    moved = flip & ~at_origin
-    new_zeros = zs.zeros.copy()
-    new_zeros[moved] = 1.0 / np.conj(zs.zeros[moved])
-    scale = float(np.prod(np.abs(zs.zeros[moved])))
-    return poly_from_zeroset(new_zeros[~at_origin], zs.leading * scale, spec.M, spec.B)
+    samples = spectrum_to_samples(spec).samples * _allpass(zs.zeros[flip], spec.M)
+    return samples_to_spectrum(PeriodicSignal(spec.M, spec.B, samples))
 
 
 def _flip_groups(zs: ZeroSet) -> list[int]:
@@ -270,23 +278,15 @@ class EqualIntensityFamily:
         return tuple(PeriodicSignal(M=self.base.M, B=self.base.B, samples=row) for row in self.samples)
 
 
-def _convolve_rows(rows: np.ndarray, factor: np.ndarray) -> np.ndarray:
-    """Each row of ascending coefficients times the polynomial ``factor``."""
-    out = np.zeros((rows.shape[0], rows.shape[1] + len(factor) - 1), dtype=np.complex128)
-    for j, c in enumerate(factor):
-        out[:, j : j + rows.shape[1]] += rows * c
-    return out
-
-
 def _ldexp(z, exponent: int) -> np.ndarray:
     """Complex z times 2**exponent: exact while the result stays normal, and
     defined where 2**exponent itself is not a float."""
     return np.ldexp(np.ascontiguousarray(z).view(np.float64), exponent).view(np.complex128)
 
 
-def _unit_spectrum(sig: PeriodicSignal) -> tuple[SpectralPoly, int]:
-    """The spectrum of ``sig`` scaled by a power of two to a largest sample
-    component in [0.5, 1), and the exponent ``shift`` that scales back.
+def _unit_zeros(sig: PeriodicSignal) -> tuple[np.ndarray, ZeroSet, int]:
+    """The samples of ``sig`` scaled by a power of two to a largest component
+    in [0.5, 1), their zeros, and the exponent ``shift`` that scales back.
 
     The zeros do not depend on the signal's scale, and both scalings are
     exact, so a result built at unit scale and restored by
@@ -301,7 +301,8 @@ def _unit_spectrum(sig: PeriodicSignal) -> tuple[SpectralPoly, int]:
             f"{np.finfo(np.float64).tiny:.3g}: results at that scale would round to a few bits"
         )
     shift = int(np.frexp(peak)[1])
-    return samples_to_spectrum(PeriodicSignal(sig.M, sig.B, _ldexp(sig.samples, -shift))), shift
+    samples = _ldexp(sig.samples, -shift)
+    return samples, find_zeros(samples_to_spectrum(PeriodicSignal(sig.M, sig.B, samples))), shift
 
 
 # members that leave the float64 range raise FloatingPointError instead of
@@ -315,22 +316,21 @@ def enumerate_family(sig: PeriodicSignal, max_flips: int = DEFAULT_FLIP_CAP) -> 
     exists because the member count is exponential, and can be raised
     explicitly by the caller.
 
-    All members are built at once.  Each flip group contributes two factors,
-    its zeros and their reflections ``1/conj(Z)`` rescaled by ``prod |Z|`` (the
-    rescale of :func:`flip_zeros`); starting from the leading coefficient
-    times the unflipped zeros, the batch of coefficient rows doubles once per
-    group as ``[rows * unflipped, rows * flipped]``, which puts the members in
-    binary counting order of the flip pattern.  Reflected zeros at the origin
-    contribute the factor 1, as in :func:`flip_zeros`.
+    All members are built at once, as the base samples times all-pass
+    factors (see :func:`flip_zeros`).  Starting from the base samples, the
+    batch of rows doubles once per flip group as ``[rows, rows * b_group]``,
+    where ``b_group`` is the product of the group's factors at the sample
+    points; this puts the members in binary counting order of the flip
+    pattern.  Reflected zeros at the origin contribute ``1 / (w - Z)``, as in
+    :func:`flip_zeros`.  Member 0 is the phase-canonical base.
 
-    The zeros are found at unit scale (:func:`_unit_spectrum`, which refuses
+    The zeros are found at unit scale (:func:`_unit_zeros`, which refuses
     subnormal samples) and the members scaled back, so huge samples neither
     overflow the spectrum nor change a bit elsewhere.
     """
     if max_flips < 0:
         raise ValueError(f"max_flips must be at least 0, got {max_flips}")
-    spec, shift = _unit_spectrum(sig)
-    zs = find_zeros(spec)
+    samples, zs, shift = _unit_zeros(sig)
     groups = _flip_groups(zs)
     if len(groups) > max_flips:
         raise EnumerationCapError(
@@ -338,22 +338,14 @@ def enumerate_family(sig: PeriodicSignal, max_flips: int = DEFAULT_FLIP_CAP) -> 
             f"pass max_flips={len(groups)} to enumerate anyway"
         )
 
-    rows = (npoly.polyfromroots(zs.zeros[zs.on_circle]) * zs.leading)[None, :]
+    rows = samples[None, :]
     masks = [0]
     for group in groups:
-        z = zs.zeros[[i for i in range(len(zs.zeros)) if (group >> i) & 1]]
-        unflipped = npoly.polyfromroots(z)
-        moved = z[np.abs(z) >= ORIGIN_EPS]  # flipped origin zeros leave the factor 1
-        flipped = npoly.polyfromroots(1.0 / np.conj(moved)) * float(np.prod(np.abs(moved)))
-        flipped = np.pad(flipped, (0, len(unflipped) - len(flipped)))
-        rows = np.concatenate([_convolve_rows(rows, unflipped), _convolve_rows(rows, flipped)])
+        factor = _allpass(zs.zeros[[i for i in range(len(zs.zeros)) if (group >> i) & 1]], sig.M)
+        rows = np.concatenate([rows, rows * factor])
         masks += [mask | group for mask in masks]
-    coeffs = np.zeros((len(rows), sig.M), dtype=np.complex128)
-    coeffs[:, : rows.shape[1]] = rows
-    samples = _ldexp(np.fft.fft(coeffs, axis=1) * canonical_rotation(coeffs), shift)
+    samples = _ldexp(rows * canonical_rotation(np.fft.ifft(rows, axis=1)), shift)
     samples.setflags(write=False)
-    leading = complex(np.ldexp(zs.leading.real, shift), np.ldexp(zs.leading.imag, shift))
-    zs = dataclasses.replace(zs, leading=leading)
     return EqualIntensityFamily(base=sig, zeroset=zs, masks=tuple(masks), samples=samples)
 
 
@@ -363,18 +355,15 @@ def enumerate_family(sig: PeriodicSignal, max_flips: int = DEFAULT_FLIP_CAP) -> 
 def min_phase_member(sig: PeriodicSignal) -> PeriodicSignal:
     """The family member with no zeros strictly inside the unit circle.
 
-    Obtained by reflecting exactly the inside zeros to the outside; the result
-    is phase-canonical.  It is built at unit scale and scaled back, as the
-    members of :func:`enumerate_family` are, so subnormal samples are refused
-    (ValueError) and huge ones keep their bits.
+    Obtained by reflecting exactly the inside zeros to the outside: the
+    samples times the all-pass factors of the inside zeros (see
+    :func:`flip_zeros`).  The result is phase-canonical.  It is built at unit
+    scale and scaled back, as the members of :func:`enumerate_family` are, so
+    subnormal samples are refused (ValueError) and huge ones keep their bits.
     """
-    spec, shift = _unit_spectrum(sig)
-    zs = find_zeros(spec)
-    mask = 0
-    for i in range(len(zs.zeros)):
-        if zs.inside[i]:
-            mask |= 1 << i
-    member = canonicalize_phase(spectrum_to_samples(flip_zeros(spec, mask, zeroset=zs)))
+    samples, zs, shift = _unit_zeros(sig)
+    samples = samples * _allpass(zs.zeros[zs.inside], sig.M)
+    member = canonicalize_phase(PeriodicSignal(sig.M, sig.B, samples))
     return PeriodicSignal(sig.M, sig.B, _ldexp(member.samples, shift))
 
 

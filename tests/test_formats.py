@@ -331,11 +331,13 @@ def test_family_json_refuses_non_finite_samples(tmp_path):
 
 
 # SHA-256 of ``ddcap enumerate`` output, fixed so that no writer change
-# drifts from the published bytes unnoticed
+# drifts from the published bytes unnoticed.  M=10 was re-pinned when the
+# members came to be built as the samples times all-pass factors: their
+# bits moved in the last places
 @pytest.mark.parametrize(
     "M, size, digest",
     [
-        (10, 254595, "9cd96bf12c116111db3183ca274eb15a709e45c1e593a1128c186299370f51b0"),
+        (10, 254537, "154437356eb7390ef9c57d21f39fc0dee0bd3618a24adb0799d6cbb3d18e5cab"),
         (1, 230, "fe3cf18dc311584169fa8ef65dcb0c039cd5d00fbf544c680c3118e0ef65d409"),
     ],
 )
@@ -401,12 +403,13 @@ def test_single_output_report_is_pinned(tmp_path, args, size, digest):
 
 
 # SHA-256 of the CSVs ``ddcap figure2`` and ``ddcap simulate`` write, whose
-# dense grids all come from signals.field_grid
+# dense grids all come from signals.field_grid.  figure2 was re-pinned with
+# the enumerate output above, as it plots a family's members
 @pytest.mark.parametrize(
     "args, size, digest",
     [
         (["figure2", "--seed", "7"],
-         96486, "bd487e5619456b72921782c569bfa00a16e5e199698b04ece8a5d9bcc61a36ee"),
+         96427, "b8f79d6c2b39f4dc18f2871fc860be77a1ae8d531deb25fe40f4ef890aa34248"),
         (["simulate", "--receiver", "grid", "--snr-db", "20", "--seed", "3"],
          1205, "8e4bfb33bc8b7dd4ed1c3ed402655f124cc3ff9dbad69a43a2a0b9b81e11c812"),
         (["simulate", "--receiver", "direct", "--snr-db", "20", "--seed", "3"],

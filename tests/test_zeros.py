@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
 from ddcap import (
     EnumerationCapError,
@@ -20,7 +21,7 @@ from ddcap import (
     spectrum_to_samples,
 )
 from ddcap.signals import SpectralPoly
-from ddcap.zeros import ZERO_MERGE_TOL, ZeroSet, _flip_groups, poly_from_zeroset
+from ddcap.zeros import ZERO_MERGE_TOL, ZeroSet, _flip_groups
 
 from conftest import random_coeff_signal, signal_from_coeffs
 
@@ -61,8 +62,8 @@ class TestFindZeros:
     def test_reconstruction_invariant(self, rng):
         coeffs = rng.standard_normal(10) + 1j * rng.standard_normal(10)
         zs = find_zeros(spec_of(coeffs))
-        rebuilt = poly_from_zeroset(zs.zeros, zs.leading, 10, 1.0)
-        assert np.max(np.abs(rebuilt.coeffs - coeffs)) < 1e-8 * np.max(np.abs(coeffs))
+        rebuilt = npoly.polyfromroots(zs.zeros) * coeffs[-1]
+        assert np.max(np.abs(rebuilt - coeffs)) < 1e-8 * np.max(np.abs(coeffs))
 
     def test_field_vanishes_at_on_circle_times(self, rng):
         on = np.exp(1j * np.array([0.3, 2.2, -1.7]))
@@ -223,7 +224,7 @@ class TestEnumerateFamily:
         tol = ZERO_MERGE_TOL
         zeros = np.array([a, b, b + 0.5 * tol, a + 1.6 * tol, a + 0.8 * tol, 0.3j])
         assert abs(zeros[3] - zeros[0]) > tol
-        zs = ZeroSet(zeros=zeros, leading=1.0, on_circle=np.zeros(6, dtype=bool),
+        zs = ZeroSet(zeros=zeros, on_circle=np.zeros(6, dtype=bool),
                      inside=np.abs(zeros) < 1.0, on_circle_times=np.zeros(0))
         assert _flip_groups(zs) == [0b011001, 0b000110, 0b100000]
 
@@ -270,7 +271,6 @@ class TestEnumerateFamily:
         assert scaled.masks == fam.masks
         assert np.array_equal(scaled.samples, fam.samples * 2.0**exponent)
         assert np.array_equal(scaled.zeroset.zeros, fam.zeroset.zeros)
-        assert scaled.zeroset.leading == fam.zeroset.leading * 2.0**exponent
 
     def test_subnormal_samples_are_refused_naming_their_scale(self):
         sig = PeriodicSignal(3, 1.0, [5e-324, -5e-324j, 5e-324 + 5e-324j])
@@ -295,6 +295,73 @@ class TestEnumerateFamily:
             masks, reference = self._per_mask(sig)
             assert list(fam.masks) == masks
             assert np.max(np.abs(fam.samples - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+    # oracles that do not share the all-pass construction of the members
+
+    def test_member_0_is_the_canonical_base(self, rng):
+        w = 0.6 + 0.2j
+        signals = [random_coeff_signal(rng, int(M)) for M in rng.integers(1, 11, size=40)]
+        signals += [
+            signal_from_zeros([w, w + 1e-9, 2.0 - 1.0j], M=4),
+            signal_from_zeros([np.exp(1.1j), 0.4 - 0.3j, 1.7 + 0.9j], M=4),
+            embed_finite_support(rng.standard_normal(3) + 1j * rng.standard_normal(3), M_prime=24),
+        ]
+        for sig in signals:
+            assert np.array_equal(enumerate_family(sig).samples[0], canonicalize_phase(sig).samples)
+
+    def test_members_keep_the_sample_moduli(self, rng):
+        # each flip multiplies the samples by factors of modulus 1
+        eps = np.finfo(np.float64).eps
+        for M in rng.integers(2, 11, size=100):
+            sig = random_coeff_signal(rng, int(M))
+            fam = enumerate_family(sig)
+            moduli = np.abs(sig.samples)
+            assert np.max(np.abs(np.abs(fam.samples) - moduli)) <= 16 * eps * moduli.max()
+
+    @staticmethod
+    def _from_known_zeros(zeros, flipped, M):
+        """Canonical samples of prod(Z - zeros) with the ``flipped`` zeros
+        reflected to 1/conj(Z) and rescaled by |Z|, expanded from the zeros."""
+        zeros = np.array(zeros, dtype=complex)
+        scale = np.prod(np.abs(zeros[flipped]))
+        zeros[flipped] = 1.0 / np.conj(zeros[flipped])
+        coeffs = npoly.polyfromroots(zeros) * scale
+        return canonicalize_phase(signal_from_coeffs(np.pad(coeffs, (0, M - len(coeffs))))).samples
+
+    @pytest.mark.parametrize(
+        "zeros, M",
+        [
+            ([2.0 + 0j], 2),
+            ([0.5 + 0.2j, 1.8 - 0.6j, -0.7j], 4),
+            ([np.exp(1.1j), 0.4 - 0.3j, 1.7 + 0.9j], 4),
+            ([0.3 + 0.4j, -1.5 + 0.2j, 0.6j], 6),
+            (list(np.array([0.5, 1.6, 0.7, 2.1, 0.4, 1.3, 0.8]) * np.exp(2j * np.pi * np.arange(7) / 7 + 0.3j)), 8),
+        ],
+    )
+    def test_members_match_the_expansion_of_the_known_zeros(self, zeros, M):
+        fam = enumerate_family(signal_from_zeros(zeros, M=M))
+        found = fam.zeroset.zeros
+        # the known zero each found zero approximates
+        known = np.abs(found[:, None] - np.array(zeros)[None, :]).argmin(axis=1)
+        assert sorted(known.tolist()) == list(range(len(zeros)))
+        for mask, member in zip(fam.masks, fam.samples):
+            flipped = [int(known[i]) for i in range(len(found)) if (mask >> i) & 1]
+            reference = self._from_known_zeros(zeros, flipped, M)
+            assert np.max(np.abs(member - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+    def test_zero_at_infinity_keeps_the_intensity(self, rng):
+        # a top coefficient below DEGREE_EPS is dropped from the zero search, so
+        # the zero near infinity it carries is never flipped, and the members
+        # keep the samples' small contribution from it as it is
+        for _ in range(200):
+            M = int(rng.integers(3, 11))
+            coeffs = rng.standard_normal(M) + 1j * rng.standard_normal(M)
+            coeffs[-1] *= 10 ** rng.uniform(-16, -10.3) * np.abs(coeffs[:-1]).max() / abs(coeffs[-1])
+            sig = signal_from_coeffs(coeffs)
+            assert samples_to_spectrum(sig).eff_degree < M - 1
+            fam = enumerate_family(sig)
+            intensities = np.abs(np.fft.fft(np.fft.ifft(fam.samples, axis=1), n=4 * M, axis=1)) ** 2
+            assert np.max(np.abs(intensities - intensities[0])) <= 1e-8 * np.max(intensities[0])
 
 
 class TestMinPhaseMember:
@@ -333,24 +400,35 @@ class TestMinPhaseMember:
         assert not find_zeros(samples_to_spectrum(reference)).inside.any()
 
     # bits of the minimum-phase member, fixed so that the scaling around the
-    # zero search changes none of them
+    # zero search changes none of them; re-pinned when the member came to be
+    # built as the samples times all-pass factors (last-place changes)
     @pytest.mark.parametrize(
         "M, seed, bits",
         [
-            (3, 1, "0x1.64f79da4aab2fp-2 0x1.015fd00e288b0p-1 0x1.ec8602a73c134p-1 "
-                   "-0x1.a7b8347c9784bp-3 0x1.3bd65958f2cd6p-1 -0x1.2ee385de0553cp-2"),
-            (4, 2, "0x1.62261bfca0952p+0 0x1.c89571693611fp-1 0x1.55c2f72464e6bp-3 "
-                   "-0x1.3cc3eadad9ef1p-2 0x1.e9749a1d2102ep-1 -0x1.c6d71c37adc8ep-3 "
-                   "0x1.62d01c876e7dep+0 -0x1.70fb69dbbb501p-2"),
-            (5, 3, "0x1.6a83e77f83bb3p-5 -0x1.66e3b4ba934dap-2 0x1.297d7930fe00ep+0 "
-                   "0x1.632036054fdb7p-1 0x1.15bdb93bdc91dp-2 0x1.2bd79cf23dac4p-4 "
-                   "0x1.50027c085713dp+1 -0x1.1a605248a071bp+0 0x1.c0999d3d08a3cp+0 "
-                   "0x1.5f97554af2f94p-1"),
+            (3, 1, "0x1.64f79da4aab2bp-2 0x1.015fd00e288b0p-1 0x1.ec8602a73c132p-1 "
+                   "-0x1.a7b8347c97843p-3 0x1.3bd65958f2cd6p-1 -0x1.2ee385de0553cp-2"),
+            (4, 2, "0x1.62261bfca0950p+0 0x1.c89571693611ep-1 0x1.55c2f72464e58p-3 "
+                   "-0x1.3cc3eadad9ef3p-2 0x1.e9749a1d2102cp-1 -0x1.c6d71c37adc8fp-3 "
+                   "0x1.62d01c876e7dbp+0 -0x1.70fb69dbbb501p-2"),
+            (5, 3, "0x1.6a83e77f83b70p-5 -0x1.66e3b4ba934dcp-2 0x1.297d7930fe00ep+0 "
+                   "0x1.632036054fdb6p-1 0x1.15bdb93bdc916p-2 0x1.2bd79cf23daefp-4 "
+                   "0x1.50027c085713ep+1 -0x1.1a605248a071cp+0 0x1.c0999d3d08a3cp+0 "
+                   "0x1.5f97554af2f92p-1"),
         ],
     )
     def test_random_signal_bits_are_pinned(self, M, seed, bits):
         result = min_phase_member(random_signal(M, seed=seed))
         assert " ".join(float(x).hex() for x in result.samples.view(np.float64)) == bits
+
+    @pytest.mark.parametrize("M", [64, 128, 192, 256])
+    def test_large_M_keeps_the_intensity_and_leaves_no_inside_zero(self, M):
+        for seed in range(1000, 1006):
+            sig = random_signal(M, seed=seed)
+            result = min_phase_member(sig)
+            base_grid = intensity_grid(sig, 4).values
+            got = intensity_grid(result, 4).values
+            assert np.max(np.abs(got - base_grid)) <= 1e-12 * base_grid.max()
+            assert not find_zeros(samples_to_spectrum(result)).inside.any()
 
 
 class TestEmbedFiniteSupport:
@@ -366,6 +444,16 @@ class TestEmbedFiniteSupport:
         assert zs.on_circle.sum() >= 24 - 3
         fam = enumerate_family(sig)
         assert len(fam) <= 2 ** (3 - 1)
+
+    @pytest.mark.parametrize("M_prime", [64, 128, 256, 512])
+    def test_embedded_qpsk_family_keeps_the_intensity(self, M_prime):
+        payload = np.array([1j, -1, 1, -1j, -1j, 1, 1, 1j])
+        fam = enumerate_family(embed_finite_support(payload, M_prime))
+        assert len(fam) == 128
+        base_grid = intensity_grid(fam.base, 4).values
+        for member in fam.signals:
+            got = intensity_grid(member, 4).values
+            assert np.max(np.abs(got - base_grid)) <= 1e-12 * base_grid.max()
 
     def test_guard_band_required(self, rng):
         with pytest.raises(ValueError, match="M_prime"):
