@@ -9,8 +9,11 @@ to the log-magnitude by the circular Hilbert transform::
 (the sign follows from the ``E(t) = sum_k F_k e^{-i k Omega t}`` convention
 used throughout; the free constant c is fixed by phase canonicalization).
 ``log sqrt(I)`` is not band-limited, so the transform runs on an oversampled
-grid and the result is projected back onto the M in-band coefficients; the
-projection residual is the reported reconstruction quality.
+grid and the result is projected back onto the M in-band coefficients.  The
+grid doubles until the projected waveform's intensity matches the input to a
+tenth of the tolerance, or until the next grid would pass ``_MAX_GRID``; an
+intensity whose projected waveform still misses it by more than the tolerance
+is refused as not realizable with M coefficients.
 """
 
 from __future__ import annotations
@@ -40,6 +43,8 @@ INTENSITY_FLOOR = 1e-12
 DEFAULT_TOL = 1e-6
 
 _MIN_GRID = 512
+#: The grid doubles only up to this many points; a larger input grid is
+#: still used as it comes.
 _MAX_GRID = 1 << 16
 
 
@@ -70,10 +75,14 @@ def periodic_hilbert(series: np.ndarray) -> np.ndarray:
 class MinPhaseResult:
     """Reconstruction output plus the quality bookkeeping.
 
-    ``residual`` is the worst relative intensity mismatch on the input grid;
-    ``projection_residual`` is the out-of-band fraction of the raw
-    sqrt(I) e^{i phi} waveform before projection; ``regularized`` marks inputs
-    whose intensity had to be clamped away from zero.
+    ``residual`` is the worst mismatch between the returned waveform's
+    intensity and the input on the input grid, relative to the peak: it
+    decides both when the grid stops doubling and whether the intensity is
+    refused.  ``projection_residual`` is the out-of-band fraction of the raw
+    sqrt(I) e^{i phi} waveform before projection, on the final grid; it is
+    reported only.  ``regularized`` marks inputs whose intensity had to be
+    clamped away from zero; ``grid_size`` is the final grid, and
+    ``tolerance`` the effective tolerance.
     """
 
     signal: PeriodicSignal
@@ -106,8 +115,10 @@ def min_phase_from_intensity(
     Raises
     ------
     IntensityNotRealizableError
-        If the out-of-band projection residual exceeds 100 * tol, i.e. no
-        band-limited waveform with M coefficients has this intensity.
+        If the intensity was not clamped and the returned waveform's
+        intensity residual exceeds the effective tolerance, i.e. no
+        band-limited waveform with M coefficients was found to have this
+        intensity.
     """
     if M < 1:
         raise ValueError(f"M must be at least 1, got {M}")
@@ -125,6 +136,11 @@ def min_phase_from_intensity(
     regularized = bool(vals.min() < floor)
     tol_eff = min(tol * float(np.sqrt(max_i / max(vals.min(), floor))), 1e-2)
 
+    oversample = len(vals) // M
+
+    def residual_of(in_band):
+        return float(np.max(np.abs(np.abs(field_grid(in_band, oversample)) ** 2 - vals)) / max_i)
+
     n = max(8 * M, _MIN_GRID, len(vals))
     while True:
         dense = np.maximum(resample_real_periodic(vals, n), floor)
@@ -132,23 +148,19 @@ def min_phase_from_intensity(
         phase = -periodic_hilbert(log_mag)
         raw = np.sqrt(dense) * np.exp(1j * phase)
         coeffs = np.fft.ifft(raw)
-        total = float(np.linalg.norm(coeffs))
-        leak = float(np.linalg.norm(coeffs[M:])) / total if total > 0 else 1.0
-        if leak <= 0.1 * tol_eff or n >= _MAX_GRID:
+        if residual_of(coeffs[:M]) <= 0.1 * tol_eff or 2 * n > _MAX_GRID:
             break
         n *= 2
+    leak = float(np.linalg.norm(coeffs[M:]) / np.linalg.norm(coeffs))
 
     spec = SpectralPoly(coeffs=coeffs[:M], M=M, B=M * intensity.rate / len(vals))
     signal = canonicalize_phase(spectrum_to_samples(spec))
+    residual = residual_of(samples_to_spectrum(signal).coeffs)
 
-    oversample = len(vals) // M
-    recon = np.abs(field_grid(samples_to_spectrum(signal).coeffs, oversample)) ** 2
-    residual = float(np.max(np.abs(recon - vals)) / max_i)
-
-    if leak > 100.0 * tol and not regularized:
+    if residual > tol_eff and not regularized:
         raise IntensityNotRealizableError(
-            f"intensity not realizable within bandwidth: out-of-band residual "
-            f"{leak:.3e} exceeds {100.0 * tol:.3e}"
+            f"intensity not realizable within bandwidth: the projected waveform's intensity "
+            f"residual {residual:.3e} exceeds the tolerance {tol_eff:.3e} (grid of {n} points)"
         )
     return MinPhaseResult(
         signal=signal,

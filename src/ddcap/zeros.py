@@ -18,6 +18,7 @@ from its zeros, which is ill-conditioned at high degree.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -100,38 +101,67 @@ def _aberth_ehrlich(coeffs: np.ndarray) -> np.ndarray:
     break symmetric configurations.  Corrections use the Ehrlich/Aberth
     third-order update; convergence is declared on the relative residual
     |A(z)| <= tol * max|c| * max(1, |z|)^d, after a few Newton polish steps.
+
+    Beyond the radius where Horner's recursion for A could overflow, A and A'
+    are evaluated through the reversed polynomial, A(z) = z^d R(1/z), both
+    divided by z^(d-1): the Newton ratio A/A' is unchanged, and iterates that
+    never leave that radius keep their bits.  There the residual is
+    |R(1/z)| for the same reason.
     """
     d = len(coeffs) - 1
     deriv = coeffs[1:] * np.arange(1, d + 1)
+    reverse = coeffs[::-1]
+    reverse_deriv = reverse[1:] * np.arange(1, d + 1)
     scale = np.max(np.abs(coeffs))
+    # |A(z)| <= (d + 1) * scale * |z|^d, and |A'(z)| <= d times that
+    log_headroom = math.log(np.finfo(np.float64).max) - math.log(d * (d + 1) * scale)
+    overflow_radius = math.exp(min(log_headroom / d, 700.0))
+
+    def newton_terms(z, radius):
+        """A(z) and A'(z), both divided by z^(d-1) beyond ``overflow_radius``."""
+        if radius.max() <= overflow_radius:
+            return horner(coeffs, z), horner(deriv, z)
+        big = radius > overflow_radius
+        p, dp = np.empty_like(z), np.empty_like(z)
+        p[~big], dp[~big] = horner(coeffs, z[~big]), horner(deriv, z[~big])
+        w = 1.0 / z[big]
+        r = horner(reverse, w)
+        p[big], dp[big] = r / w, d * r - w * horner(reverse_deriv, w)
+        return p, dp
+
     cauchy = 1.0 + float(np.max(np.abs(coeffs[:-1] / coeffs[-1])))
     r0 = abs(coeffs[0] / coeffs[-1]) ** (1.0 / d) if coeffs[0] != 0 else 0.0
     r0 = min(max(r0, 1e-6 * cauchy), cauchy)
     k = np.arange(d)
     z = r0 * (1.0 + 0.02 * (k % 7) / 7.0) * np.exp(1j * (2 * np.pi * (k + 0.5) / d + 0.4))
+    radius = np.abs(z)
 
     for _ in range(_ABERTH_MAX_ITER):
-        p = horner(coeffs, z)
-        dp = horner(deriv, z)
+        p, dp = newton_terms(z, radius)
         diff = z[:, None] - z[None, :]
         np.fill_diagonal(diff, np.inf)
         pair_sum = (1.0 / diff).sum(axis=1)
-        safe_dp = np.where(dp != 0, dp, 1.0)
-        ratio = np.where(dp != 0, p / safe_dp, 0.0)
+        nonzero = dp != 0
+        ratio = np.where(nonzero, p / np.where(nonzero, dp, 1.0), 0.0)
         denom = 1.0 - ratio * pair_sum
-        step = np.where(denom != 0, ratio / np.where(denom != 0, denom, 1.0), ratio)
+        nonzero = denom != 0
+        step = np.where(nonzero, ratio / np.where(nonzero, denom, 1.0), ratio)
         z = z - step
-        if np.max(np.abs(step) / (1.0 + np.abs(z))) < 1e-14:
+        radius = np.abs(z)
+        if np.max(np.abs(step) / (1.0 + radius)) < 1e-14:
             break
 
     for _ in range(_POLISH_ITER):
-        p = horner(coeffs, z)
-        dp = horner(deriv, z)
-        z = z - np.where(dp != 0, p / np.where(dp != 0, dp, 1.0), 0.0)
+        p, dp = newton_terms(z, radius)
+        nonzero = dp != 0
+        z = z - np.where(nonzero, p / np.where(nonzero, dp, 1.0), 0.0)
+        radius = np.abs(z)
 
-    residual = np.abs(horner(coeffs, z)) / (scale * np.maximum(1.0, np.abs(z)) ** d)
+    p, _ = newton_terms(z, radius)
+    # beyond overflow_radius, p is already A(z) / z^(d-1)
+    residual = np.abs(p) / (scale * np.maximum(1.0, radius) ** np.where(radius > overflow_radius, 1, d))
     worst = float(residual.max())
-    if worst > _RESIDUAL_TOL:
+    if not worst <= _RESIDUAL_TOL:  # a NaN residual fails too
         raise RootConvergenceError("root iteration failed to converge", worst)
     return z
 

@@ -11,12 +11,13 @@ from ddcap import (
     min_phase_member,
     periodic_hilbert,
     phase_distance,
+    random_signal,
     samples_to_spectrum,
     signal_from_zeros,
     spectrum_to_samples,
 )
 from ddcap import minphase
-from ddcap.signals import SpectralPoly
+from ddcap.signals import SampledIntensity, SpectralPoly
 
 from conftest import random_coeff_signal, signal_from_coeffs
 
@@ -132,14 +133,70 @@ class TestMinPhaseFromIntensity:
         assert np.isfinite(result.residual)
 
     def test_grid_stops_doubling_at_the_cap(self, monkeypatch):
-        # the on-circle zero needs 8192 points to meet the leak tolerance
+        # at tol=1e-10 the on-circle zero needs 4096 points to bring the
+        # residual within a tenth of the tolerance; under a cap of 3000 the
+        # grid stops at 2048, since the next doubling would pass it
         zeros = [np.exp(-2j * np.pi * 0.25 / 4), 2.0 + 1.0j, -3.0]
         grid = intensity_grid(signal_from_zeros(zeros, M=4), 16)
-        assert min_phase_from_intensity(grid, M=4).grid_size == 8192
-        monkeypatch.setattr(minphase, "_MAX_GRID", 1024)
-        result = min_phase_from_intensity(grid, M=4)
-        assert result.grid_size == 1024
-        assert result.projection_residual > 0.1 * result.tolerance
+        assert min_phase_from_intensity(grid, M=4, tol=1e-10).grid_size == 4096
+        monkeypatch.setattr(minphase, "_MAX_GRID", 3000)
+        result = min_phase_from_intensity(grid, M=4, tol=1e-10)
+        assert result.grid_size == 2048
+        assert result.regularized
+        assert result.residual > 0.1 * result.tolerance
+
+    def test_unrealizable_intensity_refused_within_the_grid_cap(self, monkeypatch):
+        # M + 1 random coefficients on the 8M grid of an M=192 waveform: no
+        # grid gets the residual within the tolerance, and the doubling from
+        # 1536 points stops below the cap instead of passing it
+        grids = []
+        hilbert = minphase.periodic_hilbert
+
+        def recording_hilbert(series):
+            grids.append(len(series))
+            return hilbert(series)
+
+        monkeypatch.setattr(minphase, "periodic_hilbert", recording_hilbert)
+        M = 192
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            coeffs = (rng.standard_normal(M + 1) + 1j * rng.standard_normal(M + 1)) / np.sqrt(2 * M)
+            grid = SampledIntensity(rate=8.0, values=np.abs(np.fft.fft(coeffs, n=8 * M)) ** 2)
+            with pytest.raises(IntensityNotRealizableError, match="residual"):
+                min_phase_from_intensity(grid, M=M)
+        assert max(grids) <= minphase._MAX_GRID
+
+    def test_returned_waveform_meets_its_tolerance(self):
+        # M + 1 coefficients whose last is small: each intensity is either
+        # refused or answered by a waveform within the tolerance, never by one
+        # that misses it
+        M = 4
+        outcomes = []
+        for seed in range(5):
+            for scale in (1e-3, 1e-4, 1e-5):
+                rng = np.random.default_rng(seed)
+                coeffs = (rng.standard_normal(M + 1) + 1j * rng.standard_normal(M + 1)) / np.sqrt(2 * M)
+                coeffs[M] *= scale
+                grid = SampledIntensity(rate=8.0, values=np.abs(np.fft.fft(coeffs, n=8 * M)) ** 2)
+                try:
+                    result = min_phase_from_intensity(grid, M=M)
+                except IntensityNotRealizableError:
+                    outcomes.append("refused")
+                    continue
+                assert result.residual <= result.tolerance
+                outcomes.append("returned")
+        assert {"refused", "returned"} <= set(outcomes)
+
+    @pytest.mark.parametrize("M", [192, 256])
+    def test_unconstrained_random_signals_round_trip(self, M):
+        # zeros of these waveforms crowd the circle; the projected waveform
+        # meets the tolerance although the leak before projection is 1e-4 to 1e-3
+        for seed in range(1000, 1006):
+            sig = random_signal(M, seed=seed)
+            result = min_phase_from_intensity(intensity_grid(sig, 8), M=M)
+            assert result.residual <= 0.1 * result.tolerance
+            reference = min_phase_member(sig)
+            assert phase_distance(reference, result.signal) <= 1e-6 * reference.power()
 
     def test_unrealizable_intensity_rejected(self, rng):
         # intensity of an M=16 waveform cannot come from an M=4 waveform

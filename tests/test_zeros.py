@@ -84,6 +84,25 @@ class TestFindZeros:
         with pytest.raises(ValueError, match="zero"):
             find_zeros(spec_of([0.0, 0.0]))
 
+    # degree 255, where |z|^d overflows float64 beyond |z| ~ 16: seed 75 has a
+    # zero of radius 16.5, iterates for seed 88 pass through such radii, and
+    # the retrieve probe drawn from default_rng([1, 4, 11]) has a zero of
+    # radius 42; Horner's recursion used to overflow on all three
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("key", [75, 88, [1, 4, 11]], ids=["seed75", "seed88", "probe"])
+    def test_degree_255_zeros_beyond_the_overflow_radius(self, key):
+        sig = random_signal(256, seed=key)
+        spec = samples_to_spectrum(sig)
+        zs = find_zeros(spec)
+        reference = npoly.polyroots(spec.coeffs)
+        dist = np.abs(zs.zeros[:, None] - reference[None, :])
+        assert len(set(dist.argmin(axis=1).tolist())) == 255
+        assert np.max(dist.min(axis=1) / np.maximum(1.0, np.abs(zs.zeros))) < 1e-12
+        assert zs.inside.sum() == np.sum(np.abs(reference) < 1.0)
+        result = min_phase_member(sig)
+        base_grid = intensity_grid(sig, 4).values
+        assert np.max(np.abs(intensity_grid(result, 4).values - base_grid)) <= 1e-12 * base_grid.max()
+
 
 class TestFlipZeros:
     def test_empty_mask_is_identity(self, rng):
