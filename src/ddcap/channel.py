@@ -62,7 +62,11 @@ _LOG2E = float(np.log2(np.e))
 
 
 class ClusteringAmbiguityError(ValueError):
-    """Two outputs are neither identical nor separated: clustering is unsafe."""
+    """Outputs ``pair``, ``dist`` apart, are neither identical nor separated: clustering is unsafe."""
+
+    def __init__(self, i, j, dist: float, tol: float):
+        self.pair, self.dist = (int(i), int(j)), float(dist)
+        super().__init__(f"outputs {i} and {j} are {dist:.3e} apart, inside the guard band (tol {tol:.3e})")
 
 
 class InvariantViolation(RuntimeError):
@@ -263,17 +267,21 @@ def _cluster(vectors, tol: float) -> np.ndarray:
         # the lowest row of each set of exact copies is kept, so the smallest
         # pair among kept rows is the smallest over all rows
         k = bad[np.lexsort((j[bad], i[bad]))[0]]
-        raise ClusteringAmbiguityError(
-            f"outputs {i[k]} and {j[k]} are {dist[k]:.3e} apart, inside the "
-            f"guard band (tol {tol:.3e})"
-        )
+        raise ClusteringAmbiguityError(i[k], j[k], dist[k], tol)
     return labels
 
 
-def _noiseless_labels(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(y' labels, y labels) for noiseless reception of the (n, M) input rows.
+def _noiseless_labels(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(y' labels, y labels, first rows) for noiseless reception of the (n, M) rows.
 
-    Y' is the phase-canonical field and Y the 2M direct-detection intensities.
+    Y' is the phase-canonical field and Y, a function of it, the 2M
+    direct-detection intensities.  Only the first row of each field cluster
+    has its Y clustered; the rest take its label and must lie within the
+    tolerance of its intensity, else :class:`ClusteringAmbiguityError` inside
+    the 10 * tol guard band and ``ValueError`` beyond.  So two Y clusters are
+    judged by their first rows, up to 2 * tol nearer or farther apart than
+    their nearest rows (in PSK alphabets a field cluster's rows are equal).
+
     The labels do not depend on the inputs' scale: the rows are clustered
     scaled by one power of two to a largest component in [0.5, 1), which is
     exact, and at that scale no square or distance overflows or underflows.
@@ -290,32 +298,23 @@ def _noiseless_labels(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     intensities = np.abs(field_grid(coeffs, 2)) ** 2
     field *= rotation
     labels_field = _cluster(field, CLUSTER_TOL * scale)
-    labels_int = _cluster(intensities, CLUSTER_TOL * scale**2)
-    return labels_field, labels_int
-
-
-def _representatives(labels_field: np.ndarray, labels_int: np.ndarray) -> np.ndarray:
-    """The first row of each field cluster, in label order.
-
-    Labels are numbered by first appearance, so label k first appears where
-    the running maximum of the labels reaches k.  Raises ``ValueError`` unless
-    Y is a function of Y' (the rows of one field cluster share one intensity
-    cluster); then the first rows' intensity labels are numbered by first
-    appearance too.
-    """
-    running = np.maximum.accumulate(labels_field)
-    first = running.searchsorted(np.arange(running[-1] + 1))
-    if np.any(labels_int != labels_int[first][labels_field]):
-        raise ValueError(
-            "discretization makes Y ambiguous given Y' (distinct "
-            "intensity clusters inside one field cluster)"
-        )
-    return first
-
-
-def _noiseless_mi(prior: np.ndarray, labels: np.ndarray, M: int) -> float:
-    """I(X;Y) = H(Y) bits, per dof, of the deterministic channel x -> labels[x]."""
-    return _entropy(np.bincount(labels, weights=prior)) / M
+    # label k first appears where the running maximum of the labels reaches k
+    first = np.maximum.accumulate(labels_field).searchsorted(np.arange(labels_field.max() + 1))
+    tol = CLUSTER_TOL * scale**2
+    try:
+        labels_int = _cluster(intensities[first], tol)[labels_field]
+    except ClusteringAmbiguityError as err:  # name the rows, not their positions among the first rows
+        raise ClusteringAmbiguityError(*first[list(err.pair)], err.dist, tol) from None
+    rep = first[labels_field]
+    dist = np.sqrt(np.sum((intensities - intensities[rep]) ** 2, axis=1) / intensities.shape[1])
+    (bad,) = np.nonzero((dist > tol) & (dist < 10.0 * tol))
+    if len(bad):
+        k = bad[np.lexsort((bad, rep[bad]))[0]]
+        raise ClusteringAmbiguityError(rep[k], k, dist[k], tol)
+    if np.any(dist > tol):
+        raise ValueError("discretization makes Y ambiguous given Y' (distinct "
+                         "intensity clusters inside one field cluster)")
+    return labels_field, labels_int, first
 
 
 @dataclass(frozen=True)
@@ -335,8 +334,9 @@ def chain_bound_check(inputs, prior=None) -> ChainBoundReport:
 
     Y' is the coherent output and Y the direct-detection output, both after
     the global-phase quotient (inputs are canonicalized).  Y is a
-    deterministic function of Y', so ``0 <= I(X;Y') - I(X;Y) <= (M-1)/M``
-    bits per dof must hold; a violation raises :class:`InvariantViolation`.
+    deterministic function of Y', clustered once per field cluster, so
+    ``0 <= I(X;Y') - I(X;Y) <= (M-1)/M`` bits per dof must hold; a violation
+    raises :class:`InvariantViolation`.
     Noisy reception is estimated by :func:`mc_mi`.
     """
     inputs = list(inputs)
@@ -352,10 +352,9 @@ def chain_bound_check(inputs, prior=None) -> ChainBoundReport:
     if prior.shape != (len(inputs),) or not (np.all(prior >= 0) and abs(prior.sum() - 1.0) <= 1e-12):
         raise ValueError("prior must be a probability vector with one entry per input")
 
-    labels_field, labels_int = _noiseless_labels(np.stack([s.samples for s in inputs]))
-    _representatives(labels_field, labels_int)  # raises unless Y is a function of Y'
-    mi_c = _noiseless_mi(prior, labels_field, M)
-    mi_d = _noiseless_mi(prior, labels_int, M)
+    labels = _noiseless_labels(np.stack([s.samples for s in inputs]))[:2]
+    # I(X;Y) = H(Y) bits for the deterministic channels x -> labels[x], per dof
+    mi_c, mi_d = (_entropy(np.bincount(y, weights=prior)) / M for y in labels)
     gap = mi_c - mi_d
     bound = (M - 1) / M
     if gap < -1e-9 or gap > bound + 1e-9:
@@ -431,20 +430,20 @@ def counting_entropy(constellation, M: int) -> CountingReport:
     """Noiseless H(Y') and H(Y) under the uniform prior over distinct inputs.
 
     Enumerates the constellation^M sample tuples (at most ``COUNTING_CAP``),
-    canonicalizes the waveforms, and clusters both the fields and the
-    direct-detection outputs.  Asserts the counting bounds H(Y') - H(Y) <=
+    canonicalizes the waveforms, and clusters the fields, then the intensities
+    of one waveform per field.  Asserts the counting bounds H(Y') - H(Y) <=
     M - 1 bits and max intensity-fiber multiplicity <= 2^(M-1).
     """
     if M < 1:
         raise ValueError(f"M must be at least 1, got {M}")
     samples = _alphabet(np.asarray(constellation, dtype=np.complex128), M, COUNTING_CAP,
                         "{count} waveforms exceed the enumeration cap {cap}")
-    labels_field, labels_int = _noiseless_labels(samples)
+    _, labels_int, first = _noiseless_labels(samples)
 
     # uniform prior over distinct canonical inputs: one representative each.
     # Their fibers are numbered in order of first appearance, the order in
     # which h_direct sums them
-    fiber_counts = np.bincount(labels_int[_representatives(labels_field, labels_int)])
+    fiber_counts = np.bincount(labels_int[first])
     n_distinct = int(fiber_counts.sum())
     h_coherent = float(np.log2(n_distinct))
     h_direct = _entropy(fiber_counts / n_distinct)
@@ -517,10 +516,10 @@ def capacity_prior_search(conditional, M: int):
 
 #: Largest number of Monte-Carlo density terms, one per (row, symbol,
 #: alphabet entry, output), in the evaluation blocks in flight at once: it
-#: caps a block's rows and the threads that evaluate blocks together.  A
-#: waveform with more terms than this is refused.  A block holds far fewer
-#: than its terms: one density per distinct (output, key), one per-symbol
-#: sum per distinct noiseless output, and its thread's fixed scratch.
+#: caps the threads that evaluate blocks together.  A waveform with more
+#: terms than this is refused.  A block holds far fewer than its terms: one
+#: density per distinct (output, key), one per-symbol sum per distinct
+#: noiseless output, and its thread's fixed scratch.
 MC_BLOCK_ELEMENTS = 1 << 22
 
 #: Threads that evaluate Monte-Carlo blocks: one per CPU this process may run on.
@@ -890,10 +889,10 @@ def mc_mi(
     refusals below.
 
     The waveforms are cut into blocks of at most ``_BLOCK_ENTRIES`` mixture
-    entries and at most ``MC_BLOCK_ELEMENTS`` density terms, and into at
-    least eight blocks where there are eight waveforms.  Both limits count
-    alphabet entries, not noiseless outputs, so the partition and every
-    draw are those of a mixture over the whole alphabet.  Block b draws its
+    entries (one waveform where one holds more), and into at least eight
+    blocks where there are eight waveforms.  The limit counts alphabet
+    entries, not noiseless outputs, so the partition and every draw are
+    those of a mixture over the whole alphabet.  Block b draws its
     symbols and noise from its own stream, seeded by
     ``SeedSequence(noise.seed, spawn_key=(b,))``, and returns the count,
     mean and sum of squared deviations of its waveforms' values, which are
@@ -991,8 +990,7 @@ def mc_mi(
 
     # the partition depends on the request alone; at least eight blocks, so
     # that a small run still uses several cores
-    rows = max(1, min(_BLOCK_ENTRIES // (symbols * n_alpha), MC_BLOCK_ELEMENTS // row_width,
-                      -(-n_samples // 8)))
+    rows = max(1, min(_BLOCK_ENTRIES // (symbols * n_alpha), -(-n_samples // 8)))
     threads = max(1, min(MC_WORKERS, MC_BLOCK_ELEMENTS // (rows * row_width)))
 
     outputs = length * rx.oversample  # per symbol

@@ -32,7 +32,7 @@ from ddcap import (
     psk,
     random_signal,
 )
-from ddcap.signals import field_intensity
+from ddcap.signals import canonical_rotation, field_grid, field_intensity
 
 from conftest import random_coeff_signal
 
@@ -303,6 +303,95 @@ class TestCounting:
         assert 0.0 <= report.gap_bits <= report.gap_bound + 1e-9
         assert report.max_fiber <= report.fiber_bound
         assert peak < 64 * 2**20
+
+
+def _all_rows_labels(samples):
+    """The noiseless labels with every row's intensity clustered, then checked
+    to be a function of the field label: the accounting before the
+    intensities were clustered once per field cluster."""
+    field = np.array(samples, dtype=np.complex128, order="C")
+    real = field.view(np.float64)
+    np.ldexp(real, -np.frexp(max(real.max(), -real.min()))[1], out=real)
+    coeffs = np.fft.ifft(field, axis=1)
+    rotation = np.ones((len(field), 1), dtype=np.complex128)
+    live = field.any(axis=1)
+    rotation[live] = canonical_rotation(coeffs[live])
+    scale = np.sqrt(max(np.mean(np.abs(field) ** 2, axis=1).max(), 1e-300))
+    intensities = np.abs(field_grid(coeffs, 2)) ** 2
+    field *= rotation
+    labels_field = channel._cluster(field, channel.CLUSTER_TOL * scale)
+    labels_int = channel._cluster(intensities, channel.CLUSTER_TOL * scale**2)
+    running = np.maximum.accumulate(labels_field)
+    first = running.searchsorted(np.arange(running[-1] + 1))
+    if np.any(labels_int != labels_int[first][labels_field]):
+        raise ValueError("discretization makes Y ambiguous given Y' (distinct "
+                         "intensity clusters inside one field cluster)")
+    return labels_field, labels_int, first
+
+
+def _impulse(M, raised):
+    samples = np.zeros(M)
+    samples[0] = 1.0 + raised
+    return PeriodicSignal(M=M, B=1.0, samples=samples)
+
+
+def _moved_member():
+    fam = enumerate_family(random_signal(4, seed=3)).signals
+    return [fam[0], fam[0], PeriodicSignal(4, 1.0, fam[1].samples * (1 + 1e-8)), fam[2]]
+
+
+class TestNoiselessParity:
+    """Clustering Y once per field cluster labels every alphabet and family as
+    clustering every row's Y did, and refuses with the same exceptions."""
+
+    @staticmethod
+    def _assert_same(monkeypatch, run, samples):
+        new = channel._noiseless_labels(samples)
+        old = _all_rows_labels(samples)
+        for a, b in zip(new, old):
+            np.testing.assert_array_equal(a, b)
+        report = repr(run())
+        monkeypatch.setattr(channel, "_noiseless_labels", _all_rows_labels)
+        assert report == repr(run())
+
+    @pytest.mark.parametrize("name, M", [("bpsk", M) for M in range(1, 15)] + [("qpsk", M) for M in range(1, 8)]
+                             + [("8psk", M) for M in range(1, 5)])
+    def test_counting_alphabets(self, monkeypatch, name, M):
+        points = named_constellation(name)
+        samples = np.array(list(itertools.product(points, repeat=M)))
+        self._assert_same(monkeypatch, lambda: counting_entropy(points, M), samples)
+
+    @pytest.mark.parametrize("inputs", [
+        *(qpsk_waveforms(M) for M in (1, 2)),
+        *([PeriodicSignal(M=M, B=1.0, samples=np.array(t)) for t in itertools.product([1.0, -1.0], repeat=M)]
+          for M in (1, 2, 3)),
+        [constant(c) for c in psk(8)],
+        enumerate_family(random_signal(4, seed=7)).signals,
+        *(enumerate_family(random_signal(M, seed=seed)).signals for M in range(4, 9) for seed in (0, 1)),
+        [random_signal(5, seed=2)] * 7 + [random_signal(5, seed=3)],
+    ], ids=["qpsk1", "qpsk2", "bpsk1", "bpsk2", "bpsk3", "8psk1", "family4-seed7",
+            *(f"family{M}-seed{seed}" for M in range(4, 9) for seed in (0, 1)), "copies"])
+    def test_chain_bound_inputs(self, monkeypatch, inputs):
+        self._assert_same(monkeypatch, lambda: chain_bound_check(inputs),
+                          np.stack([s.samples for s in inputs]))
+
+    @pytest.mark.parametrize("inputs, error, message", [
+        # two fields within the field tolerance whose intensities are not
+        ([_impulse(64, 0.0), _impulse(64, 4e-9)], ClusteringAmbiguityError,
+         "outputs 0 and 1 are 2.041e-10 apart, inside the guard band (tol 3.906e-11)"),
+        ([_impulse(64, 0.0), _impulse(64, 9.5e-9)], ValueError,
+         "discretization makes Y ambiguous given Y' (distinct intensity clusters inside one field cluster)"),
+        # a family member scaled by 1 + 1e-8 after a copied field: the error
+        # names input rows 0 and 2, not positions 0 and 1 among the first rows
+        (_moved_member(), ClusteringAmbiguityError,
+         "outputs 0 and 2 are 2.981e-09 apart, inside the guard band (tol 1.217e-09)"),
+    ], ids=["guard-band", "beyond-guard-band", "between-fields"])
+    def test_refusals(self, monkeypatch, inputs, error, message):
+        for labels in (channel._noiseless_labels, _all_rows_labels):
+            monkeypatch.setattr(channel, "_noiseless_labels", labels)
+            with pytest.raises(ValueError) as err:
+                chain_bound_check(inputs)
+            assert (type(err.value), str(err.value)) == (error, message)
 
 
 def _reference_cluster(flat, tol):
@@ -778,25 +867,15 @@ class TestMonteCarlo:
         ("intensity", "8psk", "0x0.0p+0", "0x0.0p+0"),
     ]
 
-    # a budget of 4096 terms cuts these cases into smaller blocks, which draw
-    # other streams; the rest keep their blocks and their bits
-    SMALL_BUDGET = {
-        ("direct", "qpsk"): ("0x1.65b6ad1c0d8c3p-1", "0x1.b5efb177164bap-8"),
-        ("direct", "qpsk M=4"): ("0x1.aadadfb6aa058p-1", "0x1.ce4d647bb1016p-8"),
-        ("direct", "bpsk M=4"): ("0x1.3d4def1230942p-1", "0x1.2be89b5aa6682p-8"),
-        ("direct", "8psk"): ("0x1.6f821ef12489ap-1", "0x1.3049f6c6ee00dp-7"),
-        ("intensity", "8psk"): ("0x0.0p+0", "0x0.0p+0"),
-    }
-
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("block", [channel.MC_BLOCK_ELEMENTS, 4096])
     @pytest.mark.parametrize("receiver, model, bits, se", EXACT)
     def test_exact_values_across_blocks(self, monkeypatch, block, workers, receiver, model, bits, se):
-        # every case spans eight blocks or more
+        # every case spans eight blocks or more.  A budget of 4096 terms holds
+        # fewer blocks, so fewer threads evaluate them, but the partition and
+        # every bit stay those of the full budget
         monkeypatch.setattr(channel, "MC_BLOCK_ELEMENTS", block)
         monkeypatch.setattr(channel, "MC_WORKERS", workers)
-        if block == 4096:
-            bits, se = self.SMALL_BUDGET.get((receiver, model), (bits, se))
         self.assert_exact(receiver, model, bits, se)
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
