@@ -29,7 +29,6 @@ import collections
 import functools
 import math
 import os
-import threading
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -519,7 +518,8 @@ def capacity_prior_search(conditional, M: int):
 #: caps the threads that evaluate blocks together.  A waveform with more
 #: terms than this is refused.  A block holds far fewer than its terms: one
 #: density per distinct (output, key), one per-symbol sum per distinct
-#: noiseless output, and its thread's fixed scratch.
+#: noiseless output, and the buffers it allocates for its own draws, outputs
+#: and a piece's scratch.
 MC_BLOCK_ELEMENTS = 1 << 22
 
 #: Threads that evaluate Monte-Carlo blocks: one per CPU this process may run on.
@@ -658,10 +658,9 @@ def _i0e(z, out, work):
     (boolean masks cost several times more here), and each branch is
     written back by indexed assignment, which takes under half the time of
     ``np.put`` for the same bits.  Nothing the table's size is
-    allocated but its branch mask and indices, so a caller that evaluates a
-    wide table in pieces through one reused ``work`` keeps its memory to the
-    piece's size: scratch freed and allocated on every call has its pages
-    returned and faulted in again.
+    allocated but its branch mask and indices, so a Monte-Carlo block that
+    evaluates a wide table in pieces through the one ``work`` it allocates
+    keeps its memory to the piece's size.
     """
     flat_z, flat_out = z.reshape(-1), out.reshape(-1)  # views: both are contiguous
     n = flat_z.size
@@ -683,7 +682,7 @@ def _log_intensity_density(y, s, sigma2, out, work):
     s = |x|^2 and nu circular with E|nu|^2 = sigma2.
 
     work is a float array of six rows of at least y.size entries: z, then
-    _i0e's five; s may be the first row, shaped like y.
+    _i0e's five; y, or s, may be the first row, shaped like y.
     """
     v = sigma2 / 2.0
     z = work[0, : y.size].reshape(y.shape)
@@ -828,9 +827,9 @@ _RECEIVERS = {
 _BLOCK_ENTRIES = 1 << 16
 
 #: Density-table entries evaluated at once: a block's table is cut into
-#: pieces of this many, so each worker's scratch is fixed whatever the table's
-#: width.  Smaller pieces cost more ufunc calls per table, each of which takes
-#: the GIL back.
+#: pieces of this many, so the scratch a block allocates is fixed whatever the
+#: table's width.  Smaller pieces cost more ufunc calls per table, each of
+#: which takes the GIL back.
 _PIECE_ENTRIES = _BLOCK_ENTRIES // 2
 
 
@@ -903,15 +902,16 @@ def mc_mi(
     so the sums over them add whole vectors, and no (waveform, symbol,
     alphabet, output) tensor is built.
 
-    A block allocates afresh only its density table and its per-symbol
-    sums, one row per noiseless output (and, at the direct receiver, its
-    noise's fields).  Its draws, noise, outputs and every density temporary
-    go through ``out=`` into a scratch that each thread allocates at its
-    first block of the call and reuses for the rest, and the table is
-    evaluated in pieces of at most ``_PIECE_ENTRIES`` entries, so the
-    scratch does not grow with the table's width.  The densities are
-    elementwise, so neither the pieces nor the reuse changes a bit of the
-    estimate.
+    A block allocates its own buffers, sized to its own waveforms: its
+    noise, symbols and outputs (and, at the direct receiver, its noise's
+    fields), its density table and its per-symbol sums, one row per
+    noiseless output, one float buffer that holds its draws and then its
+    densities' scratch, and, for a constellation at the coherent receiver,
+    a complex buffer its outputs are gathered into.  The draws and every density temporary go
+    through ``out=`` into that float buffer, and the table is evaluated in
+    pieces of at most ``_PIECE_ENTRIES`` entries, so the scratch does not
+    grow with the table's width.  The densities are elementwise, so the
+    pieces change no bit of the estimate.
 
     Blocks run on a pool of one thread per CPU in the process's affinity
     mask (``MC_WORKERS``), but no more than ``MC_BLOCK_ELEMENTS`` holds
@@ -994,64 +994,46 @@ def mc_mi(
     threads = max(1, min(MC_WORKERS, MC_BLOCK_ELEMENTS // (rows * row_width)))
 
     outputs = length * rx.oversample  # per symbol
-    y_type = np.float64 if rx.square_law else np.complex128
     # the largest piece of a full block's table; a narrower last block is cut
     # into pieces no larger
     piece = max((r1 - r0) * (c1 - c0) for r0, r1, c0, c1 in
                 _pieces(1 if gaussian else len(keys), symbols * rows, _PIECE_ENTRIES))
-    local = threading.local()
-
-    def scratch():
-        """This thread's buffers: allocated for its first block of the call,
-        and reused by the rest, so a block allocates afresh only its density
-        table and its per-symbol sums."""
-        if not hasattr(local, "work"):
-            drawn, received = rows * symbols * length, rows * symbols * outputs
-            # only the square-law density needs six rows; the draws are spent
-            # before the densities' scratch is used, so they share it
-            work_rows = 6 if rx.square_law else 1
-            floats = np.empty(max(2 * drawn, work_rows * piece))
-            local.draws = floats[: 2 * drawn].reshape(2, drawn)
-            local.work = floats[: work_rows * piece].reshape(work_rows, piece)
-            local.noise = np.empty(drawn, dtype=np.complex128)
-            local.x = np.empty(rows * symbols, dtype=np.complex128)
-            # a Gaussian block's coherent output is its noise buffer
-            local.y = np.empty(0 if gaussian and not rx.square_law else received, dtype=y_type)
-            # the square-law density takes its gathered outputs in work's first
-            # row, and builds z over them; complex outputs need their own
-            complex_gather = not (gaussian or rx.square_law)
-            local.gathered = np.empty(piece, dtype=np.complex128) if complex_gather else local.work[0]
-        return local
+    work_rows = 6 if rx.square_law else 1  # only the square-law density needs six
 
     @_RAISE_ON_OVERFLOW  # pool threads do not inherit the caller's error state
     def evaluate(block):
         rng = np.random.default_rng(np.random.SeedSequence(noise.seed, spawn_key=(block,)))
         count = min(rows, n_samples - block * rows)
-        buf = scratch()
         shape = (count, symbols, outputs)
+        drawn = count * symbols * length
+        # the draws are spent before the densities' scratch is used, so one
+        # buffer holds both
+        floats = np.empty(max(2 * drawn, work_rows * piece))
+        draws, work = floats[: 2 * drawn].reshape(2, drawn), floats[: work_rows * piece].reshape(work_rows, piece)
         if gaussian:  # unit-power circular symbols
-            x = _circular_normal(rng, _view(buf.x, shape), buf.draws)
+            x = _circular_normal(rng, np.empty(shape, dtype=np.complex128), draws)
             x /= np.sqrt(2.0)
         else:
             sent = rng.integers(0, n_alpha, size=(count, symbols))
-        coeffs = _inband_noise(length, v, rng, _view(buf.noise, (count * symbols, length)), buf.draws)
-        # a one-sample symbol's coefficient is its sample: no FFT, which would
-        # allocate in every block
+        coeffs = _inband_noise(length, v, rng, np.empty((count * symbols, length), dtype=np.complex128), draws)
+        # a one-sample symbol's coefficient is its sample: no FFT, which
+        # would cost time in every block
         fields = (coeffs if rx.oversample == 1 else field_grid(coeffs, rx.oversample)).reshape(shape)
         if gaussian:
             y = np.add(x, fields, out=fields)
             if rx.square_law:
-                y = np.abs(y, out=_view(buf.y, shape))
+                y = np.abs(y)
                 np.square(y, out=y)
             table = np.empty(shape)
             ys, xs, out = (a.reshape(-1) for a in (y, x, table))
             for _, _, c0, c1 in _pieces(1, table.size, piece):
-                rx.gaussian_bits(ys[c0:c1], xs[c0:c1], v, out[c0:c1], buf.work)
+                rx.gaussian_bits(ys[c0:c1], xs[c0:c1], v, out[c0:c1], work)
             bits = table[..., 0].T
         else:
             # outputs-major: a table row is one (output, key) over (symbols,
             # rows), so every sum below adds whole row vectors
-            y, x = _view(buf.y, shape[::-1]), _view(buf.x, shape[:2])
+            y = np.empty(shape[::-1], dtype=np.float64 if rx.square_law else np.complex128)
+            x = np.empty(shape[:2], dtype=np.complex128)
             for m in range(outputs):  # x is output m's noiseless field
                 # mode="clip" (the indices are valid): with out=, take's
                 # default mode buffers a copy of out
@@ -1065,14 +1047,16 @@ def mc_mi(
             width = symbols * count
             y = y.reshape(outputs, width)
             table = np.empty((len(keys), width))
+            # the square-law density takes its outputs in work's first row
+            gathered = work[0] if rx.square_law else np.empty(piece, dtype=np.complex128)
             for r0, r1, c0, c1 in _pieces(len(keys), width, piece):
-                gathered = _view(buf.gathered, (r1 - r0, c1 - c0))
-                np.take(y[:, c0:c1], col_of[r0:r1], axis=0, out=gathered, mode="clip")
-                rx.log_density(gathered, keys[r0:r1, None], v, table[r0:r1, c0:c1], buf.work)
+                part = _view(gathered, (r1 - r0, c1 - c0))
+                np.take(y[:, c0:c1], col_of[r0:r1], axis=0, out=part, mode="clip")
+                rx.log_density(part, keys[r0:r1, None], v, table[r0:r1, c0:c1], work)
             # each noiseless output's log density per symbol, summed over outputs
             per_output = table[gather[0]]
             for u0, u1, c0, c1 in _pieces(n_out, width, piece):
-                part, term = per_output[u0:u1, c0:c1], _view(buf.work[0], (u1 - u0, c1 - c0))
+                part, term = per_output[u0:u1, c0:c1], _view(work[0], (u1 - u0, c1 - c0))
                 for m in range(1, outputs):
                     part += np.take(table[:, c0:c1], gather[m, u0:u1], axis=0, out=term, mode="clip")
             per_output = per_output.reshape(n_out, symbols, count)

@@ -318,7 +318,8 @@ def cmd_mi(spec_path, receiver, input_model, snr_db, seed, n_samples, m_dof, out
         seed = _spec_value("seed", spec["seed"], int)
         n_samples = _spec_value("n_samples", spec["n_samples"], int)
         m_dof = _spec_value("M", spec.get("M", m_dof), int)
-    model = "gaussian" if input_model == "gaussian" else _guard(named_constellation, input_model)
+    # names match whatever their case, as constellation names do
+    model = "gaussian" if input_model.lower() == "gaussian" else _guard(named_constellation, input_model)
     noise = _guard(NoiseSpec, snr=_snr(snr_db), seed=seed)
     report = _guard(mc_mi, receiver, model, noise, n_samples, M=m_dof)
     est = report.estimate
@@ -411,7 +412,7 @@ def cmd_simulate(input_path, output_path, receiver, snr_db, seed, oversample):
         print(f"receiver=coherent samples={received.M}")
         return
     if receiver == "intensity":
-        intensity = SampledIntensity(rate=received.B, values=_guard(field_intensity, received.samples))
+        intensity = _guard(SampledIntensity, rate=received.B, values=_guard(field_intensity, received.samples))
     else:  # direct detection is the grid at oversample 2
         intensity = _guard(intensity_grid, received, 2 if receiver == "direct" else oversample)
     write_intensity_csv(output_path, intensity)

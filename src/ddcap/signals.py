@@ -126,11 +126,18 @@ class SampledIntensity:
     values: np.ndarray
 
     def __post_init__(self):
-        if not (self.rate > 0):
-            raise ValueError("rate must be positive")
+        rate = float(self.rate)
+        if not 0 < rate < math.inf:
+            raise ValueError(f"rate must be finite and positive, got {rate!r}")
+        # the intensity CSV holds the times k / rate, and its reader takes the
+        # rate back as the inverse of their step
+        if not 1.0 / (1.0 / rate) < math.inf:
+            raise ValueError(f"rate {rate!r} is so large that its grid step 1/rate does not invert to a finite rate")
         vals = np.asarray(self.values, dtype=np.float64)
         if vals.ndim != 1 or len(vals) == 0:
             raise ValueError("values must be a non-empty 1-d sequence")
+        if not len(vals) / rate < math.inf:
+            raise ValueError(f"the period, {len(vals)} samples at rate {rate!r}, overflows float64")
         if not np.all(np.isfinite(vals)):
             raise ValueError("intensity values must be finite")
         floor = -NEG_INTENSITY_FLOOR * max(vals.max(initial=0.0), 1.0)

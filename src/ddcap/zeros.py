@@ -177,20 +177,17 @@ def find_zeros(spec: SpectralPoly) -> ZeroSet:
     if d < 0:
         raise ValueError("cannot factor the identically-zero polynomial")
     coeffs = np.asarray(spec.coeffs[: d + 1])
-    if d == 0:
-        zeros = np.zeros(0, dtype=np.complex128)
+    n_origin = 0
+    while n_origin < d and coeffs[n_origin] == 0:
+        n_origin += 1
+    trimmed = coeffs[n_origin:]
+    if len(trimmed) > 1:
+        found = _aberth_ehrlich(trimmed)
     else:
-        n_origin = 0
-        while n_origin < d and coeffs[n_origin] == 0:
-            n_origin += 1
-        trimmed = coeffs[n_origin:]
-        if len(trimmed) > 1:
-            found = _aberth_ehrlich(trimmed)
-        else:
-            found = np.zeros(0, dtype=np.complex128)
-        zeros = np.concatenate([np.zeros(n_origin, dtype=np.complex128), found])
-        order = np.lexsort((np.abs(zeros), np.angle(zeros)))
-        zeros = zeros[order]
+        found = np.zeros(0, dtype=np.complex128)
+    zeros = np.concatenate([np.zeros(n_origin, dtype=np.complex128), found])
+    order = np.lexsort((np.abs(zeros), np.angle(zeros)))
+    zeros = zeros[order]
 
     on_circle = np.abs(np.abs(zeros) - 1.0) <= UC_EPS
     inside = (~on_circle) & (np.abs(zeros) < 1.0)

@@ -52,14 +52,15 @@ def binary_entropy(p):
 
 def direct_memory_bound(points, M, rows, workers):
     """Bytes the direct receiver's mc_mi may hold at once: per worker, one
-    block's density table and per-symbol sums plus the fixed scratch, and
-    once, the alphabet's fields, keys and gather map.
+    block's density table and per-symbol sums plus the other buffers the
+    block allocates, and once, the alphabet's fields, keys and gather map.
 
     The table has at most a row per distinct (output, |x|^2) and the
     per-symbol sums at most a row per alphabet entry (one per noiseless
     output), each with a column per waveform of the block.
-    The scratch is at most seven float rows of a piece, and the block's draws,
-    noise, fields and outputs, 64 bytes per (waveform, output).
+    The block's other buffers are at most seven float rows of a piece for
+    its densities' scratch, and its draws, noise, fields and outputs, 64
+    bytes per (waveform, output).
     """
     samples = np.array(list(itertools.product(points, repeat=M)))
     fields = np.fft.fft(np.fft.ifft(samples, axis=1), n=2 * M, axis=1)

@@ -523,6 +523,25 @@ class TestMi:
         result = run_ok(["mi", "--spec", str(spec_path)])
         assert "bits_per_dof=" in result.output
 
+    @pytest.mark.parametrize("name", ["Gaussian", "GAUSSIAN"])
+    def test_gaussian_matches_whatever_its_case(self, tmp_path, name):
+        # constellation names match case-insensitively, and so does gaussian,
+        # from the flag and from a spec
+        def report(model, via_spec):
+            out = tmp_path / f"{model}_{via_spec}.json"
+            if via_spec:
+                spec = tmp_path / "exp.json"
+                spec.write_text(json.dumps({"receiver": "intensity", "input": model, "snr_db": 10.0, "seed": 5,
+                                            "n_samples": 2000, "M": 2}))
+                run_ok(["mi", "--spec", str(spec), "--output", str(out)])
+            else:
+                run_ok(["mi", "--receiver", "intensity", "--input-model", model, "--snr-db", "10",
+                        "--seed", "5", "--n-samples", "2000", "--M", "2", "--output", str(out)])
+            return out.read_bytes()
+
+        for via_spec in (False, True):
+            assert report(name, via_spec) == report("gaussian", via_spec)
+
     @pytest.mark.parametrize("flags, spec", [
         (["--M", "0"], None),
         (["--M", "-1"], None),
@@ -734,3 +753,29 @@ class TestSimulate:
                             "--snr-db", "10", "--seed", "9", "--output", str(out)])
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+
+class TestSimulateBandwidth:
+    # the signal reader takes any finite, positive bandwidth; a grid whose
+    # rate or period leaves float64 is refused before a file is written, and
+    # every CSV written is read back
+    @settings(max_examples=100, deadline=None)
+    @given(bandwidth=st.floats(1e-3, 1e3) | st.floats(), receiver=st.sampled_from(["grid", "direct", "intensity"]))
+    @example(1e-320, "grid")  # a period beyond the float range
+    @example(1e-320, "direct")
+    @example(1e-320, "intensity")
+    @example(1e308, "grid")  # a rate beyond the float range
+    @example(1e308, "direct")
+    def test_extreme_arguments_exit_cleanly(self, inputs, bandwidth, receiver):
+        sig_path, out = inputs / "bandwidth.json", inputs / "bandwidth.csv"
+        samples = [[1, 0], [0.5, 0.2], [-0.3, 0.1], [0.2, -0.4]]
+        sig_path.write_text(json.dumps({"M": 4, "B": bandwidth, "samples": samples}))
+        out.unlink(missing_ok=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = invoke(["simulate", "--input", str(sig_path), "--output", str(out), "--receiver", receiver])
+        assert_clean_exit(result, "receiver=")
+        if result.exit_code:
+            assert not out.exists()
+        else:
+            read_intensity_csv(out)
