@@ -46,7 +46,6 @@ from .channel import (
     MonteCarloReport,
     NoiseSpec,
     apply_noise,
-    capacity_prior_search,
     chain_bound_check,
     counting_entropy,
     mc_mi,

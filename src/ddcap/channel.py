@@ -464,53 +464,6 @@ def counting_entropy(constellation, M: int) -> CountingReport:
 
 
 # ---------------------------------------------------------------------------
-# capacity by Blahut-Arimoto
-
-#: Blahut-Arimoto stops once its capacity bounds are this close (bits).
-BA_GAP_BITS = 1e-12
-
-#: Blahut-Arimoto iterations before giving up.
-BA_MAX_ITER = 100_000
-
-
-def capacity_prior_search(conditional, M: int):
-    """Capacity of a finite channel by Blahut-Arimoto (Blahut 1972; Arimoto 1972).
-
-    Iterates p(x) <- p(x) 2^D(x) / Z with D(x) = D(W(.|x) || p_Y).  Every
-    iterate satisfies I(p) <= C <= max_x D(x), so the loop stops once that
-    gap is below ``BA_GAP_BITS``; it raises ``FloatingPointError`` after
-    ``BA_MAX_ITER`` iterations.  Returns (capacity_bits_per_dof, prior), the
-    capacity being the lower bound I(p).  ``conditional[i, j] = P(Y = j | X = i)``
-    must be a finite, nonnegative 2-d table whose rows each sum to 1, and M,
-    the complex degrees of freedom that normalize it, must be at least 1.
-    """
-    cond = np.asarray(conditional, dtype=np.float64)
-    if cond.ndim != 2 or not len(cond):
-        raise ValueError(f"the conditional table must be 2-d with at least one row, got shape {cond.shape}")
-    if not np.all(np.isfinite(cond)):
-        raise ValueError("probabilities must be finite")
-    if np.any(cond < 0):
-        raise ValueError("probabilities must be nonnegative")
-    if np.any(np.abs(cond.sum(axis=1) - 1.0) > 1e-12):
-        raise ValueError("conditional rows must each sum to 1")
-    if M < 1:
-        raise ValueError("M must be positive")
-    prior = np.full(len(cond), 1.0 / len(cond))
-    log_w = np.log2(cond, out=np.zeros_like(cond), where=cond > 0)
-    for _ in range(BA_MAX_ITER):
-        p_y = prior @ cond
-        log_q = np.log2(p_y, out=np.zeros_like(p_y), where=p_y > 0)
-        divergence = np.sum(cond * (log_w - log_q), axis=1)
-        mi = float(prior @ divergence)
-        if divergence.max() - mi < BA_GAP_BITS:
-            return mi / M, prior
-        prior = prior * np.exp2(divergence - divergence.max())
-        prior /= prior.sum()
-    raise FloatingPointError(f"Blahut-Arimoto bounds {mi} <= C <= {divergence.max()} bits "
-                             f"did not meet in {BA_MAX_ITER} iterations")
-
-
-# ---------------------------------------------------------------------------
 # Monte-Carlo estimator
 
 #: Largest number of Monte-Carlo density terms, one per (row, symbol,
@@ -761,7 +714,8 @@ def _view(buffer, shape):
 def _pieces(rows, width, size):
     """A (rows, width) table as rectangles (r0, r1, c0, c1) of at most
     ``size`` entries each, as few as fit and of nearly equal size: runs of
-    whole rows where a row fits, else one row cut into runs of columns."""
+    whole rows where a row fits, else one row cut into runs of columns.
+    The first is the largest."""
     if width <= size:
         step = -(-rows // -(-rows // (size // width)))
         for r0 in range(0, rows, step):
@@ -844,6 +798,169 @@ _RAISE_ON_OVERFLOW = np.errstate(divide="raise", over="raise", invalid="raise")
 _NOISE_HEADROOM = 2.0**10
 
 
+def _noise_fields(rng, v, n, length, oversample, floats):
+    """In-band noise of total variance v on each of n symbols of ``length``
+    rate-B samples, drawn through the float buffer floats, at the receiver's
+    ``oversample`` outputs per sample: an (n, length * oversample) array."""
+    coeffs = np.empty((n, length), dtype=np.complex128)
+    _inband_noise(length, v, rng, coeffs, floats[: 2 * coeffs.size].reshape(2, -1))
+    # a one-sample symbol's coefficient is its sample: no FFT, which would
+    # cost time in every block
+    return coeffs if oversample == 1 else field_grid(coeffs, oversample)
+
+
+def _block_moments(values, n_samples, seed, entries, terms):
+    """(count, mean, sum of squared deviations) of the values of n_samples
+    waveforms of ``entries`` mixture entries and ``terms`` density terms
+    each, ``values(rng, count)`` giving the bits per dof of count waveforms
+    drawn from the generator rng.
+
+    The waveforms are cut into blocks of at most ``_BLOCK_ENTRIES`` mixture
+    entries (one waveform where one holds more), and into at least eight
+    blocks where there are eight waveforms.  Block b draws from its own
+    stream, seeded by ``SeedSequence(seed, spawn_key=(b,))``, and the
+    blocks' moments are pooled in block order.  So the partition, every draw
+    and the result depend on the request alone, bit for bit, and not on the
+    number of cores.  Blocks run on a pool of one thread per CPU in the
+    process's affinity mask (``MC_WORKERS``), but no more than
+    ``MC_BLOCK_ELEMENTS`` density terms holds blocks, and at most two blocks
+    per thread are handed to the pool at once, so memory is bounded
+    whatever n_samples is.
+    """
+    rows = max(1, min(_BLOCK_ENTRIES // entries, -(-n_samples // 8)))
+    threads = max(1, min(MC_WORKERS, MC_BLOCK_ELEMENTS // (rows * terms)))
+
+    @_RAISE_ON_OVERFLOW  # pool threads do not inherit the caller's error state
+    def block(b):
+        count = min(rows, n_samples - b * rows)
+        bits = values(np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,))), count)
+        mean = bits.mean()
+        return count, mean, np.sum((bits - mean) ** 2)
+
+    with ThreadPoolExecutor(threads) as pool:
+        return functools.reduce(_pooled, _bounded_map(pool, block, -(-n_samples // rows), 2 * threads))
+
+
+def _gaussian_values(rx, v, M):
+    """The values kernel of unit-power circular Gaussian symbols, one per
+    rate-B sample, through the receiver's closed form ``rx.gaussian_bits``.
+
+    A block draws its symbols x, then its noise.  Its buffers are its own,
+    sized to its count; one float buffer holds its draws and then the
+    closed form's scratch for pieces of at most ``_PIECE_ENTRIES`` values.
+    """
+    work_rows = 6 if rx.square_law else 1  # only the square-law density needs six
+
+    def values(rng, count):
+        size = count * M
+        _, _, _, piece = next(_pieces(1, size, _PIECE_ENTRIES))  # the first piece is the largest
+        # the draws are spent before the scratch is used, so one buffer holds both
+        floats = np.empty(max(2 * size, work_rows * piece))
+        x = _circular_normal(rng, np.empty(size, dtype=np.complex128), floats[: 2 * size].reshape(2, size))
+        x /= np.sqrt(2.0)
+        y = _noise_fields(rng, v, size, 1, 1, floats).reshape(size)
+        np.add(x, y, out=y)
+        if rx.square_law:
+            y = np.abs(y)
+            np.square(y, out=y)
+        table, work = np.empty(size), floats[: work_rows * piece].reshape(work_rows, piece)
+        for _, _, c0, c1 in _pieces(1, size, piece):
+            rx.gaussian_bits(y[c0:c1], x[c0:c1], v, table[c0:c1], work)
+        return table.reshape(count, M).T.sum(axis=0) / M
+
+    return values
+
+
+def _mixture_values(rx, samples, v, M):
+    """The values kernel of symbols drawn uniformly from an alphabet whose
+    entry a has the rate-B samples ``samples[a]``, with p(y) the mixture
+    over the alphabet; None where the alphabet has one noiseless output, so
+    that every value is exactly 0.
+
+    The densities depend on a symbol only through one key per output
+    (|x|^2 at a square-law receiver, joined within ``MC_KEY_RTOL``, and x
+    at the coherent one), so they are evaluated once per distinct (output,
+    key), and the mixture runs over the distinct noiseless outputs, the
+    alphabet's distinct key tuples, each weighted by the number of entries
+    it holds (:func:`_mixture_tables`).  Per direct QPSK M=4 waveform that
+    is 64 evaluations instead of 256 x 8, and 29 components instead of 256:
+    the alphabet's intensity fibers.
+
+    A block draws its symbols, then its noise, and is laid out
+    outputs-major: each (output, key), noiseless output and symbol is one
+    vector over its waveforms, so the sums over them add whole vectors, and
+    no (waveform, symbol, alphabet, output) tensor is built.  Its buffers
+    are its own, sized to its count: its outputs, its density table and its
+    per-symbol sums (a row per noiseless output), and one float buffer that
+    holds its draws and then its densities' scratch for pieces of the table
+    of at most ``_PIECE_ENTRIES`` entries, so the scratch does not grow with
+    the table's width.  The densities are elementwise, so the pieces change
+    no bit.
+    """
+    n_alpha, length = samples.shape
+    symbols, outputs = M // length, length * rx.oversample  # per waveform, per symbol
+    # each output's noiseless field over the alphabet, outputs-major as a
+    # block reads it
+    columns = np.ascontiguousarray(field_grid(np.fft.ifft(samples, axis=1), rx.oversample).T)
+    keys, col_of, gather, output_of, mass = _mixture_tables(columns, rx.square_law)
+    n_out = len(mass)
+    if n_out == 1:  # every draw's log q(y|x) is its log p(y)
+        return None
+    log_alpha = np.log(n_alpha)
+    mass = mass.astype(np.float64)[:, None, None]
+    work_rows = 6 if rx.square_law else 1  # only the square-law density needs six
+
+    def values(rng, count):
+        width = symbols * count
+        _, r1, _, c1 = next(_pieces(len(keys), width, _PIECE_ENTRIES))
+        piece = r1 * c1  # the first piece is the largest
+        # the draws are spent before the densities' scratch is used, so one
+        # buffer holds both
+        floats = np.empty(max(2 * width * length, work_rows * piece))
+        work = floats[: work_rows * piece].reshape(work_rows, piece)
+        sent = rng.integers(0, n_alpha, size=(count, symbols))
+        fields = _noise_fields(rng, v, width, length, rx.oversample, floats).reshape(count, symbols, outputs)
+        y = np.empty((outputs, symbols, count), dtype=np.float64 if rx.square_law else np.complex128)
+        x = np.empty((count, symbols), dtype=np.complex128)
+        for m in range(outputs):  # x is output m's noiseless field
+            # mode="clip" (the indices are valid): with out=, take's
+            # default mode buffers a copy of out
+            np.take(columns[m], sent, out=x, mode="clip")
+            if rx.square_law:
+                np.abs(np.add(fields[..., m], x, out=x), out=y[m].T)
+            else:
+                np.add(fields[..., m], x, out=y[m].T)
+        if rx.square_law:
+            np.square(y, out=y)
+        # a table row is one (output, key) over (symbols, waveforms), so
+        # every sum below adds whole row vectors
+        y = y.reshape(outputs, width)
+        table = np.empty((len(keys), width))
+        # the square-law density takes its outputs in work's first row
+        gathered = work[0] if rx.square_law else np.empty(piece, dtype=np.complex128)
+        for r0, r1, c0, c1 in _pieces(len(keys), width, piece):
+            part = _view(gathered, (r1 - r0, c1 - c0))
+            np.take(y[:, c0:c1], col_of[r0:r1], axis=0, out=part, mode="clip")
+            rx.log_density(part, keys[r0:r1, None], v, table[r0:r1, c0:c1], work)
+        # each noiseless output's log density per symbol, summed over outputs
+        per_output = table[gather[0]]
+        for u0, u1, c0, c1 in _pieces(n_out, width, piece):
+            part, term = per_output[u0:u1, c0:c1], _view(work[0], (u1 - u0, c1 - c0))
+            for m in range(1, outputs):
+                part += np.take(table[:, c0:c1], gather[m, u0:u1], axis=0, out=term, mode="clip")
+        per_output = per_output.reshape(n_out, symbols, count)
+        log_q = np.take_along_axis(per_output, output_of[sent].T[None], axis=0)[0]
+        # log p(y) = peak + log(sum_u mass_u exp(row_u - peak) / |X|), in
+        # place: per_output is not read again
+        peak = per_output.max(axis=0)
+        terms = np.exp(np.subtract(per_output, peak, out=per_output), out=per_output)
+        terms *= mass
+        bits = (log_q - (peak + (np.log(terms.sum(axis=0)) - log_alpha))) * _LOG2E
+        return bits.sum(axis=0) / M
+
+    return values
+
+
 @_RAISE_ON_OVERFLOW
 def mc_mi(
     receiver: str,
@@ -868,56 +985,23 @@ def mc_mi(
         Degrees of freedom per waveform, at least 1.
 
     One estimator serves every receiver.  It averages log2 q(y|x) -
-    log2 p(y) per waveform, with p(y) in closed form for Gaussian input and
-    a mixture over the symbol alphabet for a constellation.  A symbol is one
-    rate-B sample, except at the direct receiver, whose 2M outputs mix
+    log2 p(y) per waveform: one block driver draws and pools the waveforms
+    (:func:`_block_moments`), and one of two value kernels gives their
+    values, with p(y) in closed form for Gaussian input
+    (:func:`_gaussian_values`) or a mixture over the symbol alphabet for a
+    constellation (:func:`_mixture_values`).  A symbol is one rate-B
+    sample, except at the direct receiver, whose 2M outputs mix
     neighbouring samples: there it is the whole waveform, and
     ``DIRECT_ALPHABET_CAP`` on the symbol alphabet is the only limit on
-    |constellation|^M.  The mixture's densities depend on a symbol only
-    through one key per output (|x|^2 at a square-law receiver, joined
-    within ``MC_KEY_RTOL``, and x at the coherent one), so they are
-    evaluated once per distinct (output, key), and the mixture runs over the
-    distinct noiseless outputs, the alphabet's distinct key tuples, each
-    weighted by the number of entries it holds (:func:`_mixture_tables`).
-    Per direct QPSK M=4 waveform that is 64 evaluations instead of 256 x 8,
-    and 29 components instead of 256: the alphabet's intensity fibers.  An
-    alphabet of one noiseless output, such as PSK at the intensity receiver
-    or BPSK at M=2 at the direct one, gives exactly 0 bits, and 0 standard
-    error: every draw's value would be 0, so none is made, and any
-    ``n_samples`` up to ``MC_MAX_SAMPLES`` is answered at once, after the
-    refusals below.
+    |constellation|^M.  The blocks count alphabet entries, not noiseless
+    outputs, so the partition and every draw are those of a mixture over
+    the whole alphabet.  An alphabet of one noiseless output,
+    such as PSK at the intensity receiver or BPSK at M=2 at the direct one,
+    gives exactly 0 bits, and 0 standard error: every draw's value would be
+    0, so none is made, and any ``n_samples`` up to ``MC_MAX_SAMPLES`` is
+    answered at once, after the refusals below.
 
-    The waveforms are cut into blocks of at most ``_BLOCK_ENTRIES`` mixture
-    entries (one waveform where one holds more), and into at least eight
-    blocks where there are eight waveforms.  The limit counts alphabet
-    entries, not noiseless outputs, so the partition and every draw are
-    those of a mixture over the whole alphabet.  Block b draws its
-    symbols and noise from its own stream, seeded by
-    ``SeedSequence(noise.seed, spawn_key=(b,))``, and returns the count,
-    mean and sum of squared deviations of its waveforms' values, which are
-    pooled in block order.  So the partition, every draw and the estimate
-    depend on the request alone, bit for bit, and not on the number of
-    cores.  A block is laid out outputs-major: each (output, key),
-    noiseless output and symbol is one vector over the block's waveforms,
-    so the sums over them add whole vectors, and no (waveform, symbol,
-    alphabet, output) tensor is built.
-
-    A block allocates its own buffers, sized to its own waveforms: its
-    noise, symbols and outputs (and, at the direct receiver, its noise's
-    fields), its density table and its per-symbol sums, one row per
-    noiseless output, one float buffer that holds its draws and then its
-    densities' scratch, and, for a constellation at the coherent receiver,
-    a complex buffer its outputs are gathered into.  The draws and every density temporary go
-    through ``out=`` into that float buffer, and the table is evaluated in
-    pieces of at most ``_PIECE_ENTRIES`` entries, so the scratch does not
-    grow with the table's width.  The densities are elementwise, so the
-    pieces change no bit of the estimate.
-
-    Blocks run on a pool of one thread per CPU in the process's affinity
-    mask (``MC_WORKERS``), but no more than ``MC_BLOCK_ELEMENTS`` holds
-    blocks, and at most two blocks per thread are handed to the pool at
-    once, so memory is bounded whatever ``n_samples`` is.  More than
-    ``MC_MAX_SAMPLES`` waveforms, a waveform of more than
+    More than ``MC_MAX_SAMPLES`` waveforms, a waveform of more than
     ``MC_BLOCK_ELEMENTS`` density terms, an SNR above
     ``MC_SQUARE_LAW_MAX_SNR`` at a square-law receiver, one so small that
     the noise variance overflows, or, at any receiver, coherent included,
@@ -957,12 +1041,10 @@ def mc_mi(
             f"{receiver} receiver's float64 densities no longer hold"
         )
     length = M if rx.oversample > 1 else 1  # rate-B samples per symbol
-    n_alpha = 1
-    if not gaussian:
-        samples = _alphabet(np.asarray(input_model), length, DIRECT_ALPHABET_CAP,
-                            "the estimator enumerates the symbol alphabet; "
-                            "{count} symbols exceed the cap {cap}")
-        n_alpha = len(samples)
+    samples = None if gaussian else _alphabet(
+        np.asarray(input_model), length, DIRECT_ALPHABET_CAP,
+        "the estimator enumerates the symbol alphabet; {count} symbols exceed the cap {cap}")
+    n_alpha = 1 if gaussian else len(samples)
     row_width = M * rx.oversample * n_alpha  # a waveform's density terms
     if n_samples > MC_MAX_SAMPLES or row_width > MC_BLOCK_ELEMENTS:
         raise ValueError(
@@ -970,116 +1052,19 @@ def mc_mi(
             f"the estimator's limits of {MC_MAX_SAMPLES:.0e} waveforms and "
             f"{MC_BLOCK_ELEMENTS} terms per waveform"
         )
-
-    symbols = M // length  # per waveform
-    if gaussian:
-        v = _noise_variance(1.0, snr)
-    else:
-        v = _noise_variance(float(np.mean(np.abs(samples) ** 2)), snr)
-        # each output's noiseless field over the alphabet, outputs-major as
-        # a block reads it
-        columns = np.ascontiguousarray(field_grid(np.fft.ifft(samples, axis=1), rx.oversample).T)
-        keys, col_of, gather, output_of, mass = _mixture_tables(columns, rx.square_law)
-        n_out = len(mass)
-        log_alpha = np.log(n_alpha)
-        mass = mass.astype(np.float64)[:, None, None]
+    v = _noise_variance(1.0 if gaussian else float(np.mean(np.abs(samples) ** 2)), snr)
     if not math.isfinite(_NOISE_HEADROOM * M * float(v)):
         raise ValueError(
             f"snr {snr:.3g} is so small that the {receiver} receiver's noisy intensities overflow float64"
         )
 
-    # the partition depends on the request alone; at least eight blocks, so
-    # that a small run still uses several cores
-    rows = max(1, min(_BLOCK_ENTRIES // (symbols * n_alpha), -(-n_samples // 8)))
-    threads = max(1, min(MC_WORKERS, MC_BLOCK_ELEMENTS // (rows * row_width)))
-
-    outputs = length * rx.oversample  # per symbol
-    # the largest piece of a full block's table; a narrower last block is cut
-    # into pieces no larger
-    piece = max((r1 - r0) * (c1 - c0) for r0, r1, c0, c1 in
-                _pieces(1 if gaussian else len(keys), symbols * rows, _PIECE_ENTRIES))
-    work_rows = 6 if rx.square_law else 1  # only the square-law density needs six
-
-    @_RAISE_ON_OVERFLOW  # pool threads do not inherit the caller's error state
-    def evaluate(block):
-        rng = np.random.default_rng(np.random.SeedSequence(noise.seed, spawn_key=(block,)))
-        count = min(rows, n_samples - block * rows)
-        shape = (count, symbols, outputs)
-        drawn = count * symbols * length
-        # the draws are spent before the densities' scratch is used, so one
-        # buffer holds both
-        floats = np.empty(max(2 * drawn, work_rows * piece))
-        draws, work = floats[: 2 * drawn].reshape(2, drawn), floats[: work_rows * piece].reshape(work_rows, piece)
-        if gaussian:  # unit-power circular symbols
-            x = _circular_normal(rng, np.empty(shape, dtype=np.complex128), draws)
-            x /= np.sqrt(2.0)
-        else:
-            sent = rng.integers(0, n_alpha, size=(count, symbols))
-        coeffs = _inband_noise(length, v, rng, np.empty((count * symbols, length), dtype=np.complex128), draws)
-        # a one-sample symbol's coefficient is its sample: no FFT, which
-        # would cost time in every block
-        fields = (coeffs if rx.oversample == 1 else field_grid(coeffs, rx.oversample)).reshape(shape)
-        if gaussian:
-            y = np.add(x, fields, out=fields)
-            if rx.square_law:
-                y = np.abs(y)
-                np.square(y, out=y)
-            table = np.empty(shape)
-            ys, xs, out = (a.reshape(-1) for a in (y, x, table))
-            for _, _, c0, c1 in _pieces(1, table.size, piece):
-                rx.gaussian_bits(ys[c0:c1], xs[c0:c1], v, out[c0:c1], work)
-            bits = table[..., 0].T
-        else:
-            # outputs-major: a table row is one (output, key) over (symbols,
-            # rows), so every sum below adds whole row vectors
-            y = np.empty(shape[::-1], dtype=np.float64 if rx.square_law else np.complex128)
-            x = np.empty(shape[:2], dtype=np.complex128)
-            for m in range(outputs):  # x is output m's noiseless field
-                # mode="clip" (the indices are valid): with out=, take's
-                # default mode buffers a copy of out
-                np.take(columns[m], sent, out=x, mode="clip")
-                if rx.square_law:
-                    np.abs(np.add(fields[..., m], x, out=x), out=y[m].T)
-                else:
-                    np.add(fields[..., m], x, out=y[m].T)
-            if rx.square_law:
-                np.square(y, out=y)
-            width = symbols * count
-            y = y.reshape(outputs, width)
-            table = np.empty((len(keys), width))
-            # the square-law density takes its outputs in work's first row
-            gathered = work[0] if rx.square_law else np.empty(piece, dtype=np.complex128)
-            for r0, r1, c0, c1 in _pieces(len(keys), width, piece):
-                part = _view(gathered, (r1 - r0, c1 - c0))
-                np.take(y[:, c0:c1], col_of[r0:r1], axis=0, out=part, mode="clip")
-                rx.log_density(part, keys[r0:r1, None], v, table[r0:r1, c0:c1], work)
-            # each noiseless output's log density per symbol, summed over outputs
-            per_output = table[gather[0]]
-            for u0, u1, c0, c1 in _pieces(n_out, width, piece):
-                part, term = per_output[u0:u1, c0:c1], _view(work[0], (u1 - u0, c1 - c0))
-                for m in range(1, outputs):
-                    part += np.take(table[:, c0:c1], gather[m, u0:u1], axis=0, out=term, mode="clip")
-            per_output = per_output.reshape(n_out, symbols, count)
-            log_q = np.take_along_axis(per_output, output_of[sent].T[None], axis=0)[0]
-            # log p(y) = peak + log(sum_u mass_u exp(row_u - peak) / |X|), in
-            # place: per_output is not read again.  A single output's mass is
-            # |X|, so its two logs cancel exactly
-            peak = per_output.max(axis=0)
-            terms = np.exp(np.subtract(per_output, peak, out=per_output), out=per_output)
-            terms *= mass
-            bits = (log_q - (peak + (np.log(terms.sum(axis=0)) - log_alpha))) * _LOG2E
-        values = bits.sum(axis=0) / M
-        mean = values.mean()
-        return count, mean, np.sum((values - mean) ** 2)
-
-    if not gaussian and n_out == 1:
-        # every draw's log q(y|x) is its log p(y), so every value is exactly 0:
-        # pool that without drawing it
-        count, mean, squares = n_samples, 0.0, 0.0
+    if gaussian:  # the choice of kernel, which also names the input in the report
+        values, model, closed_form = _gaussian_values(rx, v, M), "gaussian", float(np.log2(1.0 + snr))
     else:
-        blocks = -(-n_samples // rows)
-        with ThreadPoolExecutor(threads) as pool:
-            count, mean, squares = functools.reduce(_pooled, _bounded_map(pool, evaluate, blocks, 2 * threads))
+        values, model, closed_form = _mixture_values(rx, samples, v, M), "constellation", None
+    # no kernel: every value is exactly 0, pooled without drawing it
+    count, mean, squares = (n_samples, 0.0, 0.0) if values is None else _block_moments(
+        values, n_samples, noise.seed, M // length * n_alpha, row_width)
 
     estimate = MIEstimate(
         bits_per_dof=float(mean),
@@ -1090,10 +1075,10 @@ def mc_mi(
     return MonteCarloReport(
         estimate=estimate,
         receiver=receiver,
-        input_model="gaussian" if gaussian else "constellation",
+        input_model=model,
         snr=snr,
         seed=noise.seed,
         n_samples=n_samples,
         M=M,
-        closed_form_bits_per_dof=float(np.log2(1.0 + snr)) if gaussian and receiver == "coherent" else None,
+        closed_form_bits_per_dof=closed_form if receiver == "coherent" else None,
     )

@@ -153,7 +153,7 @@ def min_phase_from_intensity(
         n *= 2
     leak = float(np.linalg.norm(coeffs[M:]) / np.linalg.norm(coeffs))
 
-    spec = SpectralPoly(coeffs=coeffs[:M], M=M, B=M * intensity.rate / len(vals))
+    spec = SpectralPoly(coeffs=coeffs[:M], M=M, B=intensity.rate / oversample)
     signal = canonicalize_phase(spectrum_to_samples(spec))
     residual = residual_of(samples_to_spectrum(signal).coeffs)
 

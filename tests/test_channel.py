@@ -20,7 +20,6 @@ from ddcap import (
     NoiseSpec,
     PeriodicSignal,
     apply_noise,
-    capacity_prior_search,
     chain_bound_check,
     counting_entropy,
     embed_finite_support,
@@ -44,10 +43,6 @@ EXTREME_SCALES = [1e-300, 1e-170, 1e-160, 1e90, 1e150, 1e154, 1e200, 1e290]
 
 def constant(c, B=1.0):
     return PeriodicSignal(M=1, B=B, samples=[c])
-
-
-def binary_entropy(p):
-    return -p * np.log2(p) - (1 - p) * np.log2(1 - p)
 
 
 def direct_memory_bound(points, M, rows, workers):
@@ -629,82 +624,6 @@ class TestCluster:
         assert peak < 8 * points.nbytes  # the rows take 1.75 MiB
 
 
-class TestCapacitySearch:
-    def test_bsc_capacity_at_uniform_prior(self):
-        p = 0.11
-        cond = np.array([[1 - p, p], [p, 1 - p]])
-        capacity, prior = capacity_prior_search(cond, M=1)
-        assert capacity == pytest.approx(1 - binary_entropy(p), abs=1e-9)
-        assert np.allclose(prior, [0.5, 0.5])
-
-    def test_maximizing_prior_transfer_on_family_channel(self, rng):
-        # the C_c-achieving prior, pushed through the direct channel, lands in
-        # [C_c - (M-1)/M, C_c]
-        fam = enumerate_family(random_coeff_signal(rng, 3))
-        assert len(fam) == 4
-        capacity, prior = capacity_prior_search(np.eye(4), M=3)
-        assert capacity == pytest.approx(2 / 3, abs=1e-9)
-        report = chain_bound_check(fam.signals, prior=prior)
-        assert capacity - report.bound - 1e-9 <= report.mi_direct <= capacity + 1e-9
-
-    def test_output_independent_of_input_has_zero_capacity(self):
-        cond = np.tile([0.3, 0.7], (3, 1))
-        capacity, prior = capacity_prior_search(cond, M=1)
-        assert capacity == pytest.approx(0.0, abs=1e-12)
-        assert prior.sum() == pytest.approx(1.0, abs=1e-12)
-
-    def test_noiseless_alphabet_of_eight(self):
-        capacity, prior = capacity_prior_search(np.eye(8), M=2)
-        assert capacity == pytest.approx(np.log2(8) / 2, abs=1e-12)
-        assert np.allclose(prior, 1 / 8)
-
-    @pytest.mark.parametrize("p", [0.1, 0.3, 0.5])
-    def test_z_channel_closed_form(self, p):
-        # input 0 is received intact; input 1 turns into 0 with probability p
-        cond = np.array([[1.0, 0.0], [p, 1 - p]])
-        capacity, prior = capacity_prior_search(cond, M=1)
-        assert capacity == pytest.approx(np.log2(1 + (1 - p) * p ** (p / (1 - p))), abs=1e-9)
-        assert prior.sum() == pytest.approx(1.0, abs=1e-12)
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_nonfinite_pmf_rejected(self, bad):
-        # a NaN row sums to NaN, which no comparison with 1 rejects
-        with pytest.raises(ValueError, match="finite"):
-            capacity_prior_search(np.array([[bad, 0.5], [0.5, 0.5]]), M=1)
-
-    def test_invalid_pmf_rejected(self):
-        with pytest.raises(ValueError, match="rows"):
-            capacity_prior_search(np.array([[0.5, 0.4], [1.0, 0.0]]), M=1)
-
-    def test_negative_entry_rejected(self):
-        # rows that sum to 1 with a negative entry are not a pmf
-        with pytest.raises(ValueError, match="nonnegative"):
-            capacity_prior_search(np.array([[1.5, -0.5], [0.0, 1.0]]), M=1)
-
-    @pytest.mark.parametrize("conditional", [np.array([0.5, 0.5]), np.ones((1, 1, 1)), 1.0,
-                                             np.zeros((0, 3)), np.zeros((0, 0))])
-    def test_table_must_be_2d(self, conditional):
-        message = ("the conditional table must be 2-d with at least one row, "
-                   f"got shape {np.shape(conditional)}")
-        with pytest.raises(ValueError, match=re.escape(message)):
-            capacity_prior_search(conditional, M=1)
-
-    @pytest.mark.parametrize("M", [0, -1])
-    def test_dof_count_must_be_positive(self, M):
-        with pytest.raises(ValueError, match="M must be positive"):
-            capacity_prior_search(np.eye(2), M=M)
-
-    def test_integer_table_is_read_as_float(self):
-        capacity, prior = capacity_prior_search([[1, 0], [0, 1]], M=1)
-        assert capacity == pytest.approx(1.0, abs=1e-12)
-        assert prior.dtype == np.float64 and np.allclose(prior, 0.5)
-
-    def test_iteration_cap_raises(self, monkeypatch):
-        monkeypatch.setattr(channel, "BA_MAX_ITER", 3)
-        with pytest.raises(FloatingPointError, match="did not meet in 3 iterations"):
-            capacity_prior_search(np.array([[1.0, 0.0], [0.3, 0.7]]), M=1)
-
-
 class TestI0e:
     """The square-law densities' exp(-z) I0(z), against scipy's Cephes i0e."""
 
@@ -751,6 +670,119 @@ class TestMonteCarloBlocks:
         assert count == n
         assert mean == pytest.approx(values.mean(), rel=1e-12, abs=1e-12 * np.abs(values).max())
         assert squares == pytest.approx(np.sum((values - values.mean()) ** 2), rel=1e-10)
+
+    # (waveforms, mixture entries per waveform): eight blocks; fewer than
+    # eight waveforms, one block each; one waveform per block where one holds
+    # more than a block's entries; 31 full blocks and a short last one
+    @pytest.mark.parametrize("n, entries", [(3001, 8), (100, 1), (7, 4096), (20, 65537), (1_000_003, 2)])
+    def test_driver_pools_each_blocks_own_stream(self, monkeypatch, n, entries):
+        # a stub values kernel that returns its stream's standard normals: the
+        # driver's moments are numpy's on the blocks' draws, concatenated in
+        # block order under the documented partition, at any worker count
+        rows = max(1, min(channel._BLOCK_ENTRIES // entries, -(-n // 8)))
+        blocks = -(-n // rows)
+        assert blocks >= min(n, 8)
+        draws = np.concatenate([
+            np.random.default_rng(np.random.SeedSequence(5, spawn_key=(b,))).standard_normal(min(rows, n - b * rows))
+            for b in range(blocks)
+        ])
+        results = []
+        for workers in (1, 3):
+            counts = []
+            monkeypatch.setattr(channel, "MC_WORKERS", workers)
+            moments = channel._block_moments(lambda rng, count: counts.append(count) or rng.standard_normal(count),
+                                             n, 5, entries, entries)
+            assert sorted(counts, reverse=True) == [rows] * (blocks - 1) + [n - (blocks - 1) * rows]
+            results.append(moments)
+        (count, mean, squares), other = results
+        assert (count, mean.hex(), squares.hex()) == (other[0], other[1].hex(), other[2].hex())
+        assert count == n
+        for value, expected in ((mean, draws.mean()), (squares, np.sum((draws - draws.mean()) ** 2))):
+            assert abs(value - expected) <= 8 * np.spacing(abs(expected))
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_driver_raises_on_overflow_in_its_threads(self, monkeypatch, workers):
+        # pool threads start with numpy's default error state, which warns;
+        # the driver must raise there as the caller's estimator does
+        monkeypatch.setattr(channel, "MC_WORKERS", workers)
+        with np.errstate(all="ignore"), pytest.raises(FloatingPointError):
+            channel._block_moments(lambda rng, count: np.full(count, 1e308) * 10.0, 100, 1, 1, 1)
+
+    # (MC_WORKERS, density terms per waveform, threads): 13 waveforms per
+    # block at 100 waveforms of 8 entries; a budget of 26 rows of terms holds
+    # two blocks, and one too small for a block still runs one
+    @pytest.mark.parametrize("workers, terms, threads", [(1, 8, 1), (3, 8, 3), (3, channel.MC_BLOCK_ELEMENTS // 26, 2),
+                                                         (3, channel.MC_BLOCK_ELEMENTS, 1)])
+    def test_driver_threads_and_blocks_ahead(self, monkeypatch, workers, terms, threads):
+        monkeypatch.setattr(channel, "MC_WORKERS", workers)
+        pools, ahead = [], []
+        state = {"submitted": 0, "returned": 0, "most": 0}
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+            def submit(self, fn, *args):
+                state["submitted"] += 1
+                state["most"] = max(state["most"], state["submitted"] - state["returned"])
+                return super().submit(fn, *args)
+
+        bounded_map = channel._bounded_map
+
+        def recording_map(pool, fn, n, limit):
+            ahead.append(limit)
+            for result in bounded_map(pool, fn, n, limit):
+                state["returned"] += 1
+                yield result
+
+        monkeypatch.setattr(channel, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(channel, "_bounded_map", recording_map)
+        count, _, _ = channel._block_moments(lambda rng, count: rng.standard_normal(count), 100, 2, 8, terms)
+        assert count == 100
+        assert (pools, ahead) == ([threads], [2 * threads])
+        assert state["submitted"] == state["returned"] == 8
+        assert 1 <= state["most"] <= 2 * threads
+
+    # (receiver, input, M): both kernels at every receiver that has them
+    KERNELS = [
+        ("coherent", "gaussian", 3),
+        ("intensity", "gaussian", 4),
+        ("coherent", psk(4), 2),
+        ("intensity", np.array([0.5, 1.0, -1.5, 2.0j]), 3),
+        ("direct", psk(4), 2),
+    ]
+
+    @pytest.mark.parametrize("receiver, model, M", KERNELS, ids=[f"{rx}-{M}" for rx, _, M in KERNELS])
+    def test_kernel_values_depend_on_their_stream_and_count_alone(self, monkeypatch, receiver, model, M):
+        # every block's values, recomputed out of order from a fresh stream of
+        # the block's seed, are the estimator's, bit for bit: a kernel keeps
+        # nothing from one block to the next
+        monkeypatch.setattr(channel, "MC_WORKERS", 1)
+        driver, calls = channel._block_moments, []
+
+        def recording_driver(values, n_samples, seed, entries, terms):
+            blocks = []
+
+            def recording(rng, count):
+                bits = values(rng, count)
+                blocks.append((count, bits.copy()))
+                return bits
+
+            calls.append((values, seed, blocks))
+            return driver(recording, n_samples, seed, entries, terms)
+
+        monkeypatch.setattr(channel, "_block_moments", recording_driver)
+        report = mc_mi(receiver, model, NoiseSpec(snr=10.0, seed=4), 1001, M=M)
+        [(values, seed, blocks)] = calls
+        assert len(blocks) >= 8 and sum(count for count, _ in blocks) == 1001
+        for b in reversed(range(len(blocks))):
+            count, bits = blocks[b]
+            again = values(np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,))), count)
+            assert again.shape == (count,)
+            np.testing.assert_array_equal(again.view(np.int64), bits.view(np.int64))
+        everything = np.concatenate([bits for _, bits in blocks])
+        assert report.estimate.bits_per_dof == pytest.approx(everything.mean(), rel=1e-13, abs=1e-15)
 
 
 class TestMonteCarlo:

@@ -488,6 +488,29 @@ class TestMinphase:
                 "--M", str(m_dof), "--tol", repr(tol)]
         assert_clean_exit(invoke(args), "residual=")
 
+    @staticmethod
+    def round_trip_bandwidth(tmp_path, M, B):
+        """The B that minphase writes for the grid intensity simulate writes
+        of an M-sample signal of bandwidth B, at the default oversample 8."""
+        sig_path, csv_path, out_path = tmp_path / "sig.json", tmp_path / "i.csv", tmp_path / "m.json"
+        write_signal_json(sig_path, PeriodicSignal(M=M, B=B, samples=random_signal(M, seed=1).samples))
+        run_ok(["simulate", "--input", str(sig_path), "--receiver", "grid", "--output", str(csv_path)])
+        run_ok(["minphase", "--input", str(csv_path), "--M", str(M), "--output", str(out_path)])
+        return json.loads(out_path.read_text())["B"]
+
+    @pytest.mark.parametrize("M", [3, 5, 6, 12, 100])
+    def test_roundtrip_keeps_the_bandwidth(self, tmp_path, M):
+        # at each of these M, M * rate / len(values) missed one of these
+        # bandwidths by an ulp; rate / oversample is exact at the power-of-two
+        # oversample, and the intensity CSV keeps each of these rates
+        for B in (13 / 7, 27 / 7, 3 / 13, float.fromhex("0x1.8f3b7ae7f3346p+1")):
+            assert self.round_trip_bandwidth(tmp_path, M, B).hex() == B.hex()
+
+    def test_roundtrip_near_the_float64_limit(self, tmp_path):
+        # the grid's rate 8B = 1.36e308 is finite, but M * rate overflowed
+        B = self.round_trip_bandwidth(tmp_path, 4, 1.7e307)
+        assert math.isfinite(B) and B == pytest.approx(1.7e307, rel=1e-15)
+
     def test_bad_csv_exits_2(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("wrong,header\n1,2\n")
