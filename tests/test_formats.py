@@ -434,6 +434,30 @@ def test_grid_csv_output_is_pinned(tmp_path, args, size, digest):
     assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
 
 
+# SHA-256 of noisy ``ddcap simulate`` output on random_signal(M, seed=3) at
+# seed 5: the in-band noise draws, which the Monte-Carlo estimator shares,
+# keep every byte
+@pytest.mark.parametrize(
+    "receiver, snr_db, M, size, digest",
+    [
+        ("coherent", "10", 1, 75, "ff04d9315efe138f1f276788a547833c6616b2d73008846eb0e40baf349b224b"),
+        ("coherent", "10", 4, 205, "70538a640fddba413901435361b233a4121a6ff81211826e009fb8e6ce5ed9db"),
+        ("coherent", "10", 16, 728, "afddf4c025002c277dfa420270535afbaa5c372a23946fd572a3147e1de9d8b3"),
+        ("grid", "30", 1, 204, "9254fe048aeceb022c0ced697c22e13023a03d734814fbca5aef1f9c37325c77"),
+        ("grid", "30", 4, 789, "ab3683ded295caf38e70519111c350401b7b39f83afc66c62fa917ee3e09a412"),
+        ("grid", "30", 16, 3187, "23d9e8b2f968bb68ef73100a66135776fa619098b8ea6c10fd4c5826d7663b26"),
+    ],
+)
+def test_noisy_simulate_output_is_pinned(tmp_path, receiver, snr_db, M, size, digest):
+    write_signal_json(tmp_path / "sig.json", random_signal(M, seed=3))
+    out = tmp_path / "out"
+    result = invoke(["simulate", "--input", str(tmp_path / "sig.json"), "--receiver", receiver,
+                     "--snr-db", snr_db, "--seed", "5", "--output", str(out)])
+    assert result.exit_code == 0, result.output
+    data = out.read_bytes()
+    assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
+
+
 def test_writers_are_deterministic(tmp_path):
     sig = random_signal(4, seed=9)
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
