@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import collections
 import functools
+import itertools
 import math
 import os
 from collections.abc import Callable
@@ -96,24 +97,27 @@ class NoiseSpec:
 
 def _circular_normal(rng, out, work):
     """a + 1j b into the complex array out, where a and then b are drawn as
-    standard normals in out's shape into the first two rows of the float
-    array work."""
-    a, b = (row[: out.size].reshape(out.shape) for row in work[:2])
-    rng.standard_normal(out=a)
-    rng.standard_normal(out=b)
-    np.multiply(1j, b, out=out)
-    return np.add(a, out, out=out)
+    standard normals in out's shape through the C-contiguous float array
+    work, of at least out.size entries, into out's real and imaginary
+    parts."""
+    draw = work.reshape(-1)[: out.size].reshape(out.shape)
+    out.real = rng.standard_normal(out=draw)
+    out.imag = rng.standard_normal(out=draw)
+    return out
 
 
 def _inband_noise(M, total_variance, rng, out, work):
     """Circular Gaussian coefficients, iid across the M in-band harmonics, into
-    the complex array out of shape (..., M), with work as _circular_normal's
-    scratch.
+    the C-contiguous complex array out of shape (..., M), with work as
+    _circular_normal's scratch.
 
     The per-coefficient complex variance is total_variance / M, so the period
-    average of the noise field power equals ``total_variance``.
+    average of the noise field power equals ``total_variance``.  The real
+    factor scales out's float view: the bits of a complex product by
+    (factor + 0j).
     """
-    return np.multiply(np.sqrt(total_variance / (2.0 * M)), _circular_normal(rng, out, work), out=out)
+    _circular_normal(rng, out, work).view(np.float64)[...] *= np.sqrt(total_variance / (2.0 * M))
+    return out
 
 
 def _noise_variance(power, snr):
@@ -138,7 +142,7 @@ def apply_noise(sig: PeriodicSignal, noise: NoiseSpec) -> PeriodicSignal:
         return sig
     variance = _noise_variance(power, noise.snr)
     rng = np.random.default_rng(noise.seed)
-    noise = _inband_noise(sig.M, variance, rng, np.empty(sig.M, dtype=np.complex128), np.empty((2, sig.M)))
+    noise = _inband_noise(sig.M, variance, rng, np.empty(sig.M, dtype=np.complex128), np.empty(sig.M))
     coeffs = np.fft.ifft(sig.samples) + noise
     return PeriodicSignal(M=sig.M, B=sig.B, samples=np.fft.fft(coeffs))
 
@@ -467,22 +471,22 @@ def counting_entropy(constellation, M: int) -> CountingReport:
 # Monte-Carlo estimator
 
 #: Largest number of Monte-Carlo density terms, one per (row, symbol,
-#: alphabet entry, output), in the evaluation blocks in flight at once: it
-#: caps the threads that evaluate blocks together.  A waveform with more
-#: terms than this is refused.  A block holds far fewer than its terms: one
-#: density per distinct (output, key), one per-symbol sum per distinct
-#: noiseless output, and the buffers it allocates for its own draws, outputs
-#: and a piece's scratch.
+#: alphabet entry, output), in the runs of blocks in flight at once: it
+#: caps a run's blocks and the threads that evaluate runs together.  A
+#: waveform with more terms than this is refused.  A run holds far fewer
+#: than its terms: one density per distinct (output, key), one per-symbol
+#: sum per distinct noiseless output, and the buffers it allocates for its
+#: own draws, outputs and a piece's scratch.
 MC_BLOCK_ELEMENTS = 1 << 22
 
-#: Threads that evaluate Monte-Carlo blocks: one per CPU this process may run on.
+#: Threads that evaluate Monte-Carlo runs of blocks: one per CPU this process may run on.
 MC_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 #: Largest number of waveforms the Monte-Carlo estimator draws.  Its memory
 #: does not grow with the count, but its run time does: on two cores 10^10
-#: waveforms take about a quarter of an hour with the cheapest case,
-#: coherent Gaussian input at M=1 (about 80 ns a waveform), and about a day
-#: with direct QPSK at M=4 (about 9 us).  An alphabet of one noiseless
+#: waveforms take about seven minutes with the cheapest case, coherent
+#: Gaussian input at M=1 (about 40 ns a waveform), and about nine hours
+#: with direct QPSK at M=4 (about 3.3 us).  An alphabet of one noiseless
 #: output is answered without drawing, at any count up to this one.
 MC_MAX_SAMPLES = 10**10
 
@@ -776,12 +780,17 @@ _RECEIVERS = {
 
 
 #: Mixture entries, one per (row, symbol, alphabet entry), in one
-#: Monte-Carlo block: the rows whose draws, densities and sums are made at
-#: once, small enough to stay in cache.
+#: Monte-Carlo block: the waveforms that draw from one stream.  A pool task
+#: evaluates a run of consecutive blocks, as many as fit this many entries
+#: of the kernel's own table (per symbol and waveform, its distinct
+#: (output, key) densities or its components, whichever are more) and so
+#: stay in cache, and no more than a worker's share.  A run draws each of
+#: its blocks from the block's own stream, in block order, so it changes no
+#: draw.
 _BLOCK_ENTRIES = 1 << 16
 
-#: Density-table entries evaluated at once: a block's table is cut into
-#: pieces of this many, so the scratch a block allocates is fixed whatever the
+#: Density-table entries evaluated at once: a run's table is cut into
+#: pieces of this many, so the scratch a run allocates is fixed whatever the
 #: table's width.  Smaller pieces cost more ufunc calls per table, each of
 #: which takes the GIL back.
 _PIECE_ENTRIES = _BLOCK_ENTRIES // 2
@@ -798,67 +807,86 @@ _RAISE_ON_OVERFLOW = np.errstate(divide="raise", over="raise", invalid="raise")
 _NOISE_HEADROOM = 2.0**10
 
 
-def _noise_fields(rng, v, n, length, oversample, floats):
-    """In-band noise of total variance v on each of n symbols of ``length``
-    rate-B samples, drawn through the float buffer floats, at the receiver's
-    ``oversample`` outputs per sample: an (n, length * oversample) array."""
-    coeffs = np.empty((n, length), dtype=np.complex128)
-    _inband_noise(length, v, rng, coeffs, floats[: 2 * coeffs.size].reshape(2, -1))
-    # a one-sample symbol's coefficient is its sample: no FFT, which would
-    # cost time in every block
-    return coeffs if oversample == 1 else field_grid(coeffs, oversample)
-
-
-def _block_moments(values, n_samples, seed, entries, terms):
+def _block_moments(values, width, n_samples, seed, entries, terms):
     """(count, mean, sum of squared deviations) of the values of n_samples
-    waveforms of ``entries`` mixture entries and ``terms`` density terms
-    each, ``values(rng, count)`` giving the bits per dof of count waveforms
-    drawn from the generator rng.
+    waveforms of ``entries`` mixture entries, ``terms`` density terms and
+    ``width`` entries of the kernel's table each, ``values(blocks)`` giving
+    the bits per dof of the waveforms of a run of consecutive blocks, each a
+    (generator, count) pair, in block order.
 
     The waveforms are cut into blocks of at most ``_BLOCK_ENTRIES`` mixture
     entries (one waveform where one holds more), and into at least eight
     blocks where there are eight waveforms.  Block b draws from its own
     stream, seeded by ``SeedSequence(seed, spawn_key=(b,))``, and the
-    blocks' moments are pooled in block order.  So the partition, every draw
-    and the result depend on the request alone, bit for bit, and not on the
-    number of cores.  Blocks run on a pool of one thread per CPU in the
-    process's affinity mask (``MC_WORKERS``), but no more than
-    ``MC_BLOCK_ELEMENTS`` density terms holds blocks, and at most two blocks
-    per thread are handed to the pool at once, so memory is bounded
-    whatever n_samples is.
+    blocks' moments, each from its own slice of its run's values, are
+    pooled in block order.  So the partition, every draw and the result
+    depend on the request alone, bit for bit, and not on the number of
+    cores.
+
+    A pool task takes a run of consecutive blocks, as many as fit
+    ``_BLOCK_ENTRIES`` table entries and ``MC_BLOCK_ELEMENTS`` density
+    terms, so that a kernel whose blocks are narrow makes fewer, longer
+    ufunc calls, but no more than an equal share of the blocks per worker,
+    so that no worker idles while another evaluates every block.  The runs
+    depend on the number of cores, but the values do not: the densities
+    are elementwise, and a run's sums over a waveform's symbols and
+    components add the same terms in the same order as its block's.  A
+    block of one waveform is evaluated alone, since numpy sums a table of
+    one column in pairwise order and each column of a wider table in
+    sequence.  Runs run on a pool of one thread per CPU in the process's
+    affinity mask (``MC_WORKERS``), but no more than ``MC_BLOCK_ELEMENTS``
+    density terms holds runs, and at most two runs per thread are handed
+    to the pool at once, so memory is bounded whatever n_samples is.
     """
     rows = max(1, min(_BLOCK_ENTRIES // entries, -(-n_samples // 8)))
-    threads = max(1, min(MC_WORKERS, MC_BLOCK_ELEMENTS // (rows * terms)))
+    blocks = -(-n_samples // rows)
+    run = max(1, min(_BLOCK_ENTRIES // (rows * width), MC_BLOCK_ELEMENTS // (rows * terms),
+                     -(-blocks // MC_WORKERS)))
+    threads = max(1, min(MC_WORKERS, MC_BLOCK_ELEMENTS // (run * rows * terms)))
 
     @_RAISE_ON_OVERFLOW  # pool threads do not inherit the caller's error state
-    def block(b):
-        count = min(rows, n_samples - b * rows)
-        bits = values(np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,))), count)
-        mean = bits.mean()
-        return count, mean, np.sum((bits - mean) ** 2)
+    def task(r):
+        numbers = range(r * run, min((r + 1) * run, blocks))
+        counts = [min(rows, n_samples - b * rows) for b in numbers]
+        run_blocks = [(np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,))), count)
+                      for b, count in zip(numbers, counts)]
+        # where blocks hold more than one waveform, only the last block may
+        # hold one, so the blocks of several come first
+        groups = [[block for block in run_blocks if block[1] > 1]] + [[block] for block in run_blocks if block[1] == 1]
+        bits = np.concatenate([values(group) for group in groups if group])
+        moments = []
+        for part in np.split(bits, np.cumsum(counts[:-1])):
+            mean = part.mean()
+            moments.append((len(part), mean, np.sum((part - mean) ** 2)))
+        return moments
 
     with ThreadPoolExecutor(threads) as pool:
-        return functools.reduce(_pooled, _bounded_map(pool, block, -(-n_samples // rows), 2 * threads))
+        runs = _bounded_map(pool, task, -(-blocks // run), 2 * threads)
+        return functools.reduce(_pooled, itertools.chain.from_iterable(runs))
 
 
 def _gaussian_values(rx, v, M):
     """The values kernel of unit-power circular Gaussian symbols, one per
-    rate-B sample, through the receiver's closed form ``rx.gaussian_bits``.
+    rate-B sample, through the receiver's closed form ``rx.gaussian_bits``,
+    and its table's width, M entries per waveform.
 
-    A block draws its symbols x, then its noise.  Its buffers are its own,
-    sized to its count; one float buffer holds its draws and then the
-    closed form's scratch for pieces of at most ``_PIECE_ENTRIES`` values.
+    A run evaluates its blocks one by one: a block already fills a piece or
+    more unless the whole request is small.  A block draws its symbols x,
+    then its noise.  Its buffers are its own, sized to its count; one float
+    buffer holds its draws and then the closed form's scratch for pieces of
+    at most ``_PIECE_ENTRIES`` values.
     """
     work_rows = 6 if rx.square_law else 1  # only the square-law density needs six
+    scale = 1.0 / np.sqrt(2.0)  # numpy divides x by sqrt(2) + 0j as (re + im 0) times this
 
-    def values(rng, count):
+    def block(rng, count):
         size = count * M
         _, _, _, piece = next(_pieces(1, size, _PIECE_ENTRIES))  # the first piece is the largest
         # the draws are spent before the scratch is used, so one buffer holds both
-        floats = np.empty(max(2 * size, work_rows * piece))
-        x = _circular_normal(rng, np.empty(size, dtype=np.complex128), floats[: 2 * size].reshape(2, size))
-        x /= np.sqrt(2.0)
-        y = _noise_fields(rng, v, size, 1, 1, floats).reshape(size)
+        floats = np.empty(max(size, work_rows * piece))
+        x = _circular_normal(rng, np.empty(size, dtype=np.complex128), floats)
+        x.view(np.float64)[...] *= scale
+        y = _inband_noise(1, v, rng, np.empty(size, dtype=np.complex128), floats)
         np.add(x, y, out=y)
         if rx.square_law:
             y = np.abs(y)
@@ -868,14 +896,14 @@ def _gaussian_values(rx, v, M):
             rx.gaussian_bits(y[c0:c1], x[c0:c1], v, table[c0:c1], work)
         return table.reshape(count, M).T.sum(axis=0) / M
 
-    return values
+    return (lambda blocks: np.concatenate([block(rng, count) for rng, count in blocks])), M
 
 
 def _mixture_values(rx, samples, v, M):
     """The values kernel of symbols drawn uniformly from an alphabet whose
     entry a has the rate-B samples ``samples[a]``, with p(y) the mixture
-    over the alphabet; None where the alphabet has one noiseless output, so
-    that every value is exactly 0.
+    over the alphabet, and its table's width per waveform; None where the
+    alphabet has one noiseless output, so that every value is exactly 0.
 
     The densities depend on a symbol only through one key per output
     (|x|^2 at a square-law receiver, joined within ``MC_KEY_RTOL``, and x
@@ -886,21 +914,22 @@ def _mixture_values(rx, samples, v, M):
     is 64 evaluations instead of 256 x 8, and 29 components instead of 256:
     the alphabet's intensity fibers.
 
-    A block draws its symbols, then its noise, and is laid out
-    outputs-major: each (output, key), noiseless output and symbol is one
-    vector over its waveforms, so the sums over them add whole vectors, and
-    no (waveform, symbol, alphabet, output) tensor is built.  Its buffers
-    are its own, sized to its count: its outputs, its density table and its
-    per-symbol sums (a row per noiseless output), and one float buffer that
-    holds its draws and then its densities' scratch for pieces of the table
-    of at most ``_PIECE_ENTRIES`` entries, so the scratch does not grow with
-    the table's width.  The densities are elementwise, so the pieces change
-    no bit.
+    A run draws each block's symbols, then its noise, from the block's own
+    stream, in block order, and evaluates all its waveforms as one table,
+    laid out outputs-major: each (output, key), noiseless output and symbol
+    is one vector over the run's waveforms, so the sums over them add whole
+    vectors, and no (waveform, symbol, alphabet, output) tensor is built.
+    Its buffers are its own, sized to its count: its draws and outputs, its
+    density table and its per-symbol sums (a row per noiseless output), and
+    one float buffer that holds its draws and then its densities' scratch
+    for pieces of the table of at most ``_PIECE_ENTRIES`` entries, so the
+    scratch does not grow with the table's width.  The densities are
+    elementwise, so the pieces change no bit.
     """
     n_alpha, length = samples.shape
     symbols, outputs = M // length, length * rx.oversample  # per waveform, per symbol
     # each output's noiseless field over the alphabet, outputs-major as a
-    # block reads it
+    # run reads it
     columns = np.ascontiguousarray(field_grid(np.fft.ifft(samples, axis=1), rx.oversample).T)
     keys, col_of, gather, output_of, mass = _mixture_tables(columns, rx.square_law)
     n_out = len(mass)
@@ -910,16 +939,25 @@ def _mixture_values(rx, samples, v, M):
     mass = mass.astype(np.float64)[:, None, None]
     work_rows = 6 if rx.square_law else 1  # only the square-law density needs six
 
-    def values(rng, count):
+    def values(blocks):
+        count = sum(n for _, n in blocks)
         width = symbols * count
         _, r1, _, c1 = next(_pieces(len(keys), width, _PIECE_ENTRIES))
         piece = r1 * c1  # the first piece is the largest
         # the draws are spent before the densities' scratch is used, so one
         # buffer holds both
-        floats = np.empty(max(2 * width * length, work_rows * piece))
+        floats = np.empty(max(width * length, work_rows * piece))
         work = floats[: work_rows * piece].reshape(work_rows, piece)
-        sent = rng.integers(0, n_alpha, size=(count, symbols))
-        fields = _noise_fields(rng, v, width, length, rx.oversample, floats).reshape(count, symbols, outputs)
+        sent = np.empty((count, symbols), dtype=np.int64)
+        coeffs = np.empty((count, symbols, length), dtype=np.complex128)
+        start = 0
+        for rng, n in blocks:
+            sent[start : start + n] = rng.integers(0, n_alpha, size=(n, symbols))
+            _inband_noise(length, v, rng, coeffs[start : start + n], floats)
+            start += n
+        # a one-sample symbol's coefficient is its sample: no FFT, which would
+        # cost time in every run
+        fields = coeffs if rx.oversample == 1 else field_grid(coeffs, rx.oversample)
         y = np.empty((outputs, symbols, count), dtype=np.float64 if rx.square_law else np.complex128)
         x = np.empty((count, symbols), dtype=np.complex128)
         for m in range(outputs):  # x is output m's noiseless field
@@ -930,6 +968,7 @@ def _mixture_values(rx, samples, v, M):
                 np.abs(np.add(fields[..., m], x, out=x), out=y[m].T)
             else:
                 np.add(fields[..., m], x, out=y[m].T)
+        del coeffs, fields, x  # spent: the table and its sums may take their memory
         if rx.square_law:
             np.square(y, out=y)
         # a table row is one (output, key) over (symbols, waveforms), so
@@ -948,8 +987,11 @@ def _mixture_values(rx, samples, v, M):
             part, term = per_output[u0:u1, c0:c1], _view(work[0], (u1 - u0, c1 - c0))
             for m in range(1, outputs):
                 part += np.take(table[:, c0:c1], gather[m, u0:u1], axis=0, out=term, mode="clip")
+        # log q: each symbol's own component, one flat gather from per_output
+        index = np.take(output_of * width, sent.T)
+        index += np.arange(width).reshape(symbols, count)
+        log_q = np.take(per_output, index)
         per_output = per_output.reshape(n_out, symbols, count)
-        log_q = np.take_along_axis(per_output, output_of[sent].T[None], axis=0)[0]
         # log p(y) = peak + log(sum_u mass_u exp(row_u - peak) / |X|), in
         # place: per_output is not read again
         peak = per_output.max(axis=0)
@@ -958,7 +1000,7 @@ def _mixture_values(rx, samples, v, M):
         bits = (log_q - (peak + (np.log(terms.sum(axis=0)) - log_alpha))) * _LOG2E
         return bits.sum(axis=0) / M
 
-    return values
+    return values, max(len(keys), n_out) * symbols
 
 
 @_RAISE_ON_OVERFLOW
@@ -1059,12 +1101,12 @@ def mc_mi(
         )
 
     if gaussian:  # the choice of kernel, which also names the input in the report
-        values, model, closed_form = _gaussian_values(rx, v, M), "gaussian", float(np.log2(1.0 + snr))
+        kernel, model, closed_form = _gaussian_values(rx, v, M), "gaussian", float(np.log2(1.0 + snr))
     else:
-        values, model, closed_form = _mixture_values(rx, samples, v, M), "constellation", None
+        kernel, model, closed_form = _mixture_values(rx, samples, v, M), "constellation", None
     # no kernel: every value is exactly 0, pooled without drawing it
-    count, mean, squares = (n_samples, 0.0, 0.0) if values is None else _block_moments(
-        values, n_samples, noise.seed, M // length * n_alpha, row_width)
+    count, mean, squares = (n_samples, 0.0, 0.0) if kernel is None else _block_moments(
+        *kernel, n_samples, noise.seed, M // length * n_alpha, row_width)
 
     estimate = MIEstimate(
         bits_per_dof=float(mean),

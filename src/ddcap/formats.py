@@ -116,7 +116,14 @@ def read_intensity_csv(path) -> SampledIntensity:
         raise ValueError("intensity grid times must increase by a positive, finite step")
     if not np.all(np.abs(dt - dt[0]) <= 1e-9 * dt[0]):
         raise ValueError("intensity grid must be uniform")
-    return SampledIntensity(rate=rate, values=vals)
+    # the writer's times are arange(n) / rate, and 1 / dt[0] can miss that
+    # rate by an ulp: of it and its two float neighbours, the first whose
+    # times are the file's is the rate
+    steps = np.arange(len(t))
+    with np.errstate(over="ignore"):  # a neighbour of a tiny rate may overflow the times
+        rate = next((r for r in (rate, np.nextafter(rate, 0.0), np.nextafter(rate, np.inf))
+                     if np.array_equal(steps / r, t)), rate)
+    return SampledIntensity(rate=float(rate), values=vals)
 
 
 #: Members formatted and written at a time when a family is written: the

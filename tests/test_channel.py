@@ -671,29 +671,54 @@ class TestMonteCarloBlocks:
         assert mean == pytest.approx(values.mean(), rel=1e-12, abs=1e-12 * np.abs(values).max())
         assert squares == pytest.approx(np.sum((values - values.mean()) ** 2), rel=1e-10)
 
-    # (waveforms, mixture entries per waveform): eight blocks; fewer than
-    # eight waveforms, one block each; one waveform per block where one holds
-    # more than a block's entries; 31 full blocks and a short last one
-    @pytest.mark.parametrize("n, entries", [(3001, 8), (100, 1), (7, 4096), (20, 65537), (1_000_003, 2)])
-    def test_driver_pools_each_blocks_own_stream(self, monkeypatch, n, entries):
-        # a stub values kernel that returns its stream's standard normals: the
+    @staticmethod
+    def runs(n, entries, terms, width):
+        """The documented partition: the counts of each run's blocks, with a
+        block of one waveform as a run of its own."""
+        rows = max(1, min(channel._BLOCK_ENTRIES // entries, -(-n // 8)))
+        counts = [min(rows, n - b * rows) for b in range(-(-n // rows))]
+        run = max(1, min(channel._BLOCK_ENTRIES // (rows * width), channel.MC_BLOCK_ELEMENTS // (rows * terms),
+                         -(-len(counts) // channel.MC_WORKERS)))
+        runs = []
+        for first in range(0, len(counts), run):
+            several = [count for count in counts[first : first + run] if count > 1]
+            runs += [several] * bool(several) + [[1]] * counts[first : first + run].count(1)
+        return rows, counts, runs
+
+    @staticmethod
+    def stub(blocks):
+        """A values kernel that returns its blocks' standard normals."""
+        return np.concatenate([rng.standard_normal(count) for rng, count in blocks])
+
+    # (waveforms, mixture entries and table entries per waveform): eight
+    # blocks in one run; fewer than eight waveforms, one block each, each
+    # evaluated alone; one waveform per block where one holds more than a
+    # block's entries; 31 full blocks and a short last one, in runs of one
+    # and of two blocks; ten blocks in runs of four, the last block of one
+    # waveform evaluated alone
+    @pytest.mark.parametrize("n, entries, width", [(3001, 8, 8), (100, 1, 1), (7, 4096, 4096), (20, 65537, 65537),
+                                                   (1_000_003, 2, 2), (1_000_003, 2, 1), (73_729, 8, 2)])
+    def test_driver_pools_each_blocks_own_stream(self, monkeypatch, n, entries, width):
+        # a stub values kernel that returns its streams' standard normals: the
         # driver's moments are numpy's on the blocks' draws, concatenated in
         # block order under the documented partition, at any worker count
-        rows = max(1, min(channel._BLOCK_ENTRIES // entries, -(-n // 8)))
-        blocks = -(-n // rows)
-        assert blocks >= min(n, 8)
+        rows, counts, _ = self.runs(n, entries, entries, width)
+        assert len(counts) >= min(n, 8)
         draws = np.concatenate([
-            np.random.default_rng(np.random.SeedSequence(5, spawn_key=(b,))).standard_normal(min(rows, n - b * rows))
-            for b in range(blocks)
+            np.random.default_rng(np.random.SeedSequence(5, spawn_key=(b,))).standard_normal(count)
+            for b, count in enumerate(counts)
         ])
         results = []
         for workers in (1, 3):
-            counts = []
+            calls = []
+
+            def recording(blocks):
+                calls.append([count for _, count in blocks])
+                return self.stub(blocks)
+
             monkeypatch.setattr(channel, "MC_WORKERS", workers)
-            moments = channel._block_moments(lambda rng, count: counts.append(count) or rng.standard_normal(count),
-                                             n, 5, entries, entries)
-            assert sorted(counts, reverse=True) == [rows] * (blocks - 1) + [n - (blocks - 1) * rows]
-            results.append(moments)
+            results.append(channel._block_moments(recording, width, n, 5, entries, entries))
+            assert sorted(calls) == sorted(self.runs(n, entries, entries, width)[2])
         (count, mean, squares), other = results
         assert (count, mean.hex(), squares.hex()) == (other[0], other[1].hex(), other[2].hex())
         assert count == n
@@ -706,14 +731,21 @@ class TestMonteCarloBlocks:
         # the driver must raise there as the caller's estimator does
         monkeypatch.setattr(channel, "MC_WORKERS", workers)
         with np.errstate(all="ignore"), pytest.raises(FloatingPointError):
-            channel._block_moments(lambda rng, count: np.full(count, 1e308) * 10.0, 100, 1, 1, 1)
+            channel._block_moments(lambda blocks: np.full(sum(count for _, count in blocks), 1e308) * 10.0,
+                                   1, 100, 1, 1, 1)
 
-    # (MC_WORKERS, density terms per waveform, threads): 13 waveforms per
-    # block at 100 waveforms of 8 entries; a budget of 26 rows of terms holds
-    # two blocks, and one too small for a block still runs one
-    @pytest.mark.parametrize("workers, terms, threads", [(1, 8, 1), (3, 8, 3), (3, channel.MC_BLOCK_ELEMENTS // 26, 2),
-                                                         (3, channel.MC_BLOCK_ELEMENTS, 1)])
-    def test_driver_threads_and_blocks_ahead(self, monkeypatch, workers, terms, threads):
+    # (MC_WORKERS, density terms and table entries per waveform, threads,
+    # runs): 13 waveforms per block at 100 waveforms of 8 entries.  A table
+    # of 8192 entries per waveform takes a run of one block, and one of 1024
+    # a run of four, cut to three blocks, a third of the eight, by three
+    # workers; a budget of 26 rows of terms holds two blocks, so runs of two
+    # and one thread, and one too small for a block still runs one
+    @pytest.mark.parametrize("workers, terms, width, threads, tasks", [
+        (1, 8, 8192, 1, 8), (3, 8, 8192, 3, 8), (3, channel.MC_BLOCK_ELEMENTS // 26, 8192, 2, 8),
+        (3, channel.MC_BLOCK_ELEMENTS, 8192, 1, 8), (3, 8, 1024, 3, 3),
+        (3, channel.MC_BLOCK_ELEMENTS // 26, 1024, 1, 4),
+    ])
+    def test_driver_threads_and_blocks_ahead(self, monkeypatch, workers, terms, width, threads, tasks):
         monkeypatch.setattr(channel, "MC_WORKERS", workers)
         pools, ahead = [], []
         state = {"submitted": 0, "returned": 0, "most": 0}
@@ -738,10 +770,10 @@ class TestMonteCarloBlocks:
 
         monkeypatch.setattr(channel, "ThreadPoolExecutor", RecordingPool)
         monkeypatch.setattr(channel, "_bounded_map", recording_map)
-        count, _, _ = channel._block_moments(lambda rng, count: rng.standard_normal(count), 100, 2, 8, terms)
+        count, _, _ = channel._block_moments(self.stub, width, 100, 2, 8, terms)
         assert count == 100
         assert (pools, ahead) == ([threads], [2 * threads])
-        assert state["submitted"] == state["returned"] == 8
+        assert state["submitted"] == state["returned"] == tasks
         assert 1 <= state["most"] <= 2 * threads
 
     # (receiver, input, M): both kernels at every receiver that has them
@@ -752,37 +784,106 @@ class TestMonteCarloBlocks:
         ("intensity", np.array([0.5, 1.0, -1.5, 2.0j]), 3),
         ("direct", psk(4), 2),
     ]
+    KERNEL_IDS = [f"{rx}-{M}" for rx, _, M in KERNELS]
 
-    @pytest.mark.parametrize("receiver, model, M", KERNELS, ids=[f"{rx}-{M}" for rx, _, M in KERNELS])
-    def test_kernel_values_depend_on_their_stream_and_count_alone(self, monkeypatch, receiver, model, M):
-        # every block's values, recomputed out of order from a fresh stream of
-        # the block's seed, are the estimator's, bit for bit: a kernel keeps
-        # nothing from one block to the next
-        monkeypatch.setattr(channel, "MC_WORKERS", 1)
-        driver, calls = channel._block_moments, []
+    @staticmethod
+    def recorded_runs(monkeypatch, receiver, model, M, n):
+        """The kernel mc_mi builds, and each of its calls, in the order
+        made: its blocks' numbers and counts and the values it returned."""
+        driver, kernels = channel._block_moments, []
 
-        def recording_driver(values, n_samples, seed, entries, terms):
-            blocks = []
+        def recording_driver(values, width, n_samples, seed, entries, terms):
+            calls = []
 
-            def recording(rng, count):
-                bits = values(rng, count)
-                blocks.append((count, bits.copy()))
+            def recording(blocks):
+                numbers = [(rng.bit_generator.seed_seq.spawn_key[0], count) for rng, count in blocks]
+                bits = values(blocks)
+                calls.append((numbers, bits.copy()))
                 return bits
 
-            calls.append((values, seed, blocks))
-            return driver(recording, n_samples, seed, entries, terms)
+            kernels.append((values, seed, calls))
+            return driver(recording, width, n_samples, seed, entries, terms)
 
         monkeypatch.setattr(channel, "_block_moments", recording_driver)
-        report = mc_mi(receiver, model, NoiseSpec(snr=10.0, seed=4), 1001, M=M)
-        [(values, seed, blocks)] = calls
-        assert len(blocks) >= 8 and sum(count for count, _ in blocks) == 1001
-        for b in reversed(range(len(blocks))):
-            count, bits = blocks[b]
-            again = values(np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,))), count)
-            assert again.shape == (count,)
+        report = mc_mi(receiver, model, NoiseSpec(snr=10.0, seed=4), n, M=M)
+        [kernel] = kernels
+        return report, kernel
+
+    @pytest.mark.parametrize("receiver, model, M", KERNELS, ids=KERNEL_IDS)
+    def test_kernel_values_depend_on_their_stream_and_count_alone(self, monkeypatch, receiver, model, M):
+        # every run's values, recomputed out of order from fresh streams of
+        # its blocks' seeds, are the estimator's, bit for bit: a kernel keeps
+        # nothing from one run to the next.  At 20001 waveforms each kernel
+        # gets runs of several blocks, and runs of one
+        monkeypatch.setattr(channel, "MC_WORKERS", 1)
+        report, (values, seed, calls) = self.recorded_runs(monkeypatch, receiver, model, M, 20_001)
+        blocks = [block for numbers, _ in calls for block in numbers]
+        assert [b for b, _ in blocks] == list(range(len(blocks)))
+        assert len(blocks) >= 8 and sum(count for _, count in blocks) == 20_001
+        assert max(len(numbers) for numbers, _ in calls) > 1
+        for numbers, bits in reversed(calls):
+            again = values([(np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,))), count)
+                            for b, count in numbers])
+            assert again.shape == (sum(count for _, count in numbers),)
             np.testing.assert_array_equal(again.view(np.int64), bits.view(np.int64))
-        everything = np.concatenate([bits for _, bits in blocks])
+        everything = np.concatenate([bits for _, bits in calls])
         assert report.estimate.bits_per_dof == pytest.approx(everything.mean(), rel=1e-13, abs=1e-15)
+
+    @pytest.mark.parametrize("receiver, model, M", KERNELS, ids=KERNEL_IDS)
+    def test_run_values_are_its_blocks_values(self, monkeypatch, receiver, model, M):
+        # a run's values are its blocks' values, each block evaluated alone,
+        # concatenated in block order, bit for bit; the runs span several
+        # pieces of the table, and end in short blocks
+        monkeypatch.setattr(channel, "MC_WORKERS", 1)
+        _, (values, seed, _) = self.recorded_runs(monkeypatch, receiver, model, M, 1001)
+
+        def blocks(counts):
+            return [(np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,))), count)
+                    for b, count in enumerate(counts)]
+
+        for counts in ([2, 2], [37, 37, 37, 12], [5000, 5000, 5000, 2], [3001] * 7 + [1999]):
+            run = values(blocks(counts))
+            alone = np.concatenate([values([block]) for block in blocks(counts)])
+            np.testing.assert_array_equal(run.view(np.int64), alone.view(np.int64))
+
+    # (receiver, input, M, waveforms) at budgets that hold runs of one to
+    # four blocks of direct QPSK M=4 (2^19 terms each), one or two at once
+    @pytest.mark.parametrize("budget", [1 << 19, 1 << 20, 1 << 21, 1 << 22])
+    @pytest.mark.parametrize("receiver, model, M, n", [
+        ("direct", psk(4), 4, 20_001), ("direct", psk(4), 2, 200_001), ("coherent", "gaussian", 4, 100_001),
+    ])
+    def test_tasks_in_flight_hold_at_most_the_budget(self, monkeypatch, budget, receiver, model, M, n):
+        # with more workers than the budget admits and fast thread
+        # switching, the runs being evaluated at once never hold more than
+        # MC_BLOCK_ELEMENTS density terms between them
+        monkeypatch.setattr(channel, "MC_BLOCK_ELEMENTS", budget)
+        monkeypatch.setattr(channel, "MC_WORKERS", 3)
+        driver, lock, state = channel._block_moments, threading.Lock(), {"held": 0, "most": 0, "runs": 0}
+
+        def recording_driver(values, width, n_samples, seed, entries, terms):
+            def recording(blocks):
+                held = sum(count for _, count in blocks) * terms
+                with lock:
+                    state["held"] += held
+                    state["most"] = max(state["most"], state["held"])
+                    state["runs"] += 1
+                try:
+                    return values(blocks)
+                finally:
+                    with lock:
+                        state["held"] -= held
+
+            return driver(recording, width, n_samples, seed, entries, terms)
+
+        monkeypatch.setattr(channel, "_block_moments", recording_driver)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            mc_mi(receiver, model, NoiseSpec(snr=10.0, seed=2), n, M=M)
+        finally:
+            sys.setswitchinterval(interval)
+        assert state["runs"] >= 2 and state["held"] == 0
+        assert 0 < state["most"] <= budget
 
 
 class TestMonteCarlo:
@@ -931,6 +1032,26 @@ class TestMonteCarlo:
         assert report.estimate.bits_per_dof.hex() == bits
         assert report.estimate.std_error.hex() == se
 
+    # float.hex of (bits_per_dof, std_error) at SNR 20 and seed 3, over
+    # blocks of one waveform, whose sums numpy adds in pairwise order: over
+    # 16 and 300 symbols, and over direct QPSK M=4's 29 components.  Five and
+    # two waveforms are blocks of one each; 50 at M=300 are seven blocks of
+    # seven and a last one of one.  Pinned before blocks ran in runs
+    RINGS = np.concatenate([np.exp(2j * np.pi * np.arange(8) / 8), 2 * np.exp(2j * np.pi * (np.arange(8) + 0.5) / 8)])
+    ONE_WAVEFORM_BLOCKS = [
+        ("coherent", psk(4), 16, 5, "0x1.ffffff77c56c0p+0", "0x1.ee3d566158577p-26"),
+        ("direct", psk(4), 4, 2, "0x1.3f48db489353cp+0", "0x1.608d94b79c400p-11"),
+        ("intensity", RINGS, 300, 50, "0x1.d1e4397f7904ep-1", "0x1.e4f6300661e81p-9"),
+    ]
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("receiver, points, M, n, bits, se", ONE_WAVEFORM_BLOCKS,
+                             ids=[f"{rx}-{M}-{n}" for rx, _, M, n, _, _ in ONE_WAVEFORM_BLOCKS])
+    def test_blocks_of_one_waveform_keep_their_bits(self, monkeypatch, workers, receiver, points, M, n, bits, se):
+        monkeypatch.setattr(channel, "MC_WORKERS", workers)
+        est = mc_mi(receiver, points, NoiseSpec(snr=20.0, seed=3), n, M=M).estimate
+        assert (est.bits_per_dof.hex(), est.std_error.hex()) == (bits, se)
+
     def test_more_workers_than_cores_under_fast_switching(self, monkeypatch):
         # a block drawing from another's stream, or statistics pooled out of
         # order, would change the bits
@@ -945,8 +1066,9 @@ class TestMonteCarlo:
         assert report.estimate.std_error.hex() == "0x1.8f26f59c407a0p-8"
 
     def test_block_exception_reaches_the_caller(self, monkeypatch):
-        # the third block's densities fail while other blocks are in flight
-        # (each block's table here is one piece, so one density call)
+        # the second run's densities fail while other runs are in flight
+        # (each run here is two blocks of 4096 waveforms, whose table of
+        # 8 x 8192 densities is two pieces, so two density calls)
         error = FloatingPointError("density failed")
         calls = itertools.count()
         density = channel._log_intensity_density
@@ -961,7 +1083,7 @@ class TestMonteCarlo:
         monkeypatch.setattr(channel, "MC_WORKERS", 2)
         threads = threading.active_count()
         with pytest.raises(FloatingPointError) as err:
-            mc_mi("direct", psk(4), NoiseSpec(snr=10.0, seed=1), 3001, M=2)
+            mc_mi("direct", psk(4), NoiseSpec(snr=10.0, seed=1), 100_000, M=2)
         assert err.value is error
         assert threading.active_count() == threads
 

@@ -506,6 +506,13 @@ class TestMinphase:
         for B in (13 / 7, 27 / 7, 3 / 13, float.fromhex("0x1.8f3b7ae7f3346p+1")):
             assert self.round_trip_bandwidth(tmp_path, M, B).hex() == B.hex()
 
+    @pytest.mark.parametrize("M", [3, 5, 6, 12, 100])
+    def test_roundtrip_keeps_every_bandwidth_in_sevenths(self, tmp_path, M):
+        # the rates 8 * 51/7 and 8 * 55/7 are an ulp above 1 / dt of the
+        # times the CSV holds; the reader keeps the rate that reproduces them
+        for k in range(1, 60):
+            assert self.round_trip_bandwidth(tmp_path, M, k / 7).hex() == (k / 7).hex()
+
     def test_roundtrip_near_the_float64_limit(self, tmp_path):
         # the grid's rate 8B = 1.36e308 is finite, but M * rate overflowed
         B = self.round_trip_bandwidth(tmp_path, 4, 1.7e307)
