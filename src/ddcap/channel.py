@@ -392,13 +392,25 @@ def named_constellation(name: str) -> np.ndarray:
         ) from None
 
 
-def _alphabet(points: np.ndarray, length: int, cap: int, refusal: str) -> np.ndarray:
-    """The tuples of ``itertools.product(points, repeat=length)``, in that
-    order, as rows.  More than ``cap`` of them raise ValueError with
-    ``refusal.format(count=..., cap=cap)`` before anything is built; above 64
-    samples, where no index array exists, the count is named as a power.  One
-    point makes one tuple at any length, which is never refused.
+def _alphabet(constellation, length: int, cap: int, refusal: str) -> np.ndarray:
+    """The tuples of ``itertools.product(constellation, repeat=length)``, in
+    that order, as complex rows.  A constellation that is not a non-empty
+    1-d array of finite numbers raises ValueError.  More than ``cap`` tuples
+    raise ValueError with ``refusal.format(count=..., cap=cap)`` before
+    anything is built; above 64 samples, where no index array exists, the
+    count is named as a power.  One point makes one tuple at any length,
+    which is never refused.
     """
+    malformed = "the constellation must be a non-empty 1-d array of finite complex numbers, got {}"
+    try:
+        points = np.asarray(constellation)
+    except ValueError:  # a ragged sequence
+        raise ValueError(malformed.format("a ragged sequence")) from None
+    if points.dtype.kind not in "biufc" or points.ndim != 1 or len(points) == 0:
+        raise ValueError(malformed.format(f"an array of shape {points.shape} and dtype {points.dtype}"))
+    points = points.astype(np.complex128)
+    if not np.isfinite(points).all():
+        raise ValueError(malformed.format(f"the point {points[~np.isfinite(points)][0]}"))
     k = len(points)
     if k == 1:
         return points[np.zeros((1, length), dtype=np.intp)]
@@ -439,7 +451,7 @@ def counting_entropy(constellation, M: int) -> CountingReport:
     """
     if M < 1:
         raise ValueError(f"M must be at least 1, got {M}")
-    samples = _alphabet(np.asarray(constellation, dtype=np.complex128), M, COUNTING_CAP,
+    samples = _alphabet(constellation, M, COUNTING_CAP,
                         "{count} waveforms exceed the enumeration cap {cap}")
     _, labels_int, first = _noiseless_labels(samples)
 
@@ -470,13 +482,10 @@ def counting_entropy(constellation, M: int) -> CountingReport:
 # ---------------------------------------------------------------------------
 # Monte-Carlo estimator
 
-#: Largest number of Monte-Carlo density terms, one per (row, symbol,
-#: alphabet entry, output), in the runs of blocks in flight at once: it
-#: caps a run's blocks and the threads that evaluate runs together.  A
-#: waveform with more terms than this is refused.  A run holds far fewer
-#: than its terms: one density per distinct (output, key), one per-symbol
-#: sum per distinct noiseless output, and the buffers it allocates for its
-#: own draws, outputs and a piece's scratch.
+#: Largest number of entries of the Monte-Carlo kernels' tables, the unit
+#: of ``_BLOCK_ENTRIES`` and ``_PIECE_ENTRIES``, in the runs of blocks in
+#: flight at once: it caps the threads that evaluate runs together.  A
+#: waveform whose table holds more entries than this is refused.
 MC_BLOCK_ELEMENTS = 1 << 22
 
 #: Threads that evaluate Monte-Carlo runs of blocks: one per CPU this process may run on.
@@ -807,12 +816,12 @@ _RAISE_ON_OVERFLOW = np.errstate(divide="raise", over="raise", invalid="raise")
 _NOISE_HEADROOM = 2.0**10
 
 
-def _block_moments(values, width, n_samples, seed, entries, terms):
+def _block_moments(values, width, n_samples, seed, entries):
     """(count, mean, sum of squared deviations) of the values of n_samples
-    waveforms of ``entries`` mixture entries, ``terms`` density terms and
-    ``width`` entries of the kernel's table each, ``values(blocks)`` giving
-    the bits per dof of the waveforms of a run of consecutive blocks, each a
-    (generator, count) pair, in block order.
+    waveforms of ``entries`` mixture entries and ``width`` entries of the
+    kernel's table each, ``values(blocks)`` giving the bits per dof of the
+    waveforms of a run of consecutive blocks, each a (generator, count)
+    pair, in block order.
 
     The waveforms are cut into blocks of at most ``_BLOCK_ENTRIES`` mixture
     entries (one waveform where one holds more), and into at least eight
@@ -824,25 +833,24 @@ def _block_moments(values, width, n_samples, seed, entries, terms):
     cores.
 
     A pool task takes a run of consecutive blocks, as many as fit
-    ``_BLOCK_ENTRIES`` table entries and ``MC_BLOCK_ELEMENTS`` density
-    terms, so that a kernel whose blocks are narrow makes fewer, longer
-    ufunc calls, but no more than an equal share of the blocks per worker,
-    so that no worker idles while another evaluates every block.  The runs
-    depend on the number of cores, but the values do not: the densities
-    are elementwise, and a run's sums over a waveform's symbols and
-    components add the same terms in the same order as its block's.  A
-    block of one waveform is evaluated alone, since numpy sums a table of
-    one column in pairwise order and each column of a wider table in
-    sequence.  Runs run on a pool of one thread per CPU in the process's
-    affinity mask (``MC_WORKERS``), but no more than ``MC_BLOCK_ELEMENTS``
-    density terms holds runs, and at most two runs per thread are handed
-    to the pool at once, so memory is bounded whatever n_samples is.
+    ``_BLOCK_ENTRIES`` table entries, so that a kernel whose blocks are
+    narrow makes fewer, longer ufunc calls, but no more than an equal share
+    of the blocks per worker, so that no worker idles while another
+    evaluates every block.  The runs depend on the number of cores, but the
+    values do not: the densities are elementwise, and a run's sums over a
+    waveform's symbols and components add the same terms in the same order
+    as its block's.  A block of one waveform is evaluated alone, since
+    numpy sums a table of one column in pairwise order and each column of a
+    wider table in sequence.  Runs run on a pool of one thread per CPU in
+    the process's affinity mask (``MC_WORKERS``), but no more than
+    ``MC_BLOCK_ELEMENTS`` table entries hold runs, and at most two runs per
+    thread are handed to the pool at once, so memory is bounded whatever
+    n_samples is.
     """
     rows = max(1, min(_BLOCK_ENTRIES // entries, -(-n_samples // 8)))
     blocks = -(-n_samples // rows)
-    run = max(1, min(_BLOCK_ENTRIES // (rows * width), MC_BLOCK_ELEMENTS // (rows * terms),
-                     -(-blocks // MC_WORKERS)))
-    threads = max(1, min(MC_WORKERS, MC_BLOCK_ELEMENTS // (run * rows * terms)))
+    run = max(1, min(_BLOCK_ENTRIES // (rows * width), -(-blocks // MC_WORKERS)))
+    threads = max(1, min(MC_WORKERS, MC_BLOCK_ELEMENTS // (run * rows * width)))
 
     @_RAISE_ON_OVERFLOW  # pool threads do not inherit the caller's error state
     def task(r):
@@ -902,8 +910,9 @@ def _gaussian_values(rx, v, M):
 def _mixture_values(rx, samples, v, M):
     """The values kernel of symbols drawn uniformly from an alphabet whose
     entry a has the rate-B samples ``samples[a]``, with p(y) the mixture
-    over the alphabet, and its table's width per waveform; None where the
-    alphabet has one noiseless output, so that every value is exactly 0.
+    over the alphabet, and its table's width per waveform; (None, 0) where
+    the alphabet has one noiseless output: every value is exactly 0, and
+    there is no table.
 
     The densities depend on a symbol only through one key per output
     (|x|^2 at a square-law receiver, joined within ``MC_KEY_RTOL``, and x
@@ -934,7 +943,7 @@ def _mixture_values(rx, samples, v, M):
     keys, col_of, gather, output_of, mass = _mixture_tables(columns, rx.square_law)
     n_out = len(mass)
     if n_out == 1:  # every draw's log q(y|x) is its log p(y)
-        return None
+        return None, 0
     log_alpha = np.log(n_alpha)
     mass = mass.astype(np.float64)[:, None, None]
     work_rows = 6 if rx.square_law else 1  # only the square-law density needs six
@@ -1041,10 +1050,11 @@ def mc_mi(
     such as PSK at the intensity receiver or BPSK at M=2 at the direct one,
     gives exactly 0 bits, and 0 standard error: every draw's value would be
     0, so none is made, and any ``n_samples`` up to ``MC_MAX_SAMPLES`` is
-    answered at once, after the refusals below.
+    answered at once, after the refusals below; it holds no table, so its
+    width is refused at no M.
 
-    More than ``MC_MAX_SAMPLES`` waveforms, a waveform of more than
-    ``MC_BLOCK_ELEMENTS`` density terms, an SNR above
+    More than ``MC_MAX_SAMPLES`` waveforms, a waveform whose kernel's table
+    holds more than ``MC_BLOCK_ELEMENTS`` entries, an SNR above
     ``MC_SQUARE_LAW_MAX_SNR`` at a square-law receiver, one so small that
     the noise variance overflows, or, at any receiver, coherent included,
     so small that ``_NOISE_HEADROOM`` times M times the variance overflows
@@ -1084,16 +1094,9 @@ def mc_mi(
         )
     length = M if rx.oversample > 1 else 1  # rate-B samples per symbol
     samples = None if gaussian else _alphabet(
-        np.asarray(input_model), length, DIRECT_ALPHABET_CAP,
+        input_model, length, DIRECT_ALPHABET_CAP,
         "the estimator enumerates the symbol alphabet; {count} symbols exceed the cap {cap}")
     n_alpha = 1 if gaussian else len(samples)
-    row_width = M * rx.oversample * n_alpha  # a waveform's density terms
-    if n_samples > MC_MAX_SAMPLES or row_width > MC_BLOCK_ELEMENTS:
-        raise ValueError(
-            f"n_samples={n_samples} waveforms of {row_width} density terms each are beyond "
-            f"the estimator's limits of {MC_MAX_SAMPLES:.0e} waveforms and "
-            f"{MC_BLOCK_ELEMENTS} terms per waveform"
-        )
     v = _noise_variance(1.0 if gaussian else float(np.mean(np.abs(samples) ** 2)), snr)
     if not math.isfinite(_NOISE_HEADROOM * M * float(v)):
         raise ValueError(
@@ -1101,12 +1104,18 @@ def mc_mi(
         )
 
     if gaussian:  # the choice of kernel, which also names the input in the report
-        kernel, model, closed_form = _gaussian_values(rx, v, M), "gaussian", float(np.log2(1.0 + snr))
+        (values, width), model, closed_form = _gaussian_values(rx, v, M), "gaussian", float(np.log2(1.0 + snr))
     else:
-        kernel, model, closed_form = _mixture_values(rx, samples, v, M), "constellation", None
-    # no kernel: every value is exactly 0, pooled without drawing it
-    count, mean, squares = (n_samples, 0.0, 0.0) if kernel is None else _block_moments(
-        *kernel, n_samples, noise.seed, M // length * n_alpha, row_width)
+        (values, width), model, closed_form = _mixture_values(rx, samples, v, M), "constellation", None
+    if n_samples > MC_MAX_SAMPLES or width > MC_BLOCK_ELEMENTS:
+        raise ValueError(
+            f"n_samples={n_samples} waveforms of {width} table entries each are beyond "
+            f"the estimator's limits of {MC_MAX_SAMPLES:.0e} waveforms and "
+            f"{MC_BLOCK_ELEMENTS} table entries per waveform"
+        )
+    # no values: every value is exactly 0, pooled without drawing it
+    count, mean, squares = (n_samples, 0.0, 0.0) if values is None else _block_moments(
+        values, width, n_samples, noise.seed, M // length * n_alpha)
 
     estimate = MIEstimate(
         bits_per_dof=float(mean),

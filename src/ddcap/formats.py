@@ -43,10 +43,20 @@ def _sample_pairs(samples) -> np.ndarray:
     return pairs.astype(np.float64)
 
 
+def _number(value, name: str) -> int | float:
+    """A JSON number, int or float: strings, bools and nulls raise TypeError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    return value
+
+
 def signal_from_dict(data: dict) -> PeriodicSignal:
     try:
         samples = _sample_pairs(data["samples"]).view(np.complex128)[:, 0]
-        return PeriodicSignal(M=int(data["M"]), B=float(data["B"]), samples=samples)
+        M = _number(data["M"], "M")
+        if isinstance(M, float) and not M.is_integer():
+            raise ValueError(f"M must be an integer, got {M!r}")
+        return PeriodicSignal(M=int(M), B=float(_number(data["B"], "B")), samples=samples)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed signal record: {exc}") from exc
 

@@ -672,13 +672,12 @@ class TestMonteCarloBlocks:
         assert squares == pytest.approx(np.sum((values - values.mean()) ** 2), rel=1e-10)
 
     @staticmethod
-    def runs(n, entries, terms, width):
+    def runs(n, entries, width):
         """The documented partition: the counts of each run's blocks, with a
         block of one waveform as a run of its own."""
         rows = max(1, min(channel._BLOCK_ENTRIES // entries, -(-n // 8)))
         counts = [min(rows, n - b * rows) for b in range(-(-n // rows))]
-        run = max(1, min(channel._BLOCK_ENTRIES // (rows * width), channel.MC_BLOCK_ELEMENTS // (rows * terms),
-                         -(-len(counts) // channel.MC_WORKERS)))
+        run = max(1, min(channel._BLOCK_ENTRIES // (rows * width), -(-len(counts) // channel.MC_WORKERS)))
         runs = []
         for first in range(0, len(counts), run):
             several = [count for count in counts[first : first + run] if count > 1]
@@ -702,7 +701,7 @@ class TestMonteCarloBlocks:
         # a stub values kernel that returns its streams' standard normals: the
         # driver's moments are numpy's on the blocks' draws, concatenated in
         # block order under the documented partition, at any worker count
-        rows, counts, _ = self.runs(n, entries, entries, width)
+        rows, counts, _ = self.runs(n, entries, width)
         assert len(counts) >= min(n, 8)
         draws = np.concatenate([
             np.random.default_rng(np.random.SeedSequence(5, spawn_key=(b,))).standard_normal(count)
@@ -717,8 +716,8 @@ class TestMonteCarloBlocks:
                 return self.stub(blocks)
 
             monkeypatch.setattr(channel, "MC_WORKERS", workers)
-            results.append(channel._block_moments(recording, width, n, 5, entries, entries))
-            assert sorted(calls) == sorted(self.runs(n, entries, entries, width)[2])
+            results.append(channel._block_moments(recording, width, n, 5, entries))
+            assert sorted(calls) == sorted(self.runs(n, entries, width)[2])
         (count, mean, squares), other = results
         assert (count, mean.hex(), squares.hex()) == (other[0], other[1].hex(), other[2].hex())
         assert count == n
@@ -732,20 +731,21 @@ class TestMonteCarloBlocks:
         monkeypatch.setattr(channel, "MC_WORKERS", workers)
         with np.errstate(all="ignore"), pytest.raises(FloatingPointError):
             channel._block_moments(lambda blocks: np.full(sum(count for _, count in blocks), 1e308) * 10.0,
-                                   1, 100, 1, 1, 1)
+                                   1, 100, 1, 1)
 
-    # (MC_WORKERS, density terms and table entries per waveform, threads,
-    # runs): 13 waveforms per block at 100 waveforms of 8 entries.  A table
-    # of 8192 entries per waveform takes a run of one block, and one of 1024
-    # a run of four, cut to three blocks, a third of the eight, by three
-    # workers; a budget of 26 rows of terms holds two blocks, so runs of two
-    # and one thread, and one too small for a block still runs one
-    @pytest.mark.parametrize("workers, terms, width, threads, tasks", [
-        (1, 8, 8192, 1, 8), (3, 8, 8192, 3, 8), (3, channel.MC_BLOCK_ELEMENTS // 26, 8192, 2, 8),
-        (3, channel.MC_BLOCK_ELEMENTS, 8192, 1, 8), (3, 8, 1024, 3, 3),
-        (3, channel.MC_BLOCK_ELEMENTS // 26, 1024, 1, 4),
+    # (MC_WORKERS, budget and table entries per waveform, threads, runs): 13
+    # waveforms per block at 100 waveforms of 8 entries.  A table of 8192
+    # entries per waveform (106496 a block) takes a run of one block, and
+    # one of 1024 (13312 a block) a run of four, cut to three blocks, a
+    # third of the eight, by three workers.  A budget of two runs opens two
+    # threads, and one too small for a run still runs one
+    @pytest.mark.parametrize("workers, budget, width, threads, tasks", [
+        (1, channel.MC_BLOCK_ELEMENTS, 8192, 1, 8), (3, channel.MC_BLOCK_ELEMENTS, 8192, 3, 8),
+        (3, 2 * 106496, 8192, 2, 8), (3, 106496 - 1, 8192, 1, 8), (3, channel.MC_BLOCK_ELEMENTS, 1024, 3, 3),
+        (3, 2 * 3 * 13312, 1024, 2, 3), (3, 3 * 13312 - 1, 1024, 1, 3),
     ])
-    def test_driver_threads_and_blocks_ahead(self, monkeypatch, workers, terms, width, threads, tasks):
+    def test_driver_threads_and_blocks_ahead(self, monkeypatch, workers, budget, width, threads, tasks):
+        monkeypatch.setattr(channel, "MC_BLOCK_ELEMENTS", budget)
         monkeypatch.setattr(channel, "MC_WORKERS", workers)
         pools, ahead = [], []
         state = {"submitted": 0, "returned": 0, "most": 0}
@@ -770,11 +770,58 @@ class TestMonteCarloBlocks:
 
         monkeypatch.setattr(channel, "ThreadPoolExecutor", RecordingPool)
         monkeypatch.setattr(channel, "_bounded_map", recording_map)
-        count, _, _ = channel._block_moments(self.stub, width, 100, 2, 8, terms)
+        count, _, _ = channel._block_moments(self.stub, width, 100, 2, 8)
         assert count == 100
         assert (pools, ahead) == ([threads], [2 * threads])
         assert state["submitted"] == state["returned"] == tasks
         assert 1 <= state["most"] <= 2 * threads
+
+    # (MC_WORKERS, receiver, input, M, waveforms, blocks a run, threads): the
+    # benchmark's mc mix at two workers, in mix order, where an alphabet of
+    # one noiseless output opens no pool.  Then direct alphabets whose tables
+    # are narrow beside their 2M outputs per entry, which open a thread per
+    # worker at four and sixteen workers: direct QPSK M=4 holds 64 table
+    # entries per waveform for its 256 alphabet entries
+    SIZING = [
+        (2, "coherent", "gaussian", 1, 100_000, 4, 2),
+        (2, "coherent", "gaussian", 4, 100_000, 1, 2),
+        (2, "intensity", "gaussian", 1, 100_000, 4, 2),
+        (2, "intensity", "gaussian", 4, 50_000, 2, 2),
+        (2, "coherent", "qpsk", 2, 100_000, 1, 2),
+        (2, "intensity", "qpsk", 2, 100_000, None, None),
+        (2, "direct", "bpsk", 2, 50_000, None, None),
+        (2, "direct", "bpsk", 4, 20_000, 1, 2),
+        (2, "direct", "qpsk", 2, 20_000, 3, 2),
+        (2, "direct", "qpsk", 4, 4_000, 4, 2),
+        (4, "direct", "qpsk", 4, 100_000, 4, 4),
+        (4, "direct", "bpsk", 10, 2_000, 1, 4),
+        (16, "direct", "bpsk", 4, 20_000, 1, 16),
+    ]
+
+    @pytest.mark.parametrize("workers, receiver, model, M, n, run, threads", SIZING)
+    def test_runs_and_threads_count_table_entries(self, monkeypatch, workers, receiver, model, M, n, run, threads):
+        # the sizing depends on the request and the kernel's table alone, so
+        # the kernel's values are replaced by zeros
+        monkeypatch.setattr(channel, "MC_WORKERS", workers)
+        pools, runs, driver = [], [], channel._block_moments
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        def recording_driver(values, width, n_samples, seed, entries):
+            def zeros(blocks):
+                runs.append(len(blocks))
+                return np.zeros(sum(count for _, count in blocks))
+
+            return driver(zeros, width, n_samples, seed, entries)
+
+        monkeypatch.setattr(channel, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(channel, "_block_moments", recording_driver)
+        points = model if model == "gaussian" else named_constellation(model)
+        mc_mi(receiver, points, NoiseSpec(snr=10.0, seed=1), n, M=M)
+        assert (max(runs, default=None), pools) == (run, [threads] if threads else [])
 
     # (receiver, input, M): both kernels at every receiver that has them
     KERNELS = [
@@ -792,7 +839,7 @@ class TestMonteCarloBlocks:
         made: its blocks' numbers and counts and the values it returned."""
         driver, kernels = channel._block_moments, []
 
-        def recording_driver(values, width, n_samples, seed, entries, terms):
+        def recording_driver(values, width, n_samples, seed, entries):
             calls = []
 
             def recording(blocks):
@@ -802,7 +849,7 @@ class TestMonteCarloBlocks:
                 return bits
 
             kernels.append((values, seed, calls))
-            return driver(recording, width, n_samples, seed, entries, terms)
+            return driver(recording, width, n_samples, seed, entries)
 
         monkeypatch.setattr(channel, "_block_moments", recording_driver)
         report = mc_mi(receiver, model, NoiseSpec(snr=10.0, seed=4), n, M=M)
@@ -846,23 +893,24 @@ class TestMonteCarloBlocks:
             alone = np.concatenate([values([block]) for block in blocks(counts)])
             np.testing.assert_array_equal(run.view(np.int64), alone.view(np.int64))
 
-    # (receiver, input, M, waveforms) at budgets that hold runs of one to
-    # four blocks of direct QPSK M=4 (2^19 terms each), one or two at once
-    @pytest.mark.parametrize("budget", [1 << 19, 1 << 20, 1 << 21, 1 << 22])
+    # (receiver, input, M, waveforms) at budgets that hold one, two, three
+    # and every run at once: each case's runs hold 2^16 table entries, four
+    # blocks of direct QPSK M=4, two of direct QPSK M=2 and one Gaussian one
+    @pytest.mark.parametrize("budget", [1 << 16, 1 << 17, 3 << 16, 1 << 22])
     @pytest.mark.parametrize("receiver, model, M, n", [
         ("direct", psk(4), 4, 20_001), ("direct", psk(4), 2, 200_001), ("coherent", "gaussian", 4, 100_001),
     ])
     def test_tasks_in_flight_hold_at_most_the_budget(self, monkeypatch, budget, receiver, model, M, n):
         # with more workers than the budget admits and fast thread
         # switching, the runs being evaluated at once never hold more than
-        # MC_BLOCK_ELEMENTS density terms between them
+        # MC_BLOCK_ELEMENTS table entries between them
         monkeypatch.setattr(channel, "MC_BLOCK_ELEMENTS", budget)
         monkeypatch.setattr(channel, "MC_WORKERS", 3)
         driver, lock, state = channel._block_moments, threading.Lock(), {"held": 0, "most": 0, "runs": 0}
 
-        def recording_driver(values, width, n_samples, seed, entries, terms):
+        def recording_driver(values, width, n_samples, seed, entries):
             def recording(blocks):
-                held = sum(count for _, count in blocks) * terms
+                held = sum(count for _, count in blocks) * width
                 with lock:
                     state["held"] += held
                     state["most"] = max(state["most"], state["held"])
@@ -873,7 +921,7 @@ class TestMonteCarloBlocks:
                     with lock:
                         state["held"] -= held
 
-            return driver(recording, width, n_samples, seed, entries, terms)
+            return driver(recording, width, n_samples, seed, entries)
 
         monkeypatch.setattr(channel, "_block_moments", recording_driver)
         interval = sys.getswitchinterval()
@@ -1005,9 +1053,9 @@ class TestMonteCarlo:
     @pytest.mark.parametrize("block", [channel.MC_BLOCK_ELEMENTS, 4096])
     @pytest.mark.parametrize("receiver, model, bits, se", EXACT)
     def test_exact_values_across_blocks(self, monkeypatch, block, workers, receiver, model, bits, se):
-        # every case spans eight blocks or more.  A budget of 4096 terms holds
-        # fewer blocks, so fewer threads evaluate them, but the partition and
-        # every bit stay those of the full budget
+        # every case spans eight blocks or more.  A budget of 4096 table
+        # entries holds one run at most, so one thread evaluates them, but
+        # the partition and every bit stay those of the full budget
         monkeypatch.setattr(channel, "MC_BLOCK_ELEMENTS", block)
         monkeypatch.setattr(channel, "MC_WORKERS", workers)
         self.assert_exact(receiver, model, bits, se)
@@ -1113,11 +1161,12 @@ class TestMonteCarlo:
         assert threading.active_count() == threads
 
     def test_many_workers_share_the_block_budget(self, monkeypatch):
-        # direct BPSK M=12: one row is 4096 waveforms x 24 outputs = 98304
-        # entries, a block holds 16 rows and the budget 64, so the budget
-        # admits four workers of the 96 asked for; 96 workers of a block each
-        # would hold 24 budgets of density terms between them
-        monkeypatch.setattr(channel, "MC_BLOCK_ELEMENTS", 64 * 98304)
+        # direct BPSK M=12: a waveform's table holds 7296 entries, its
+        # distinct (output, |x|^2) densities, a block 16 waveforms and the
+        # budget four blocks, so the budget admits four workers of the 96
+        # asked for; 96 workers of a block each would hold 24 budgets of
+        # table entries between them
+        monkeypatch.setattr(channel, "MC_BLOCK_ELEMENTS", 4 * 16 * 7296)
         monkeypatch.setattr(channel, "MC_WORKERS", 96)
         workers = []
 
@@ -1235,6 +1284,30 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             mc_mi("direct", points, NoiseSpec(snr=10.0), 100, M=M)
 
+    # (constellation, what the refusal says it got): no non-empty 1-d array
+    # of finite complex numbers is enumerated, by either caller of the one
+    # alphabet constructor, at any receiver
+    @pytest.mark.parametrize("points, got", [
+        (np.array([1, np.nan]), "the point (nan+0j)"),
+        (np.array([1.0, -np.inf]), "the point (-inf+0j)"),
+        (np.array([1j, complex(1.0, np.nan)]), "the point (1+nanj)"),
+        (np.array([np.nan]), "the point (nan+0j)"),
+        (np.array([]), "an array of shape (0,) and dtype float64"),
+        (np.ones((2, 2)), "an array of shape (2, 2) and dtype float64"),
+        (np.array(1.0), "an array of shape () and dtype float64"),
+        (np.array(["1", "-1"]), "an array of shape (2,) and dtype <U2"),
+        (np.array([1, None]), "an array of shape (2,) and dtype object"),
+        ([1, [1, 2]], "a ragged sequence"),
+    ])
+    @pytest.mark.parametrize("receiver, M", [("counting", 2), ("coherent", 1), ("intensity", 2), ("direct", 3)])
+    def test_malformed_constellations_are_refused(self, points, got, receiver, M):
+        message = f"the constellation must be a non-empty 1-d array of finite complex numbers, got {got}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            if receiver == "counting":
+                counting_entropy(points, M)
+            else:
+                mc_mi(receiver, points, NoiseSpec(snr=10.0), 100, M=M)
+
     def test_named_constellations(self):
         assert len(named_constellation("qpsk")) == 4
         assert len(named_constellation("BPSK")) == 2
@@ -1249,13 +1322,13 @@ class TestSingleOutputAlphabets:
     is made without drawing; every refusal still comes first.
     """
 
-    # (receiver, points, M, density terms per waveform)
+    # (receiver, points, M)
     CASES = [
-        *(("intensity", psk(q), M, q * M) for q in (4, 8, 16) for M in (1, 2, 3)),
-        ("direct", psk(2), 2, 16),
-        *(("coherent", np.array([1 + 0j]), M, M) for M in (1, 2, 3)),
+        *(("intensity", psk(q), M) for q in (4, 8, 16) for M in (1, 2, 3)),
+        ("direct", psk(2), 2),
+        *(("coherent", np.array([1 + 0j]), M) for M in (1, 2, 3)),
     ]
-    IDS = [f"{rx}-{len(points)}pt-M{M}" for rx, points, M, _ in CASES]
+    IDS = [f"{rx}-{len(points)}pt-M{M}" for rx, points, M in CASES]
 
     @staticmethod
     def forbid_draws(monkeypatch):
@@ -1266,8 +1339,8 @@ class TestSingleOutputAlphabets:
         monkeypatch.setattr(channel, "_circular_normal", fail)
         monkeypatch.setattr(channel, "ThreadPoolExecutor", fail)
 
-    @pytest.mark.parametrize("receiver, points, M, width", CASES, ids=IDS)
-    def test_exact_zero_without_drawing(self, monkeypatch, receiver, points, M, width):
+    @pytest.mark.parametrize("receiver, points, M", CASES, ids=IDS)
+    def test_exact_zero_without_drawing(self, monkeypatch, receiver, points, M):
         self.forbid_draws(monkeypatch)
         threads = threading.active_count()
         report = mc_mi(receiver, points, NoiseSpec(snr=10.0, seed=3), channel.MC_MAX_SAMPLES, M=M)
@@ -1280,15 +1353,16 @@ class TestSingleOutputAlphabets:
         assert (report.input_model, report.n_samples, report.M) == ("constellation", channel.MC_MAX_SAMPLES, M)
         assert threading.active_count() == threads
 
-    @pytest.mark.parametrize("receiver, points, M, width", CASES, ids=IDS)
-    def test_refusals_come_first(self, monkeypatch, receiver, points, M, width):
+    @pytest.mark.parametrize("receiver, points, M", CASES, ids=IDS)
+    def test_refusals_come_first(self, monkeypatch, receiver, points, M):
         self.forbid_draws(monkeypatch)
         beyond = channel.MC_MAX_SAMPLES + 1
         refusals = [
             (NoiseSpec(snr=10.0), 1, "n_samples must be at least 2"),
+            # one noiseless output: there is no table
             (NoiseSpec(snr=10.0), beyond,
-             f"n_samples={beyond} waveforms of {width} density terms each are beyond the estimator's "
-             f"limits of 1e+10 waveforms and {channel.MC_BLOCK_ELEMENTS} terms per waveform"),
+             f"n_samples={beyond} waveforms of 0 table entries each are beyond the estimator's "
+             f"limits of 1e+10 waveforms and {channel.MC_BLOCK_ELEMENTS} table entries per waveform"),
             (NoiseSpec(snr=1e-310), 300, "snr 1e-310 is so small that the noise variance overflows"),
             # the noise variance is finite, but the squared noisy outputs would overflow
             (NoiseSpec(snr=1e-308), 300,
@@ -1302,13 +1376,18 @@ class TestSingleOutputAlphabets:
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 mc_mi(receiver, points, noise, n_samples, M=M)
 
-    def test_row_width_refusal_comes_first(self, monkeypatch):
-        # 262145 x 16 density terms is beyond the row-width limit of 2^22
+    def test_table_width_refusal_comes_first(self, monkeypatch):
+        # at the coherent receiver, 16PSK's table holds 16 x 262145 entries
+        # per waveform, beyond the limit of 2^22; at the intensity receiver
+        # the same alphabet has one noiseless output and no table, so it is
+        # answered
         self.forbid_draws(monkeypatch)
-        message = ("n_samples=2 waveforms of 4194320 density terms each are beyond the estimator's "
-                   "limits of 1e+10 waveforms and 4194304 terms per waveform")
+        message = ("n_samples=2 waveforms of 4194320 table entries each are beyond the estimator's "
+                   "limits of 1e+10 waveforms and 4194304 table entries per waveform")
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            mc_mi("intensity", psk(16), NoiseSpec(snr=10.0), 2, M=262_145)
+            mc_mi("coherent", psk(16), NoiseSpec(snr=10.0), 2, M=262_145)
+        est = mc_mi("intensity", psk(16), NoiseSpec(snr=10.0), 2, M=262_145).estimate
+        assert (est.bits_per_dof, est.std_error) == (0.0, 0.0)
 
     @pytest.mark.parametrize("M", [1, 64, 65, 200])
     def test_one_point_constellation_at_any_length(self, monkeypatch, M):

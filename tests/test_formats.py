@@ -59,23 +59,52 @@ def test_malformed_signal_rejected():
         signal_from_dict({"M": 2, "samples": [[0, 0]]})
 
 
-@pytest.mark.parametrize("samples", [
-    [["1", "0"]],
-    [[1, "0"]],
-    [[None, 0]],
-    [[2**70, None]],
-    [[10**30, "1"]],  # an object array: ints beyond 64 bits and a string
-    [[1, 0], [1]],
-    [[1, 0, 2]],
-    [[[1, 0]]],
-    [],
-    {"re": 1, "im": 0},
-    "1,0",
-    [[1e308, 10**400]],  # beyond the float range
-])
-def test_signal_samples_must_be_pairs_of_numbers(samples):
-    with pytest.raises(ValueError, match="malformed signal record"):
-        signal_from_dict({"M": 1, "B": 1.0, "samples": samples})
+# fields that make a signal record malformed: samples that are not pairs of
+# numbers, an M that is not an integral number or a B that is no number.
+# Neither M nor B is taken from a string or a bool, nor a fractional M cut
+# to an integer
+MALFORMED_SIGNAL_FIELDS = [
+    {"samples": [["1", "0"]]},
+    {"samples": [[1, "0"]]},
+    {"samples": [[None, 0]]},
+    {"samples": [[2**70, None]]},
+    {"samples": [[10**30, "1"]]},  # an object array: ints beyond 64 bits and a string
+    {"samples": [[1, 0], [1]]},
+    {"samples": [[1, 0, 2]]},
+    {"samples": [[[1, 0]]]},
+    {"samples": []},
+    {"samples": {"re": 1, "im": 0}},
+    {"samples": "1,0"},
+    {"samples": [[1e308, 10**400]]},  # beyond the float range
+    {"M": 3.7, "samples": [[1, 0], [0, 1], [1, 1]]},
+    {"M": math.inf},
+    {"M": "1"},
+    {"M": True},
+    {"M": None},
+    {"B": "1"},
+    {"B": True},
+    {"B": [1.0]},
+    {"B": 10**400},
+]
+
+
+@pytest.mark.parametrize("fields", MALFORMED_SIGNAL_FIELDS)
+def test_malformed_signal_record_exits_2_with_one_line(tmp_path, fields):
+    record = {"M": 1, "B": 1.0, "samples": [[1, 0]], **fields}
+    with pytest.raises(ValueError, match="^malformed signal record: "):
+        signal_from_dict(record)
+    path = tmp_path / "sig.json"
+    path.write_text(json.dumps(record))
+    result = invoke(["enumerate", "--input", str(path), "--output", str(tmp_path / "family.json")])
+    assert result.exit_code == 2, result.output
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith(f"error: cannot read signal JSON {path}: malformed signal record: ")
+    assert not (tmp_path / "family.json").exists()
+
+
+def test_signal_M_may_be_an_integral_float():
+    sig = signal_from_dict({"M": 3.0, "B": 2, "samples": [[1, 0], [0, 1], [1, 1]]})
+    assert (type(sig.M), sig.M, type(sig.B), sig.B) == (int, 3, float, 2.0)
 
 
 def test_signal_samples_take_ints_and_bools_as_complex_does():
