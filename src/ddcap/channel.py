@@ -482,10 +482,12 @@ def counting_entropy(constellation, M: int) -> CountingReport:
 # ---------------------------------------------------------------------------
 # Monte-Carlo estimator
 
-#: Largest number of entries of the Monte-Carlo kernels' tables, the unit
-#: of ``_BLOCK_ENTRIES`` and ``_PIECE_ENTRIES``, in the runs of blocks in
-#: flight at once: it caps the threads that evaluate runs together.  A
-#: waveform whose table holds more entries than this is refused.
+#: Largest number of float64 entries, the unit of ``_BLOCK_ENTRIES`` and
+#: ``_PIECE_ENTRIES``, that the Monte-Carlo runs of blocks in flight hold
+#: at once: each run's table, sums, draws and scratch, as its kernel counts
+#: them.  It caps the threads that evaluate runs together, but one run is
+#: evaluated whatever it holds.  A waveform whose kernel's table holds more
+#: entries than this is refused.
 MC_BLOCK_ELEMENTS = 1 << 22
 
 #: Threads that evaluate Monte-Carlo runs of blocks: one per CPU this process may run on.
@@ -816,12 +818,13 @@ _RAISE_ON_OVERFLOW = np.errstate(divide="raise", over="raise", invalid="raise")
 _NOISE_HEADROOM = 2.0**10
 
 
-def _block_moments(values, width, n_samples, seed, entries):
+def _block_moments(values, width, held, n_samples, seed, entries):
     """(count, mean, sum of squared deviations) of the values of n_samples
     waveforms of ``entries`` mixture entries and ``width`` entries of the
     kernel's table each, ``values(blocks)`` giving the bits per dof of the
     waveforms of a run of consecutive blocks, each a (generator, count)
-    pair, in block order.
+    pair, in block order, and ``held(count)`` the most float64 entries a
+    run of count waveforms holds at once.
 
     The waveforms are cut into blocks of at most ``_BLOCK_ENTRIES`` mixture
     entries (one waveform where one holds more), and into at least eight
@@ -842,15 +845,15 @@ def _block_moments(values, width, n_samples, seed, entries):
     as its block's.  A block of one waveform is evaluated alone, since
     numpy sums a table of one column in pairwise order and each column of a
     wider table in sequence.  Runs run on a pool of one thread per CPU in
-    the process's affinity mask (``MC_WORKERS``), but no more than
-    ``MC_BLOCK_ELEMENTS`` table entries hold runs, and at most two runs per
-    thread are handed to the pool at once, so memory is bounded whatever
-    n_samples is.
+    the process's affinity mask (``MC_WORKERS``), but on no more threads
+    than runs whose held entries fit ``MC_BLOCK_ELEMENTS`` (at least one),
+    and at most two runs per thread are handed to the pool at once, so
+    memory is bounded whatever n_samples is.
     """
     rows = max(1, min(_BLOCK_ENTRIES // entries, -(-n_samples // 8)))
     blocks = -(-n_samples // rows)
     run = max(1, min(_BLOCK_ENTRIES // (rows * width), -(-blocks // MC_WORKERS)))
-    threads = max(1, min(MC_WORKERS, MC_BLOCK_ELEMENTS // (run * rows * width)))
+    threads = max(1, min(MC_WORKERS, MC_BLOCK_ELEMENTS // held(run * rows)))
 
     @_RAISE_ON_OVERFLOW  # pool threads do not inherit the caller's error state
     def task(r):
@@ -876,20 +879,30 @@ def _block_moments(values, width, n_samples, seed, entries):
 def _gaussian_values(rx, v, M):
     """The values kernel of unit-power circular Gaussian symbols, one per
     rate-B sample, through the receiver's closed form ``rx.gaussian_bits``,
-    and its table's width, M entries per waveform.
+    its table's width, M entries per waveform, and what a run holds.
 
     A run evaluates its blocks one by one: a block already fills a piece or
     more unless the whole request is small.  A block draws its symbols x,
     then its noise.  Its buffers are its own, sized to its count; one float
     buffer holds its draws and then the closed form's scratch for pieces of
-    at most ``_PIECE_ENTRIES`` values.
+    at most ``_PIECE_ENTRIES`` values.  A run is counted as if it held its
+    blocks' buffers at once.
     """
     work_rows = 6 if rx.square_law else 1  # only the square-law density needs six
     scale = 1.0 / np.sqrt(2.0)  # numpy divides x by sqrt(2) + 0j as (re + im 0) times this
 
+    def first_piece(size):  # a block's largest piece
+        return next(_pieces(1, size, _PIECE_ENTRIES))[3]
+
+    def held(count):
+        size, piece = count * M, first_piece(count * M)
+        # the float buffer and the density's index and mask temporaries, x
+        # and y (complex), the table and the waveforms' sums
+        return max(size, work_rows * piece) + 2 * piece + 6 * size + 2 * count
+
     def block(rng, count):
         size = count * M
-        _, _, _, piece = next(_pieces(1, size, _PIECE_ENTRIES))  # the first piece is the largest
+        piece = first_piece(size)
         # the draws are spent before the scratch is used, so one buffer holds both
         floats = np.empty(max(size, work_rows * piece))
         x = _circular_normal(rng, np.empty(size, dtype=np.complex128), floats)
@@ -904,15 +917,15 @@ def _gaussian_values(rx, v, M):
             rx.gaussian_bits(y[c0:c1], x[c0:c1], v, table[c0:c1], work)
         return table.reshape(count, M).T.sum(axis=0) / M
 
-    return (lambda blocks: np.concatenate([block(rng, count) for rng, count in blocks])), M
+    return (lambda blocks: np.concatenate([block(rng, count) for rng, count in blocks])), M, held
 
 
 def _mixture_values(rx, samples, v, M):
     """The values kernel of symbols drawn uniformly from an alphabet whose
     entry a has the rate-B samples ``samples[a]``, with p(y) the mixture
-    over the alphabet, and its table's width per waveform; (None, 0) where
-    the alphabet has one noiseless output: every value is exactly 0, and
-    there is no table.
+    over the alphabet, its table's width per waveform and what a run
+    holds; None where the alphabet has one noiseless output, so that every
+    value is exactly 0.
 
     The densities depend on a symbol only through one key per output
     (|x|^2 at a square-law receiver, joined within ``MC_KEY_RTOL``, and x
@@ -933,7 +946,9 @@ def _mixture_values(rx, samples, v, M):
     one float buffer that holds its draws and then its densities' scratch
     for pieces of the table of at most ``_PIECE_ENTRIES`` entries, so the
     scratch does not grow with the table's width.  The densities are
-    elementwise, so the pieces change no bit.
+    elementwise, so the pieces change no bit.  A run counts that buffer,
+    and per symbol and waveform its draws and outputs while it draws, and
+    its outputs, table and sums while it sums.
     """
     n_alpha, length = samples.shape
     symbols, outputs = M // length, length * rx.oversample  # per waveform, per symbol
@@ -943,16 +958,32 @@ def _mixture_values(rx, samples, v, M):
     keys, col_of, gather, output_of, mass = _mixture_tables(columns, rx.square_law)
     n_out = len(mass)
     if n_out == 1:  # every draw's log q(y|x) is its log p(y)
-        return None, 0
+        return None
     log_alpha = np.log(n_alpha)
     mass = mass.astype(np.float64)[:, None, None]
     work_rows = 6 if rx.square_law else 1  # only the square-law density needs six
 
+    def first_piece(width):  # the largest piece of a run's table
+        _, r1, _, c1 = next(_pieces(len(keys), width, _PIECE_ENTRIES))
+        return r1 * c1
+
+    def held(count):
+        width = symbols * count
+        piece = first_piece(width)
+        # the float buffer, and the density's gathered outputs (coherent) or
+        # its index and mask temporaries (square-law)
+        scratch = max(width * length, work_rows * piece) + 2 * piece
+        # per symbol: sent and y, with either the draws' coefficients, their
+        # padded transform and fields, and x, or the table, its sums and the
+        # final sums' temporaries
+        draws = 2 * length + (4 * outputs if rx.oversample > 1 else 0) + 2
+        sums = len(keys) + n_out + 12
+        return scratch + width * (1 + outputs * (1 if rx.square_law else 2) + max(draws, sums))
+
     def values(blocks):
         count = sum(n for _, n in blocks)
         width = symbols * count
-        _, r1, _, c1 = next(_pieces(len(keys), width, _PIECE_ENTRIES))
-        piece = r1 * c1  # the first piece is the largest
+        piece = first_piece(width)
         # the draws are spent before the densities' scratch is used, so one
         # buffer holds both
         floats = np.empty(max(width * length, work_rows * piece))
@@ -1009,7 +1040,7 @@ def _mixture_values(rx, samples, v, M):
         bits = (log_q - (peak + (np.log(terms.sum(axis=0)) - log_alpha))) * _LOG2E
         return bits.sum(axis=0) / M
 
-    return values, max(len(keys), n_out) * symbols
+    return values, max(len(keys), n_out) * symbols, held
 
 
 @_RAISE_ON_OVERFLOW
@@ -1050,8 +1081,8 @@ def mc_mi(
     such as PSK at the intensity receiver or BPSK at M=2 at the direct one,
     gives exactly 0 bits, and 0 standard error: every draw's value would be
     0, so none is made, and any ``n_samples`` up to ``MC_MAX_SAMPLES`` is
-    answered at once, after the refusals below; it holds no table, so its
-    width is refused at no M.
+    answered at once, after the refusals below; it holds no table, so no
+    table width refuses it.
 
     More than ``MC_MAX_SAMPLES`` waveforms, a waveform whose kernel's table
     holds more than ``MC_BLOCK_ELEMENTS`` entries, an SNR above
@@ -1097,6 +1128,8 @@ def mc_mi(
         input_model, length, DIRECT_ALPHABET_CAP,
         "the estimator enumerates the symbol alphabet; {count} symbols exceed the cap {cap}")
     n_alpha = 1 if gaussian else len(samples)
+    if n_samples > MC_MAX_SAMPLES:
+        raise ValueError(f"n_samples={n_samples} is beyond the estimator's limit of {MC_MAX_SAMPLES:.0e} waveforms")
     v = _noise_variance(1.0 if gaussian else float(np.mean(np.abs(samples) ** 2)), snr)
     if not math.isfinite(_NOISE_HEADROOM * M * float(v)):
         raise ValueError(
@@ -1104,18 +1137,17 @@ def mc_mi(
         )
 
     if gaussian:  # the choice of kernel, which also names the input in the report
-        (values, width), model, closed_form = _gaussian_values(rx, v, M), "gaussian", float(np.log2(1.0 + snr))
+        kernel, model, closed_form = _gaussian_values(rx, v, M), "gaussian", float(np.log2(1.0 + snr))
     else:
-        (values, width), model, closed_form = _mixture_values(rx, samples, v, M), "constellation", None
-    if n_samples > MC_MAX_SAMPLES or width > MC_BLOCK_ELEMENTS:
+        kernel, model, closed_form = _mixture_values(rx, samples, v, M), "constellation", None
+    if kernel is not None and kernel[1] > MC_BLOCK_ELEMENTS:
         raise ValueError(
-            f"n_samples={n_samples} waveforms of {width} table entries each are beyond "
-            f"the estimator's limits of {MC_MAX_SAMPLES:.0e} waveforms and "
+            f"a waveform of {kernel[1]} table entries is beyond the estimator's limit of "
             f"{MC_BLOCK_ELEMENTS} table entries per waveform"
         )
-    # no values: every value is exactly 0, pooled without drawing it
-    count, mean, squares = (n_samples, 0.0, 0.0) if values is None else _block_moments(
-        values, width, n_samples, noise.seed, M // length * n_alpha)
+    # no kernel: every value is exactly 0, pooled without drawing it
+    count, mean, squares = (n_samples, 0.0, 0.0) if kernel is None else _block_moments(
+        *kernel, n_samples, noise.seed, M // length * n_alpha)
 
     estimate = MIEstimate(
         bits_per_dof=float(mean),

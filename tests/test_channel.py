@@ -716,7 +716,7 @@ class TestMonteCarloBlocks:
                 return self.stub(blocks)
 
             monkeypatch.setattr(channel, "MC_WORKERS", workers)
-            results.append(channel._block_moments(recording, width, n, 5, entries))
+            results.append(channel._block_moments(recording, width, lambda count: count * width, n, 5, entries))
             assert sorted(calls) == sorted(self.runs(n, entries, width)[2])
         (count, mean, squares), other = results
         assert (count, mean.hex(), squares.hex()) == (other[0], other[1].hex(), other[2].hex())
@@ -731,14 +731,15 @@ class TestMonteCarloBlocks:
         monkeypatch.setattr(channel, "MC_WORKERS", workers)
         with np.errstate(all="ignore"), pytest.raises(FloatingPointError):
             channel._block_moments(lambda blocks: np.full(sum(count for _, count in blocks), 1e308) * 10.0,
-                                   1, 100, 1, 1)
+                                   1, lambda count: count, 100, 1, 1)
 
-    # (MC_WORKERS, budget and table entries per waveform, threads, runs): 13
-    # waveforms per block at 100 waveforms of 8 entries.  A table of 8192
-    # entries per waveform (106496 a block) takes a run of one block, and
-    # one of 1024 (13312 a block) a run of four, cut to three blocks, a
-    # third of the eight, by three workers.  A budget of two runs opens two
-    # threads, and one too small for a run still runs one
+    # (MC_WORKERS, budget, table entries per waveform, threads, runs): 13
+    # waveforms per block at 100 waveforms of 8 entries, and a stub kernel
+    # whose run holds its table.  A table of 8192 entries per waveform
+    # (106496 a block) takes a run of one block, and one of 1024 (13312 a
+    # block) a run of four, cut to three blocks, a third of the eight, by
+    # three workers.  A budget of two runs opens two threads, and one too
+    # small for a run still runs one
     @pytest.mark.parametrize("workers, budget, width, threads, tasks", [
         (1, channel.MC_BLOCK_ELEMENTS, 8192, 1, 8), (3, channel.MC_BLOCK_ELEMENTS, 8192, 3, 8),
         (3, 2 * 106496, 8192, 2, 8), (3, 106496 - 1, 8192, 1, 8), (3, channel.MC_BLOCK_ELEMENTS, 1024, 3, 3),
@@ -770,7 +771,7 @@ class TestMonteCarloBlocks:
 
         monkeypatch.setattr(channel, "ThreadPoolExecutor", RecordingPool)
         monkeypatch.setattr(channel, "_bounded_map", recording_map)
-        count, _, _ = channel._block_moments(self.stub, width, 100, 2, 8)
+        count, _, _ = channel._block_moments(self.stub, width, lambda count: count * width, 100, 2, 8)
         assert count == 100
         assert (pools, ahead) == ([threads], [2 * threads])
         assert state["submitted"] == state["returned"] == tasks
@@ -778,10 +779,10 @@ class TestMonteCarloBlocks:
 
     # (MC_WORKERS, receiver, input, M, waveforms, blocks a run, threads): the
     # benchmark's mc mix at two workers, in mix order, where an alphabet of
-    # one noiseless output opens no pool.  Then direct alphabets whose tables
-    # are narrow beside their 2M outputs per entry, which open a thread per
-    # worker at four and sixteen workers: direct QPSK M=4 holds 64 table
-    # entries per waveform for its 256 alphabet entries
+    # one noiseless output opens no pool.  Then direct alphabets whose runs
+    # hold 300-400k entries, mostly the square-law density's scratch, so
+    # that the budget of 2^22 admits eleven of them: a thread per worker at
+    # four workers, eleven at sixteen
     SIZING = [
         (2, "coherent", "gaussian", 1, 100_000, 4, 2),
         (2, "coherent", "gaussian", 4, 100_000, 1, 2),
@@ -795,11 +796,12 @@ class TestMonteCarloBlocks:
         (2, "direct", "qpsk", 4, 4_000, 4, 2),
         (4, "direct", "qpsk", 4, 100_000, 4, 4),
         (4, "direct", "bpsk", 10, 2_000, 1, 4),
-        (16, "direct", "bpsk", 4, 20_000, 1, 16),
+        (16, "direct", "qpsk", 4, 100_000, 4, 11),
+        (16, "direct", "bpsk", 4, 20_000, 1, 11),
     ]
 
     @pytest.mark.parametrize("workers, receiver, model, M, n, run, threads", SIZING)
-    def test_runs_and_threads_count_table_entries(self, monkeypatch, workers, receiver, model, M, n, run, threads):
+    def test_runs_count_table_entries_and_threads_held_entries(self, monkeypatch, workers, receiver, model, M, n, run, threads):
         # the sizing depends on the request and the kernel's table alone, so
         # the kernel's values are replaced by zeros
         monkeypatch.setattr(channel, "MC_WORKERS", workers)
@@ -810,12 +812,12 @@ class TestMonteCarloBlocks:
                 pools.append(max_workers)
                 super().__init__(max_workers)
 
-        def recording_driver(values, width, n_samples, seed, entries):
+        def recording_driver(values, width, held, n_samples, seed, entries):
             def zeros(blocks):
                 runs.append(len(blocks))
                 return np.zeros(sum(count for _, count in blocks))
 
-            return driver(zeros, width, n_samples, seed, entries)
+            return driver(zeros, width, held, n_samples, seed, entries)
 
         monkeypatch.setattr(channel, "ThreadPoolExecutor", RecordingPool)
         monkeypatch.setattr(channel, "_block_moments", recording_driver)
@@ -839,7 +841,7 @@ class TestMonteCarloBlocks:
         made: its blocks' numbers and counts and the values it returned."""
         driver, kernels = channel._block_moments, []
 
-        def recording_driver(values, width, n_samples, seed, entries):
+        def recording_driver(values, width, held, n_samples, seed, entries):
             calls = []
 
             def recording(blocks):
@@ -849,7 +851,7 @@ class TestMonteCarloBlocks:
                 return bits
 
             kernels.append((values, seed, calls))
-            return driver(recording, width, n_samples, seed, entries)
+            return driver(recording, width, held, n_samples, seed, entries)
 
         monkeypatch.setattr(channel, "_block_moments", recording_driver)
         report = mc_mi(receiver, model, NoiseSpec(snr=10.0, seed=4), n, M=M)
@@ -893,45 +895,131 @@ class TestMonteCarloBlocks:
             alone = np.concatenate([values([block]) for block in blocks(counts)])
             np.testing.assert_array_equal(run.view(np.int64), alone.view(np.int64))
 
-    # (receiver, input, M, waveforms) at budgets that hold one, two, three
-    # and every run at once: each case's runs hold 2^16 table entries, four
-    # blocks of direct QPSK M=4, two of direct QPSK M=2 and one Gaussian one
-    @pytest.mark.parametrize("budget", [1 << 16, 1 << 17, 3 << 16, 1 << 22])
+    @staticmethod
+    def kernel(receiver, model, M):
+        """The (values, width, held) kernel that mc_mi builds, without running it."""
+        kernels, driver = [], channel._block_moments
+
+        def capture(*args):
+            kernels.append(args[:3])
+            return 2, 0.0, 0.0
+
+        channel._block_moments = capture
+        try:
+            mc_mi(receiver, model, NoiseSpec(snr=10.0, seed=6), 100, M=M)
+        finally:
+            channel._block_moments = driver
+        [kernel] = kernels
+        return kernel
+
+    # (receiver, input, M): both kernels at every receiver that has them,
+    # and the direct alphabets of the benchmark's mix and CI, narrow and wide
+    HELD = [*KERNELS, ("direct", psk(4), 4), ("direct", psk(2), 4), ("direct", psk(2), 10), ("direct", psk(8), 3)]
+
+    @pytest.mark.parametrize("receiver, model, M", HELD,
+                             ids=[f"{rx}-{m if isinstance(m, str) else len(m)}-{M}" for rx, m, M in HELD])
+    def test_runs_hold_at_most_what_their_kernel_counts(self, receiver, model, M):
+        # a run of count waveforms allocates, at its peak, no more than the
+        # held(count) float64 entries that the driver sizes its pool by, but
+        # 16 KiB of Python objects: from one waveform to tables of several
+        # pieces
+        values, width, held = self.kernel(receiver, model, M)
+        for count in (1, 7, 64, 1000, 5000):
+            if count * width > 1 << 20:
+                break
+            blocks = [(np.random.default_rng(count), count)]
+            values(blocks)  # numpy's first call of a ufunc allocates caches
+            tracemalloc.start()
+            try:
+                values(blocks)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 8 * held(count) + 16384, (count, peak, held(count))
+
+    # (receiver, input, M, waveforms) at budgets that hold one, two and three
+    # runs, and at the default: four blocks of direct QPSK M=4 a run, two of
+    # direct QPSK M=2 and one Gaussian one
+    @pytest.mark.parametrize("admitted", [1, 2, 3, None])
     @pytest.mark.parametrize("receiver, model, M, n", [
         ("direct", psk(4), 4, 20_001), ("direct", psk(4), 2, 200_001), ("coherent", "gaussian", 4, 100_001),
     ])
-    def test_tasks_in_flight_hold_at_most_the_budget(self, monkeypatch, budget, receiver, model, M, n):
+    def test_tasks_in_flight_hold_at_most_the_budget(self, monkeypatch, admitted, receiver, model, M, n):
         # with more workers than the budget admits and fast thread
-        # switching, the runs being evaluated at once never hold more than
-        # MC_BLOCK_ELEMENTS table entries between them
-        monkeypatch.setattr(channel, "MC_BLOCK_ELEMENTS", budget)
+        # switching, the runs being evaluated at once never count more than
+        # MC_BLOCK_ELEMENTS entries between them, and the whole estimate
+        # never allocates more than that but its kernel's tables
         monkeypatch.setattr(channel, "MC_WORKERS", 3)
         driver, lock, state = channel._block_moments, threading.Lock(), {"held": 0, "most": 0, "runs": 0}
+        pools = []
 
-        def recording_driver(values, width, n_samples, seed, entries):
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        def recording_driver(values, width, held, n_samples, seed, entries):
+            _, _, runs = self.runs(n_samples, entries, width)
+            if admitted:
+                monkeypatch.setattr(channel, "MC_BLOCK_ELEMENTS", admitted * held(sum(runs[0])))
+
             def recording(blocks):
-                held = sum(count for _, count in blocks) * width
+                holds = held(sum(count for _, count in blocks))
                 with lock:
-                    state["held"] += held
+                    state["held"] += holds
                     state["most"] = max(state["most"], state["held"])
                     state["runs"] += 1
                 try:
                     return values(blocks)
                 finally:
                     with lock:
-                        state["held"] -= held
+                        state["held"] -= holds
 
-            return driver(recording, width, n_samples, seed, entries)
+            return driver(recording, width, held, n_samples, seed, entries)
 
         monkeypatch.setattr(channel, "_block_moments", recording_driver)
+        monkeypatch.setattr(channel, "ThreadPoolExecutor", RecordingPool)
+        mc_mi(receiver, model, NoiseSpec(snr=10.0, seed=2), 1000, M=M)  # numpy's first-call caches
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
+        tracemalloc.start()
         try:
             mc_mi(receiver, model, NoiseSpec(snr=10.0, seed=2), n, M=M)
+            peak = tracemalloc.get_traced_memory()[1]
         finally:
+            tracemalloc.stop()
             sys.setswitchinterval(interval)
+        assert pools[-1] == min(3, admitted or 3)
         assert state["runs"] >= 2 and state["held"] == 0
-        assert 0 < state["most"] <= budget
+        assert 0 < state["most"] <= channel.MC_BLOCK_ELEMENTS
+        assert peak <= 8 * channel.MC_BLOCK_ELEMENTS + (1 << 16)
+
+    def test_sixteen_workers_hold_at_most_the_budget(self, monkeypatch):
+        # direct QPSK M=4, the CI memory case: a run of four 256-waveform
+        # blocks counts about 380k entries, so the default budget of 2^22
+        # opens eleven threads of sixteen, and what they allocate at once
+        # stays within the budget's 32 MiB
+        monkeypatch.setattr(channel, "MC_WORKERS", 16)
+        pools = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(channel, "ThreadPoolExecutor", RecordingPool)
+        mc_mi("direct", psk(4), NoiseSpec(snr=10.0 ** 1.5, seed=1), 1000, M=4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        tracemalloc.start()
+        try:
+            mc_mi("direct", psk(4), NoiseSpec(snr=10.0 ** 1.5, seed=1), 40_000, M=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            sys.setswitchinterval(interval)
+        assert pools[-1] == 11
+        assert peak <= 8 * channel.MC_BLOCK_ELEMENTS
 
 
 class TestMonteCarlo:
@@ -1163,10 +1251,11 @@ class TestMonteCarlo:
     def test_many_workers_share_the_block_budget(self, monkeypatch):
         # direct BPSK M=12: a waveform's table holds 7296 entries, its
         # distinct (output, |x|^2) densities, a block 16 waveforms and the
-        # budget four blocks, so the budget admits four workers of the 96
-        # asked for; 96 workers of a block each would hold 24 budgets of
-        # table entries between them
-        monkeypatch.setattr(channel, "MC_BLOCK_ELEMENTS", 4 * 16 * 7296)
+        # budget what four blocks hold, so the budget admits four workers of
+        # the 96 asked for; 96 workers of a block each would hold 24 budgets
+        # between them
+        _, _, held = TestMonteCarloBlocks.kernel("direct", psk(2), 12)
+        monkeypatch.setattr(channel, "MC_BLOCK_ELEMENTS", 4 * held(16))
         monkeypatch.setattr(channel, "MC_WORKERS", 96)
         workers = []
 
@@ -1359,10 +1448,7 @@ class TestSingleOutputAlphabets:
         beyond = channel.MC_MAX_SAMPLES + 1
         refusals = [
             (NoiseSpec(snr=10.0), 1, "n_samples must be at least 2"),
-            # one noiseless output: there is no table
-            (NoiseSpec(snr=10.0), beyond,
-             f"n_samples={beyond} waveforms of 0 table entries each are beyond the estimator's "
-             f"limits of 1e+10 waveforms and {channel.MC_BLOCK_ELEMENTS} table entries per waveform"),
+            (NoiseSpec(snr=10.0), beyond, f"n_samples={beyond} is beyond the estimator's limit of 1e+10 waveforms"),
             (NoiseSpec(snr=1e-310), 300, "snr 1e-310 is so small that the noise variance overflows"),
             # the noise variance is finite, but the squared noisy outputs would overflow
             (NoiseSpec(snr=1e-308), 300,
@@ -1380,14 +1466,19 @@ class TestSingleOutputAlphabets:
         # at the coherent receiver, 16PSK's table holds 16 x 262145 entries
         # per waveform, beyond the limit of 2^22; at the intensity receiver
         # the same alphabet has one noiseless output and no table, so it is
-        # answered
+        # answered.  Too many waveforms are refused before the noise and the
+        # table, in their own words
         self.forbid_draws(monkeypatch)
-        message = ("n_samples=2 waveforms of 4194320 table entries each are beyond the estimator's "
-                   "limits of 1e+10 waveforms and 4194304 table entries per waveform")
+        message = "a waveform of 4194320 table entries is beyond the estimator's limit of 4194304 table entries per waveform"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             mc_mi("coherent", psk(16), NoiseSpec(snr=10.0), 2, M=262_145)
         est = mc_mi("intensity", psk(16), NoiseSpec(snr=10.0), 2, M=262_145).estimate
         assert (est.bits_per_dof, est.std_error) == (0.0, 0.0)
+        beyond = channel.MC_MAX_SAMPLES + 1
+        message = f"n_samples={beyond} is beyond the estimator's limit of 1e+10 waveforms"
+        for receiver in ("coherent", "intensity"):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                mc_mi(receiver, psk(16), NoiseSpec(snr=1e-310), beyond, M=262_145)
 
     @pytest.mark.parametrize("M", [1, 64, 65, 200])
     def test_one_point_constellation_at_any_length(self, monkeypatch, M):
